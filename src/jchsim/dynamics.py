@@ -89,23 +89,12 @@ def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
     if det_y is None:
         det_y = np.full(n_sites, drive.Delta)
 
-    amplitudes = {(): 1.0}
+    site_vectors = []
     for j, lab in enumerate(labels):
-        n_j = _LABEL_EXCITATION[lab]
-        _, vectors = site_manifold_states(n_j, det_x[j], det_y[j], drive)
-        site_vec = vectors[lab]
-        amplitudes = {
-            prefix + (state,): amp * coeff
-            for prefix, amp in amplitudes.items()
-            for state, coeff in site_vec.items()
-        }
-    psi = np.zeros(basis.dim, dtype=complex)
-    for full_state, amp in amplitudes.items():
-        psi[basis.index[full_state]] = amp
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-12:
-        raise SectorError(f"product state norm {norm} != 1; basis incomplete?")
-    return psi
+        _, vectors = site_manifold_states(_LABEL_EXCITATION[lab], det_x[j],
+                                          det_y[j], drive)
+        site_vectors.append(vectors[lab])
+    return basis.product_vector(site_vectors)
 
 
 def _lanczos_basis(matvec, psi, m):

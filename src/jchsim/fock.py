@@ -1,15 +1,25 @@
-"""Sector basis enumeration and sparse operators for the V-type lattice.
+"""Integer-coded bases and the local-operator embedding for the V-type lattice.
 
 A site state is (level, n_x, n_y) with level in {G, E1, E2}; its
 excitation number is n_x + n_y + (level != G). The total excitation
 operator N = sum_j N_j is exactly conserved, so the many-body basis is
 enumerated sector by sector: restriction to fixed total N is exact, not
 a truncation.
+
+A basis stores each many-body state as a row of small-int codes into an
+alphabet of site states (or spin labels, for the product bases of the
+effective models). `embed` maps an operator on one or two sites into a
+basis for all states at once; every Hamiltonian is a sum of embeddings
+of the single-site operators defined once in `site_operators`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,87 +37,225 @@ def site_excitation(state):
     return n_x + n_y + (1 if level != G else 0)
 
 
+@lru_cache(maxsize=None)
+def site_alphabet(n_max):
+    """Site states with at most n_max excitations, sorted: a sector's alphabet."""
+    return tuple(s for s in itertools.product((G, E1, E2), range(n_max + 1),
+                                              range(n_max + 1))
+                 if site_excitation(s) <= n_max)
+
+
 def site_states(n):
     """All site states with exactly n excitations, sorted by (level, n_x, n_y).
 
     There are 3n+1 of them: n+1 ground-level splits of n phonons plus n
     splits each for e1 and e2 (one quantum stored in the atom).
     """
-    states = []
-    for level in (G, E1, E2):
-        n_ph = n - (1 if level != G else 0)
-        if n_ph < 0:
-            continue
-        for n_x in range(n_ph + 1):
-            states.append((level, n_x, n_ph - n_x))
-    return sorted(states)
+    return [s for s in site_alphabet(n) if site_excitation(s) == n]
+
+
+def _read_only(mat):
+    mat.setflags(write=False)
+    return mat
+
+
+@lru_cache(maxsize=None)
+def site_operators(n_max):
+    """Dense single-site operators on site_alphabet(n_max); cached, read-only.
+
+    num_x/num_y, proj_e1/proj_e2, the phonon lowering a_x/a_y, and
+    jc_x = a_x |e1><g| + h.c. with its e2/y counterpart jc_y.
+    """
+    alphabet = site_alphabet(n_max)
+    index = {s: i for i, s in enumerate(alphabet)}
+    level, n_x, n_y = np.array(alphabet, dtype=float).T
+    ops = {
+        "num_x": np.diag(n_x),
+        "num_y": np.diag(n_y),
+        "proj_e1": np.diag((level == E1).astype(float)),
+        "proj_e2": np.diag((level == E2).astype(float)),
+    }
+    for species, pos, excited in (("x", 1, E1), ("y", 2, E2)):
+        lower = np.zeros((len(alphabet), len(alphabet)))
+        sigma = np.zeros_like(lower)  # |e><g|, where the raised state fits
+        for i, s in enumerate(alphabet):
+            if s[pos]:
+                t = list(s)
+                t[pos] -= 1
+                lower[index[tuple(t)], i] = math.sqrt(s[pos])
+            if s[0] == G and (excited, s[1], s[2]) in index:
+                sigma[index[(excited, s[1], s[2])], i] = 1.0
+        jc = sigma @ lower
+        ops["a_" + species] = lower
+        ops["jc_" + species] = jc + jc.T
+    return MappingProxyType({k: _read_only(v) for k, v in ops.items()})
+
+
+@lru_cache(maxsize=None)
+def site_sector_operators(n):
+    """site_operators between the exact-n site states, in site_states order.
+
+    a_x/a_y map them into the n - 1 site states. Cached and read-only.
+    """
+    exc = np.array([site_excitation(s) for s in site_alphabet(n)])
+    here, below = np.flatnonzero(exc == n), np.flatnonzero(exc == n - 1)
+    return MappingProxyType({
+        name: _read_only(op[np.ix_(below if name.startswith("a_") else here, here)])
+        for name, op in site_operators(n).items()
+    })
+
+
+def hop_operator(n_max, species):
+    """Sparse a_j^dag a_k + a_j a_k^dag of species 'x'/'y' for embed on (j, k)."""
+    a = sp.csr_array(site_operators(n_max)["a_" + species])
+    hop = sp.kron(a.T, a, format="csr")
+    return hop + hop.T
 
 
 class SectorError(ValueError):
     """Basis request outside the supported sector constraints."""
 
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Ordered many-body basis of one total-excitation sector.
+def _count_fillings(excitations, n_sites, n_total):
+    """ways[m, b]: rows of m <= n_sites sites holding b excitations (exact ints)."""
+    per_site = np.bincount(excitations, minlength=n_total + 1).astype(object)
+    ways = [np.array([1] + [0] * n_total, dtype=object)]
+    for _ in range(n_sites):
+        ways.append(np.convolve(ways[-1], per_site)[: n_total + 1])
+    return np.array(ways)
 
-    states are tuples of per-site (level, n_x, n_y) tuples in global
-    lexicographic order (site 0 most significant); index maps a state
-    back to its ordinal.
+
+@dataclass(frozen=True, eq=False)
+class SectorBasis:
+    """Ordered many-body basis: codes[i, j] indexes alphabet at site j of state i.
+
+    The rows are all those holding n_total excitations, counting each
+    letter by `excitations`, in lexicographic order (site 0 most significant).
     """
 
     n_sites: int
     n_total: int
-    states: tuple
-    index: dict = field(repr=False)
+    alphabet: tuple
+    excitations: np.ndarray = field(repr=False)
+    codes: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
-        return len(self.states)
+        return len(self.codes)
+
+    @cached_property
+    def states(self):
+        """Basis states as tuples of site states (a view for tests)."""
+        return tuple(
+            tuple(self.alphabet[c] for c in row) for row in self.codes.tolist()
+        )
+
+    @cached_property
+    def index(self):
+        """Map from a states entry back to its ordinal (a view for tests)."""
+        return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def _rank_table(self):
+        # [m, b, c]: the fillings of a site followed by m sites, holding b
+        # excitations between them, whose first letter is below c. A row's
+        # rank sums this over its sites, with its own prefix fixed.
+        ways = _count_fillings(self.excitations, self.n_sites - 1,
+                               self.n_total).astype(np.int64)
+        left = np.arange(self.n_total + 1)[:, None] - self.excitations
+        terms = np.where(left >= 0, ways[:, np.maximum(left, 0)], 0)
+        return np.cumsum(terms, axis=2) - terms
+
+    def rank(self, codes):
+        """Ordinals of code rows; SectorError if a row is not in the basis."""
+        exc = self.excitations[codes]
+        spent = np.cumsum(exc, axis=1)
+        if np.any(spent[:, -1] != self.n_total):
+            raise SectorError("operator moves a state out of the sector")
+        left = self.n_total - spent + exc
+        sites_after = np.arange(self.n_sites - 1, -1, -1)
+        return self._rank_table[sites_after, left, codes].sum(axis=1)
+
+    def product_vector(self, site_amplitudes):
+        """Dense prod_j (sum_s amp_j[s] |s>_j) from one {letter: amp} per site."""
+        letter = {s: i for i, s in enumerate(self.alphabet)}
+        codes = itertools.product(*([letter[s] for s in a] for a in site_amplitudes))
+        amps = itertools.product(*(list(a.values()) for a in site_amplitudes))
+        psi = np.zeros(self.dim, dtype=complex)
+        psi[self.rank(np.array(list(codes)))] = np.array(list(amps)).prod(axis=1)
+        return psi
 
     def state_label(self, i):
         return " ".join(
-            f"({LEVEL_NAMES[l]},{nx},{ny})" for l, nx, ny in self.states[i]
+            f"({LEVEL_NAMES[l]},{nx},{ny})"
+            for l, nx, ny in (self.alphabet[c] for c in self.codes[i])
         )
 
 
+def _enumerate(alphabet, excitations, n_sites, n_total, dim_cap):
+    dim = _count_fillings(excitations, n_sites, n_total)[-1, -1]
+    if dim > dim_cap:
+        raise SectorError(f"sector dimension {dim} exceeds cap {dim_cap}")
+    codes = np.zeros((1, 0), dtype=np.min_scalar_type(len(alphabet) - 1))
+    left = np.array([n_total])
+    for site in range(n_sites):
+        # extend each row by every letter that fits; the last takes what is left
+        if site < n_sites - 1:
+            fits = excitations <= left[:, None]
+        else:
+            fits = excitations == left[:, None]
+        row, letter = np.nonzero(fits)
+        codes = np.column_stack([codes[row], letter.astype(codes.dtype)])
+        left = left[row] - excitations[letter]
+    return SectorBasis(n_sites, n_total, alphabet, excitations, codes)
+
+
 def enumerate_sector(n_sites, n_total, dim_cap=DEFAULT_DIM_CAP):
-    """Enumerate every configuration with sum_j n_j = n_total, lexicographically."""
+    """Every configuration with sum_j n_j = n_total, lexicographically."""
     if n_sites < 1:
         raise SectorError("n_sites must be >= 1")
     if n_total < 0:
         raise SectorError("n_total must be >= 0")
-    # per-site candidates with n <= budget, in (level, n_x, n_y) order
-    candidates = {
-        budget: sorted(
-            s for n in range(budget + 1) for s in site_states(n)
-        )
-        for budget in range(n_total + 1)
-    }
-    states = []
-    partial = [None] * n_sites
+    alphabet = site_alphabet(n_total)
+    excitations = np.array([site_excitation(s) for s in alphabet])
+    return _enumerate(alphabet, excitations, n_sites, n_total, dim_cap)
 
-    def fill(site, budget):
-        if site == n_sites - 1:
-            for s in site_states(budget):
-                partial[site] = s
-                states.append(tuple(partial))
-                if len(states) > dim_cap:
-                    raise SectorError(
-                        f"sector dimension exceeds cap {dim_cap}"
-                    )
-            return
-        for s in candidates[budget]:
-            partial[site] = s
-            fill(site + 1, budget - site_excitation(s))
 
-    fill(0, n_total)
-    return SectorBasis(
-        n_sites=n_sites,
-        n_total=n_total,
-        states=tuple(states),
-        index={s: i for i, s in enumerate(states)},
-    )
+def product_basis(alphabet, n_sites):
+    """Every row of n_sites letters from alphabet, in kron order."""
+    alphabet = tuple(alphabet)
+    return _enumerate(alphabet, np.zeros(len(alphabet), dtype=np.int64),
+                      n_sites, 0, DEFAULT_DIM_CAP)
+
+
+def embed(basis: SectorBasis, local, sites):
+    """Map an operator on one or two sites into the basis: (rows, cols, vals).
+
+    local is a square dense or sparse matrix over the letters of `sites`,
+    site-major in the order given: for sites (j, k) its index is
+    c_j * len(alphabet) + c_k. All basis states are mapped at once; the
+    result lists <rows|local|cols> for every nonzero entry, with
+    duplicates not summed. Raises SectorError if local leaves the basis.
+    """
+    n_letters = len(basis.alphabet)
+    local = sp.csc_array(local)
+    if (len(set(sites)) != len(sites)
+            or local.shape != (n_letters ** len(sites),) * 2):
+        raise ValueError(f"local operator {local.shape} does not fit sites {sites}")
+    codes = basis.codes
+    col_letter = np.zeros(basis.dim, dtype=np.intp)
+    for s in sites:
+        col_letter = col_letter * n_letters + codes[:, s]
+    start = local.indptr[col_letter]
+    count = local.indptr[col_letter + 1] - start
+    cols = np.repeat(np.arange(basis.dim), count)
+    ptr = np.arange(len(cols)) + np.repeat(start - (np.cumsum(count) - count), count)
+    target, vals = local.indices[ptr], local.data[ptr]
+    moved = codes[cols]
+    for s in reversed(sites):
+        moved[:, s] = target % n_letters
+        target = target // n_letters
+    return basis.rank(moved), cols, vals
 
 
 class SparseOperator:
@@ -127,27 +275,9 @@ class SparseOperator:
             (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
         ).tocsr()
         mat.sum_duplicates()
-        if mat.nnz:
-            keep = np.abs(mat.data) > drop_tol
-            if not keep.all():
-                coo = mat.tocoo()
-                keep = np.abs(coo.data) > drop_tol
-                mat = sp.coo_matrix(
-                    (coo.data[keep], (coo.row[keep], coo.col[keep])),
-                    shape=(dim, dim),
-                ).tocsr()
+        mat.data[np.abs(mat.data) <= drop_tol] = 0.0
+        mat.eliminate_zeros()
         return cls(dim, mat)
-
-    def entries(self):
-        """Yield (row, col, value) coordinate triplets."""
-        coo = self.mat.tocoo()
-        yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-
-    def dump(self, path):
-        """Text dump 'row col re im', one entry per line, for cross-language diffing."""
-        with open(path, "w", encoding="ascii") as fh:
-            for r, c, v in self.entries():
-                fh.write(f"{r} {c} {v.real!r} {v.imag!r}\n")
 
     def hermiticity_defect(self):
         diff = self.mat - self.mat.getH()
@@ -159,30 +289,20 @@ class SparseOperator:
     def matvec(self, v):
         return self.mat @ v
 
-    def expectation(self, v):
-        return float(np.real(np.vdot(v, self.mat @ v)))
-
     def __add__(self, other):
         return SparseOperator(self.dim, self.mat + other.mat)
-
-    def __mul__(self, scalar):
-        return SparseOperator(self.dim, self.mat * scalar)
-
-    __rmul__ = __mul__
 
     def commutator_norm(self, other):
         diff = self.mat @ other.mat - other.mat @ self.mat
         return 0.0 if diff.nnz == 0 else np.max(np.abs(diff.data))
 
 
-def _build(basis, apply_state):
-    """Assemble an operator from a per-basis-state generator of (target, amp)."""
-    rows, cols, vals = [], [], []
-    for col, state in enumerate(basis.states):
-        for target, amp in apply_state(state):
-            rows.append(basis.index[target])
-            cols.append(col)
-            vals.append(amp)
+def assemble(basis: SectorBasis, terms):
+    """SparseOperator summing embed(basis, local, sites) over (local, sites)."""
+    parts = [embed(basis, local, sites) for local, sites in terms]
+    if not parts:
+        return SparseOperator.from_coo(basis.dim, [], [], [])
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
     return SparseOperator.from_coo(basis.dim, rows, cols, vals)
 
 
@@ -199,37 +319,7 @@ def build_site_operator(basis: SectorBasis, site, kind):
         raise IndexError(f"site {site} out of range")
     if kind not in SITE_OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind: {kind}")
-
-    def apply_state(state):
-        level, n_x, n_y = state[site]
-        if kind == "num_x":
-            if n_x:
-                yield state, complex(n_x)
-        elif kind == "num_y":
-            if n_y:
-                yield state, complex(n_y)
-        elif kind == "proj_e1":
-            if level == E1:
-                yield state, 1.0 + 0.0j
-        elif kind == "proj_e2":
-            if level == E2:
-                yield state, 1.0 + 0.0j
-        elif kind == "jc_x":
-            if level == G and n_x:  # a_x |e1><g|
-                new = state[:site] + ((E1, n_x - 1, n_y),) + state[site + 1 :]
-                yield new, complex(np.sqrt(n_x))
-            elif level == E1:  # a_x^dag |g><e1|
-                new = state[:site] + ((G, n_x + 1, n_y),) + state[site + 1 :]
-                yield new, complex(np.sqrt(n_x + 1))
-        elif kind == "jc_y":
-            if level == G and n_y:
-                new = state[:site] + ((E2, n_x, n_y - 1),) + state[site + 1 :]
-                yield new, complex(np.sqrt(n_y))
-            elif level == E2:
-                new = state[:site] + ((G, n_x, n_y + 1),) + state[site + 1 :]
-                yield new, complex(np.sqrt(n_y + 1))
-
-    return _build(basis, apply_state)
+    return assemble(basis, [(site_operators(basis.n_total)[kind], (site,))])
 
 
 def build_hop_operator(basis: SectorBasis, j, k, species):
@@ -241,30 +331,10 @@ def build_hop_operator(basis: SectorBasis, j, k, species):
         raise ValueError("hop requires two distinct sites")
     if species not in ("x", "y"):
         raise ValueError(f"unknown species: {species}")
-    pos = 1 if species == "x" else 2  # index of n_x / n_y inside the site tuple
-
-    def _shift(state, site, delta):
-        s = list(state[site])
-        s[pos] += delta
-        return state[:site] + (tuple(s),) + state[site + 1 :]
-
-    def apply_state(state):
-        n_j = state[j][pos]
-        n_k = state[k][pos]
-        if n_k:  # a_j^dag a_k
-            amp = np.sqrt(n_k) * np.sqrt(n_j + 1)
-            yield _shift(_shift(state, k, -1), j, +1), complex(amp)
-        if n_j:  # a_j a_k^dag
-            amp = np.sqrt(n_j) * np.sqrt(n_k + 1)
-            yield _shift(_shift(state, j, -1), k, +1), complex(amp)
-
-    return _build(basis, apply_state)
+    return assemble(basis, [(hop_operator(basis.n_total, species), (j, k))])
 
 
 def total_excitation_operator(basis: SectorBasis):
     """N = sum_j (n_x + n_y + P_e1 + P_e2); diagonal and constant on a sector."""
-    diag = np.array(
-        [sum(site_excitation(s) for s in state) for state in basis.states],
-        dtype=complex,
-    )
+    diag = basis.excitations[basis.codes].sum(axis=1).astype(complex)
     return SparseOperator(basis.dim, sp.diags(diag).tocsr())

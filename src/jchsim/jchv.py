@@ -19,14 +19,24 @@ import numpy as np
 
 from .crystal import CrystalGeometry, local_detunings
 from .fock import (
+    DEFAULT_DIM_CAP,
+    E1,
     SectorBasis,
-    SparseOperator,
-    build_hop_operator,
-    build_site_operator,
+    assemble,
     enumerate_sector,
+    hop_operator,
+    site_operators,
+    site_sector_operators,
     site_states,
 )
 from .params import DriveParams
+
+
+def site_hamiltonian(ops, det_x, det_y, drive: DriveParams):
+    """Dense one-site H_JC over fock site operators, with local detunings."""
+    return (det_x * ops["num_x"] + det_y * ops["num_y"]
+            + drive.omega0 * (ops["proj_e1"] + ops["proj_e2"])
+            + drive.g_x * ops["jc_x"] + drive.g_y * ops["jc_y"])
 
 
 def build_hjc(basis: SectorBasis, geometry: CrystalGeometry, drive: DriveParams,
@@ -35,31 +45,26 @@ def build_hjc(basis: SectorBasis, geometry: CrystalGeometry, drive: DriveParams,
     if basis.n_sites != geometry.n_ions:
         raise ValueError("basis and geometry disagree on the number of sites")
     det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
-    h = SparseOperator.from_coo(basis.dim, [], [], [])
-    for j in range(basis.n_sites):
-        h = h + det_x[j] * build_site_operator(basis, j, "num_x")
-        h = h + det_y[j] * build_site_operator(basis, j, "num_y")
-        h = h + drive.omega0 * (
-            build_site_operator(basis, j, "proj_e1")
-            + build_site_operator(basis, j, "proj_e2")
-        )
-        h = h + drive.g_x * build_site_operator(basis, j, "jc_x")
-        h = h + drive.g_y * build_site_operator(basis, j, "jc_y")
-    return h
+    ops = site_operators(basis.n_total)
+    return assemble(basis, [
+        (site_hamiltonian(ops, det_x[j], det_y[j], drive), (j,))
+        for j in range(basis.n_sites)
+    ])
 
 
 def build_hb(basis: SectorBasis, geometry: CrystalGeometry):
     """Phonon hopping H_b = sum_{j>k, beta} t_{j,k}^beta (a^dag a + a a^dag)."""
     if basis.n_sites != geometry.n_ions:
         raise ValueError("basis and geometry disagree on the number of sites")
-    h = SparseOperator.from_coo(basis.dim, [], [], [])
-    for j in range(basis.n_sites):
-        for k in range(j):
-            if geometry.t_x[j, k]:
-                h = h + geometry.t_x[j, k] * build_hop_operator(basis, j, k, "x")
-            if geometry.t_y[j, k]:
-                h = h + geometry.t_y[j, k] * build_hop_operator(basis, j, k, "y")
-    return h
+    hop_x = hop_operator(basis.n_total, "x")
+    hop_y = hop_operator(basis.n_total, "y")
+    t_x, t_y = geometry.t_x, geometry.t_y
+    return assemble(basis, [
+        (t_x[j, k] * hop_x + t_y[j, k] * hop_y, (j, k))
+        for j in range(basis.n_sites)
+        for k in range(j)
+        if t_x[j, k] or t_y[j, k]
+    ])
 
 
 def build_full(basis, geometry, drive, homogeneous=False):
@@ -185,23 +190,8 @@ def site_sector_hamiltonian(n, det_x, det_y, drive: DriveParams):
     det_x/det_y are this site's local detunings; basis order matches
     site_states(n).
     """
-    states = site_states(n)
-    dim = len(states)
-    index = {s: i for i, s in enumerate(states)}
-    h = np.zeros((dim, dim))
-    for i, (level, n_x, n_y) in enumerate(states):
-        h[i, i] = det_x * n_x + det_y * n_y + (drive.omega0 if level != 0 else 0.0)
-        if level == 0 and n_x:  # g_x a_x |e1><g|
-            ji = index[(1, n_x - 1, n_y)]
-            amp = drive.g_x * math.sqrt(n_x)
-            h[ji, i] += amp
-            h[i, ji] += amp
-        if level == 0 and n_y:
-            ji = index[(2, n_x, n_y - 1)]
-            amp = drive.g_y * math.sqrt(n_y)
-            h[ji, i] += amp
-            h[i, ji] += amp
-    return h, states
+    h = site_hamiltonian(site_sector_operators(n), det_x, det_y, drive)
+    return h, site_states(n)
 
 
 def site_sector_eigh(n, det_x, det_y, drive):
@@ -211,12 +201,6 @@ def site_sector_eigh(n, det_x, det_y, drive):
     return vals, vecs, states
 
 
-_HALF_BLOCKS = {"up": ((0, 1, 0), (1, 0, 0)), "down": ((0, 0, 1), (2, 0, 0))}
-_ONE_BLOCKS = {
-    "1": ((0, 2, 0), (1, 1, 0)),
-    "0": ((0, 1, 1), (1, 0, 1), (2, 1, 0)),
-    "-1": ((0, 0, 2), (2, 0, 1)),
-}
 MANIFOLD_LABELS = {1: ("up", "down"), 2: ("1", "0", "-1")}
 
 
@@ -234,21 +218,19 @@ def site_manifold_states(n, det_x, det_y, drive):
     if n not in MANIFOLD_LABELS:
         raise ValueError("manifold closed only for n = 1 or 2 excitations per site")
     h, states = site_sector_hamiltonian(n, det_x, det_y, drive)
-    index = {s: i for i, s in enumerate(states)}
-    blocks = _HALF_BLOCKS if n == 1 else _ONE_BLOCKS
+    x_count = [n_x + (level == E1) for level, n_x, _ in states]
     energies, vectors = {}, {}
-    for label, block in blocks.items():
-        idx = [index[s] for s in block]
-        sub = h[np.ix_(idx, idx)]
-        vals, vecs = np.linalg.eigh(sub)
+    for r, label in enumerate(MANIFOLD_LABELS[n]):
+        idx = [i for i, x in enumerate(x_count) if x == n - r]  # X = n - r
+        vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
         vec = vecs[:, 0]
-        if vec[0] < 0:  # phononic component first in each block tuple
+        if vec[0] < 0:  # the phononic component sorts first
             vec = -vec
         energies[label] = vals[0]
-        vectors[label] = {s: vec[i] for i, s in enumerate(block)}
+        vectors[label] = {states[i]: vec[m] for m, i in enumerate(idx)}
     return energies, vectors
 
 
-def sector_basis_for(n_sites, n_per_site, dim_cap=2_000_000):
+def sector_basis_for(n_sites, n_per_site, dim_cap=DEFAULT_DIM_CAP):
     """Sector with n_per_site excitations on every site (total = product)."""
     return enumerate_sector(n_sites, n_sites * n_per_site, dim_cap=dim_cap)

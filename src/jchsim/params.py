@@ -12,6 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .fock import DEFAULT_DIM_CAP
+
 KHZ = 2.0 * math.pi  # rad/ms per linear kHz
 
 
@@ -197,7 +199,7 @@ class SimConfig:
     t_x: float | None = None  # explicit uniform-lattice hopping override (angular)
     t_y: float | None = None
     homogeneous: bool = False
-    dim_cap: int = 2_000_000
+    dim_cap: int = DEFAULT_DIM_CAP
     raw: dict = field(default_factory=dict)
 
 
@@ -389,6 +391,6 @@ def parse_config(text) -> SimConfig:
         t_x=None if not explicit_t else khz(_get(raw, "t_x_khz", float, required=True)),
         t_y=None if not explicit_t else khz(_get(raw, "t_y_khz", float, required=True)),
         homogeneous=_get(raw, "homogeneous", _bool, default=False),
-        dim_cap=_get(raw, "dim_cap", int, default=2_000_000),
+        dim_cap=_get(raw, "dim_cap", int, default=DEFAULT_DIM_CAP),
         raw=raw,
     )

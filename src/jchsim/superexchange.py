@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crystal import CrystalGeometry, local_detunings
-from .fock import site_states
+from .fock import assemble, product_basis, site_sector_operators, site_states
 from .jchv import (
     MANIFOLD_LABELS,
     site_manifold_states,
@@ -48,21 +48,6 @@ class DegenerateIntermediateError(RuntimeError):
         )
         self.pair = pair
         self.gap = gap
-
-
-def _lowering_matrix(n_from, species):
-    """<s'|a_beta|s> from the n_from site sector to n_from - 1, dense."""
-    src = site_states(n_from)
-    dst = site_states(n_from - 1)
-    dst_index = {s: i for i, s in enumerate(dst)}
-    pos = 1 if species == "x" else 2
-    mat = np.zeros((len(dst), len(src)))
-    for col, s in enumerate(src):
-        if s[pos]:
-            t = list(s)
-            t[pos] -= 1
-            mat[dst_index[tuple(t)], col] = math.sqrt(s[pos])
-    return mat
 
 
 @dataclass(frozen=True)
@@ -92,19 +77,17 @@ def _site_data(n, det_x, det_y, drive):
             man_v[r, index_n[s]] = coeff
     upper_e, upper_v, _ = site_sector_eigh(n + 1, det_x, det_y, drive)
     lower_e, lower_v, _ = site_sector_eigh(n - 1, det_x, det_y, drive)
-    a_x_up = _lowering_matrix(n + 1, "x")  # sector n+1 -> n
-    a_y_up = _lowering_matrix(n + 1, "y")
-    a_x_dn = _lowering_matrix(n, "x")  # sector n -> n-1
-    a_y_dn = _lowering_matrix(n, "y")
+    up = site_sector_operators(n + 1)  # a_x/a_y: sector n+1 -> n
+    dn = site_sector_operators(n)  # a_x/a_y: sector n -> n-1
     return _SiteData(
         manifold_e=np.array([energies[l] for l in labels]),
         manifold_v=man_v,
         upper_e=upper_e,
         lower_e=lower_e,
-        drop_x=man_v @ a_x_up @ upper_v,
-        drop_y=man_v @ a_y_up @ upper_v,
-        lift_x=lower_v.T @ a_x_dn @ man_v.T,
-        lift_y=lower_v.T @ a_y_dn @ man_v.T,
+        drop_x=man_v @ up["a_x"] @ upper_v,
+        drop_y=man_v @ up["a_y"] @ upper_v,
+        lift_x=lower_v.T @ dn["a_x"] @ man_v.T,
+        lift_y=lower_v.T @ dn["a_y"] @ man_v.T,
     )
 
 
@@ -448,16 +431,6 @@ S_X1 = 0.5 * (S_PLUS + S_MINUS)
 S_Y1 = 0.5j * (S_MINUS - S_PLUS)
 
 
-def _embed(op, site, n_sites, local_dim):
-    """kron product placing op at site (site 0 most significant)."""
-    mats = [np.eye(local_dim)] * n_sites
-    mats[site] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def spin_product_index(labels, manifold):
     """Ordinal of a spin product state in the kron basis used here."""
     order = MANIFOLD_LABELS[1 if manifold == "half" else 2]
@@ -469,59 +442,34 @@ def spin_product_index(labels, manifold):
 
 
 def build_spin_hamiltonian(model):
-    """Dense effective spin Hamiltonian from a coupling-table model.
+    """Sparse effective spin Hamiltonian from a coupling-table model.
 
     Includes the zeroth-order single-site terms and the spin-independent
     constant, so its spectrum matches the pair effective matrices, not
-    just its dynamics.
+    just its dynamics. Basis order is that of spin_product_index.
     """
-    from .fock import SparseOperator
-    import scipy.sparse as sp
-
     if isinstance(model, SpinHalfModel):
-        n = model.n_sites
-        dim = 2**n
-        h = np.zeros((dim, dim), dtype=complex)
-        for jj in range(n):
-            h += (model.H_field[jj] + model.E0_split[jj]) * _embed(SIGMA_Z, jj, n, 2)
-            for kk in range(jj + 1, n):
-                if model.K_xy[jj, kk]:
-                    h += model.K_xy[jj, kk] * (
-                        _embed(SIGMA_X, jj, n, 2) @ _embed(SIGMA_X, kk, n, 2)
-                        + _embed(SIGMA_Y, jj, n, 2) @ _embed(SIGMA_Y, kk, n, 2)
-                    )
-                if model.K_z[jj, kk]:
-                    h += model.K_z[jj, kk] * (
-                        _embed(SIGMA_Z, jj, n, 2) @ _embed(SIGMA_Z, kk, n, 2)
-                    )
-        h += model.energy_offset * np.eye(dim)
+        labels = MANIFOLD_LABELS[1]
+        site = [(model.H_field + model.E0_split, SIGMA_Z)]
+        pair = [(model.K_xy, np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)),
+                (model.K_z, np.kron(SIGMA_Z, SIGMA_Z))]
     elif isinstance(model, SpinOneModel):
-        n = model.n_sites
-        dim = 3**n
-        h = np.zeros((dim, dim), dtype=complex)
+        labels = MANIFOLD_LABELS[2]
         sz2 = S_Z1 @ S_Z1
-        for jj in range(n):
-            h += model.D_field[jj] * _embed(sz2, jj, n, 3)
-            h += model.B_field[jj] * _embed(S_Z1, jj, n, 3)
-            for kk in range(jj + 1, n):
-                sx_j, sx_k = _embed(S_X1, jj, n, 3), _embed(S_X1, kk, n, 3)
-                sy_j, sy_k = _embed(S_Y1, jj, n, 3), _embed(S_Y1, kk, n, 3)
-                sz_j, sz_k = _embed(S_Z1, jj, n, 3), _embed(S_Z1, kk, n, 3)
-                sz2_j, sz2_k = _embed(sz2, jj, n, 3), _embed(sz2, kk, n, 3)
-                h += model.J_xy[jj, kk] * (sx_j @ sx_k + sy_j @ sy_k)
-                h += model.J_z[jj, kk] * (sz_j @ sz_k)
-                h += model.W[jj, kk] * (sz_j @ sz2_k + sz2_j @ sz_k)
-                h += model.V[jj, kk] * (sz2_j @ sz2_k)
-                if model.v_p1[jj, kk] or model.v_m1[jj, kk]:
-                    a_p = _embed(S_Z1 @ S_PLUS, jj, n, 3) @ _embed(
-                        S_MINUS @ S_Z1, kk, n, 3
-                    )
-                    a_m = _embed(S_Z1 @ S_MINUS, jj, n, 3) @ _embed(
-                        S_PLUS @ S_Z1, kk, n, 3
-                    )
-                    h += model.v_p1[jj, kk] * (a_p + a_p.conj().T)
-                    h += model.v_m1[jj, kk] * (a_m + a_m.conj().T)
-        h += model.energy_offset * np.eye(dim)
+        a_p = np.kron(S_Z1 @ S_PLUS, S_MINUS @ S_Z1)
+        a_m = np.kron(S_Z1 @ S_MINUS, S_PLUS @ S_Z1)
+        site = [(model.D_field, sz2), (model.B_field, S_Z1)]
+        pair = [(model.J_xy, np.kron(S_X1, S_X1) + np.kron(S_Y1, S_Y1)),
+                (model.J_z, np.kron(S_Z1, S_Z1)),
+                (model.W, np.kron(S_Z1, sz2) + np.kron(sz2, S_Z1)),
+                (model.V, np.kron(sz2, sz2)),
+                (model.v_p1, a_p + a_p.conj().T),
+                (model.v_m1, a_m + a_m.conj().T)]
     else:
         raise TypeError(f"unsupported model type: {type(model).__name__}")
-    return SparseOperator(h.shape[0], sp.csr_matrix(h))
+    n = model.n_sites
+    terms = [(sum(c[j] * op for c, op in site), (j,)) for j in range(n)]
+    terms += [(sum(c[j, k] * op for c, op in pair), (j, k))
+              for j in range(n) for k in range(j + 1, n)]
+    terms.append((model.energy_offset * np.eye(len(labels)), (0,)))
+    return assemble(product_basis(labels, n), terms)

@@ -13,8 +13,10 @@ from jchsim.fock import (
     SparseOperator,
     build_hop_operator,
     build_site_operator,
+    embed,
     enumerate_sector,
     site_excitation,
+    site_operators,
     site_states,
     total_excitation_operator,
 )
@@ -49,6 +51,9 @@ def test_site_excitation_counts_levels_and_phonons():
     (1, 2, 7),
     (2, 4, 155),
     (3, 3, 262),
+    # alphabet size ** n_sites exceeds int64 for both
+    (30, 1, 120),
+    (20, 2, 3180),
 ])
 def test_sector_dimensions_frozen(n_sites, n_total, dim):
     basis = enumerate_sector(n_sites, n_total)
@@ -68,6 +73,9 @@ def test_sector_matches_brute_force(n_sites, n_total):
 def test_sector_dim_cap():
     with pytest.raises(SectorError):
         enumerate_sector(3, 3, dim_cap=100)
+    # checked against the exact count before anything is allocated
+    with pytest.raises(SectorError, match="2234040"):
+        enumerate_sector(7, 7)
 
 
 def test_sparse_operator_duplicate_entries_sum():
@@ -139,3 +147,72 @@ def test_matvec_matches_dense():
     rng = np.random.default_rng(7)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     assert op.matvec(v) == pytest.approx(op.dense() @ v)
+
+
+def random_conserving_local(alphabet, n_local, rng):
+    """Random local operator {letters: {letters': amp}} on n_local sites.
+
+    Only entries between letter tuples of equal total excitation, so the
+    operator conserves the sector.
+    """
+    by_exc = {}
+    for letters in itertools.product(alphabet, repeat=n_local):
+        by_exc.setdefault(sum(map(site_excitation, letters)), []).append(letters)
+    op = {}
+    for group in by_exc.values():
+        for src in group:
+            for dst in group:
+                if rng.random() < 0.3:
+                    op.setdefault(src, {})[dst] = complex(*rng.normal(size=2))
+    return op
+
+
+def local_matrix(alphabet, op, n_local):
+    """The dict operator as embed's matrix, site-major letter index."""
+    index = {s: i for i, s in enumerate(alphabet)}
+    d = len(alphabet)
+
+    def code(letters):
+        return sum(index[s] * d ** (n_local - 1 - p) for p, s in enumerate(letters))
+
+    mat = np.zeros((d**n_local, d**n_local), dtype=complex)
+    for src, row in op.items():
+        for dst, amp in row.items():
+            mat[code(dst), code(src)] = amp
+    return mat
+
+
+def brute_force_embed(basis, op, sites):
+    """Per-state reference for embed: apply the dict operator state by state."""
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for col, state in enumerate(basis.states):
+        for dst, amp in op.get(tuple(state[s] for s in sites), {}).items():
+            target = list(state)
+            for s, letter in zip(sites, dst):
+                target[s] = letter
+            out[basis.index[tuple(target)], col] += amp
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(1, 2), (2, 2), (3, 3), (4, 2), (5, 1), (30, 1)]),
+       st.integers(min_value=1, max_value=2),
+       st.data())
+def test_embed_matches_brute_force(sector, n_local, data):
+    n_sites, n_total = sector
+    n_local = min(n_local, n_sites)
+    # any distinct sites in any order, adjacent or not
+    sites = tuple(data.draw(st.permutations(range(n_sites)))[:n_local])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    basis = enumerate_sector(n_sites, n_total)
+    op = random_conserving_local(basis.alphabet, n_local, rng)
+    got = SparseOperator.from_coo(
+        basis.dim, *embed(basis, local_matrix(basis.alphabet, op, n_local), sites)
+    ).dense()
+    np.testing.assert_array_equal(got, brute_force_embed(basis, op, sites))
+
+
+def test_embed_rejects_operator_leaving_sector():
+    basis = enumerate_sector(2, 2)
+    with pytest.raises(SectorError):
+        embed(basis, site_operators(2)["a_x"], (1,))

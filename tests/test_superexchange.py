@@ -8,10 +8,16 @@ from jchsim.crystal import CrystalGeometry
 from jchsim.params import KHZ, DriveParams, make_drive
 from jchsim.superexchange import (
     DegenerateIntermediateError,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     S_MINUS,
     S_PLUS,
+    S_X1,
+    S_Y1,
     S_Z1,
     SpinHalfModel,
+    SpinOneModel,
     build_spin_hamiltonian,
     pair_effective_matrix,
     spin_half_analytic,
@@ -246,3 +252,66 @@ def test_pair_matrix_properties(g_x, g_y, d_over_g, tx_frac, ty_frac):
     model2 = spin_half_general(geo2, drive, homogeneous=True)
     assert model2.K_xy[0, 1] == pytest.approx(2.0 * model.K_xy[0, 1],
                                               rel=1e-10, abs=1e-18)
+
+
+def kron_at(ops, n_sites, d):
+    """np.kron chain with ops[j] on site j and the identity elsewhere."""
+    out = np.eye(1)
+    for j in range(n_sites):
+        out = np.kron(out, ops.get(j, np.eye(d)))
+    return out
+
+
+@pytest.mark.parametrize("manifold", ["half", "one"])
+def test_spin_hamiltonian_matches_explicit_kron(manifold):
+    n = 3  # includes the non-adjacent pair (0, 2)
+    rng = np.random.default_rng(41 if manifold == "half" else 43)
+
+    def couplings():
+        m = rng.normal(size=(n, n))
+        m = m + m.T
+        np.fill_diagonal(m, 0.0)
+        return m
+
+    offset = rng.normal()
+    if manifold == "half":
+        model = SpinHalfModel(K_xy=couplings(), K_z=couplings(),
+                              H_field=rng.normal(size=n),
+                              E0_split=rng.normal(size=n),
+                              energy_offset=offset)
+        d = 2
+        expect = offset * np.eye(d**n, dtype=complex)
+        for j in range(n):
+            expect += ((model.H_field[j] + model.E0_split[j])
+                       * kron_at({j: SIGMA_Z}, n, d))
+            for k in range(j + 1, n):
+                expect += model.K_xy[j, k] * (
+                    kron_at({j: SIGMA_X, k: SIGMA_X}, n, d)
+                    + kron_at({j: SIGMA_Y, k: SIGMA_Y}, n, d))
+                expect += model.K_z[j, k] * kron_at({j: SIGMA_Z, k: SIGMA_Z}, n, d)
+    else:
+        model = SpinOneModel(J_xy=couplings(), J_z=couplings(), W=couplings(),
+                             V=couplings(), v_p1=couplings(), v_m1=couplings(),
+                             D_field=rng.normal(size=n),
+                             B_field=rng.normal(size=n), energy_offset=offset)
+        d = 3
+        sz2 = S_Z1 @ S_Z1
+        expect = offset * np.eye(d**n, dtype=complex)
+        for j in range(n):
+            expect += model.D_field[j] * kron_at({j: sz2}, n, d)
+            expect += model.B_field[j] * kron_at({j: S_Z1}, n, d)
+            for k in range(j + 1, n):
+                def pair(a, b):
+                    return kron_at({j: a, k: b}, n, d)
+
+                a_p = pair(S_Z1 @ S_PLUS, S_MINUS @ S_Z1)
+                a_m = pair(S_Z1 @ S_MINUS, S_PLUS @ S_Z1)
+                expect += model.J_xy[j, k] * (pair(S_X1, S_X1) + pair(S_Y1, S_Y1))
+                expect += model.J_z[j, k] * pair(S_Z1, S_Z1)
+                expect += model.W[j, k] * (pair(S_Z1, sz2) + pair(sz2, S_Z1))
+                expect += model.V[j, k] * pair(sz2, sz2)
+                expect += model.v_p1[j, k] * (a_p + a_p.conj().T)
+                expect += model.v_m1[j, k] * (a_m + a_m.conj().T)
+    h = build_spin_hamiltonian(model)
+    assert h.dim == d**n
+    assert np.max(np.abs(h.dense() - expect)) < 1e-13 * np.max(np.abs(expect))
