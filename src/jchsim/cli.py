@@ -4,7 +4,7 @@ Every subcommand reads a flat key-value config, writes deterministic CSV
 (12 significant digits, fixed row order) plus a JSON run manifest, and
 optionally a native SVG line chart (CSV is authoritative, SVG is a
 courtesy). Exit codes: 0 success, 2 configuration error, 3 numerical
-failure. JCHSIM_THREADS pins the BLAS/sweep thread count.
+failure. JCHSIM_THREADS pins the BLAS thread count.
 """
 
 import argparse
@@ -154,13 +154,6 @@ def config_variant(raw, **overrides):
     merged.update({k: repr(v) for k, v in overrides.items()})
     text = "\n".join(f"{k} = {v}" for k, v in merged.items())
     return parse_config(text)
-
-
-def _pool_size():
-    env = os.environ.get("JCHSIM_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +332,6 @@ def cmd_couplings(cfg, args, out_dir):
             residuals["analytic_J_z_rel"] = abs(one.J_z[0, 1] / jz_a[0, 1] - 1.0)
 
     if args.sweep:
-        from concurrent.futures import ThreadPoolExecutor
-
         key, start, stop, n = parse_sweep(args.sweep)
         values = np.linspace(start, stop, n)
 
@@ -352,8 +343,7 @@ def cmd_couplings(cfg, args, out_dir):
             lam = kz / kxy if kxy != 0.0 else float("nan")
             return (float(v), kxy / KHZ, kz / KHZ, lam)
 
-        with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-            sweep_rows = list(pool.map(one_point, values))
+        sweep_rows = [one_point(v) for v in values]
         sweep_path = os.path.join(out_dir, "couplings_sweep.csv")
         _write_csv(sweep_path, (key, "K_xy_khz", "K_z_khz", "lambda"),
                    sweep_rows)
@@ -379,38 +369,11 @@ def _time_series_rows(times, labels, populations):
 
 def cmd_evolve(cfg, args, out_dir):
     """Exact full-model evolution in the conserved sector."""
-    from .crystal import geometry_from_config, local_detunings
-    from .dynamics import (
-        _tracked_labels,
-        default_times,
-        dressed_product_state,
-        evolve,
-    )
-    from .fock import SectorError
-    from .jchv import build_full, sector_basis_for
-    from .superexchange import spin_half_general, spin_one_general
+    from .dynamics import evolve_full_model
 
-    if cfg.run.initial_state is None:
-        raise SectorError("no initial state given (config key initial_state)")
-    labels0 = cfg.run.initial_state
-    geo = geometry_from_config(cfg)
-    n_per = cfg.run.n_excitations
-    manifold = "half" if n_per == 1 else "one"
-    build_model = spin_half_general if n_per == 1 else spin_one_general
-    model = build_model(geo, cfg.drive, homogeneous=cfg.homogeneous)
-    times = default_times(model, labels0, n_steps=cfg.run.n_steps,
-                          t_final=cfg.run.t_final_ms)
-
-    basis = sector_basis_for(geo.n_ions, n_per, dim_cap=cfg.dim_cap)
-    h = build_full(basis, geo, cfg.drive, homogeneous=cfg.homogeneous)
-    det_x, det_y = local_detunings(geo, cfg.drive, homogeneous=cfg.homogeneous)
-    psi0 = dressed_product_state(labels0, cfg.drive, basis, det_x, det_y)
-    tracked = _tracked_labels(manifold, geo.n_ions, labels0)
-    label_states = {
-        lab: dressed_product_state(lab, cfg.drive, basis, det_x, det_y)
-        for lab in tracked
-    }
-    res = evolve(h, psi0, times, label_states)
+    run = evolve_full_model(cfg)
+    res, tracked = run.result, run.tracked
+    times = res.times
 
     cols, rows = _time_series_rows(times, tracked, res.populations)
     path = os.path.join(out_dir, "evolution.csv")
@@ -426,7 +389,7 @@ def cmd_evolve(cfg, args, out_dir):
     return outputs, {
         "norm_drift": res.norm_drift,
         "energy_drift": res.energy_drift,
-        "sector_dim": basis.dim,
+        "sector_dim": run.sector_dim,
     }
 
 

@@ -7,19 +7,22 @@ labels (full model) or spin product labels (effective model), which
 makes the two sides directly comparable trace by trace.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .crystal import local_detunings
+from .crystal import geometry_from_config, local_detunings
 from .fock import SectorBasis, SectorError, SparseOperator
-from .jchv import MANIFOLD_LABELS, build_full, site_manifold_states
+from .jchv import (
+    MANIFOLD_LABELS,
+    MANIFOLD_N,
+    build_full,
+    sector_basis_for,
+    site_manifold_states,
+)
 from .params import DriveParams, SimConfig
 from .superexchange import (
-    SpinHalfModel,
-    SpinOneModel,
     build_spin_hamiltonian,
     spin_half_general,
     spin_one_general,
@@ -30,8 +33,6 @@ DENSE_THRESHOLD = 2000
 KRYLOV_DIM = 30
 KRYLOV_LOCAL_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
-
-_LABEL_EXCITATION = {"up": 1, "down": 1, "1": 2, "0": 2, "-1": 2}
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
         raise SectorError(
             f"{len(labels)} labels for {n_sites} sites"
         )
-    total = sum(_LABEL_EXCITATION[lab] for lab in labels)
+    excitations = {lab: n for n, labs in MANIFOLD_LABELS.items() for lab in labs}
+    total = sum(excitations[lab] for lab in labels)
     if total != basis.n_total:
         raise SectorError(
             f"labels carry {total} excitations, sector holds {basis.n_total}"
@@ -91,7 +93,7 @@ def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
 
     site_vectors = []
     for j, lab in enumerate(labels):
-        _, vectors = site_manifold_states(_LABEL_EXCITATION[lab], det_x[j],
+        _, vectors = site_manifold_states(excitations[lab], det_x[j],
                                           det_y[j], drive)
         site_vectors.append(vectors[lab])
     return basis.product_vector(site_vectors)
@@ -154,8 +156,7 @@ def _krylov_propagate(matvec, psi, dt_total, m, tol):
 
 
 def evolve(h: SparseOperator, psi0, times, label_states=None,
-           dense_threshold=DENSE_THRESHOLD, krylov_dim=KRYLOV_DIM,
-           local_tol=KRYLOV_LOCAL_TOL, track_energy=True):
+           dense_threshold=DENSE_THRESHOLD):
     """Propagate psi0 over the time grid and record label populations.
 
     label_states maps label -> dense vector; populations are squared
@@ -191,7 +192,8 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
         psi = psi0.copy()
         t_prev = 0.0
         for i, t in enumerate(times):
-            psi = _krylov_propagate(matvec, psi, t - t_prev, krylov_dim, local_tol)
+            psi = _krylov_propagate(matvec, psi, t - t_prev, KRYLOV_DIM,
+                                    KRYLOV_LOCAL_TOL)
             psis[i] = psi
             t_prev = t
 
@@ -199,13 +201,11 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     norm_drift = float(np.max(np.abs(norms - 1.0)))
     pops = np.abs(psis @ overlap_rows.T) ** 2 if labels else np.zeros((len(times), 0))
 
-    energy_drift = 0.0
-    if track_energy:
-        energies = np.einsum("ij,ij->i", psis.conj(), (h.mat @ psis.T).T).real
-        e0 = energies[0]
-        energy_drift = float(
-            np.max(np.abs(energies - e0)) / max(abs(e0), scale, 1e-30)
-        )
+    energies = np.einsum("ij,ij->i", psis.conj(), (h.mat @ psis.T).T).real
+    e0 = energies[0]
+    energy_drift = float(
+        np.max(np.abs(energies - e0)) / max(abs(e0), scale, 1e-30)
+    )
 
     populations = {lab: pops[:, i] for i, lab in enumerate(labels)}
     return EvolutionResult(
@@ -225,10 +225,9 @@ def estimate_period(model, initial_labels):
     initial state's overlaps; this is the pi/(4 K_xy) transfer time in
     the two-site flip-flop case, half a full population cycle. None if
     the initial state is stationary."""
-    manifold = "half" if isinstance(model, SpinHalfModel) else "one"
     h = build_spin_hamiltonian(model).dense()
     w, v = scipy.linalg.eigh(h)
-    idx = spin_product_index(initial_labels, manifold)
+    idx = spin_product_index(initial_labels, model.manifold)
     weights = np.abs(v[idx]) ** 2
     gap_tol = max(1e-12 * np.max(np.abs(w)), 1e-30)
     best = None
@@ -258,7 +257,7 @@ def default_times(model, initial_labels, n_steps=400, t_final=None, n_periods=2.
 
 
 def _tracked_labels(manifold, n_sites, initial_labels, cap=512):
-    single = MANIFOLD_LABELS[1 if manifold == "half" else 2]
+    single = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
     if len(single) ** n_sites <= cap:
         labels = [()]
         for _ in range(n_sites):
@@ -267,94 +266,107 @@ def _tracked_labels(manifold, n_sites, initial_labels, cap=512):
     return (tuple(initial_labels),)
 
 
-def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
-                              geometry=None, tracked=None):
-    """Run matched full-sector and effective-spin evolutions.
+@dataclass(frozen=True)
+class FullRun:
+    """Exact full-model evolution of a config's run, with the effective
+    model of the same manifold (it sizes the default time grid)."""
 
-    The full model evolves in the fixed total-excitation sector with
-    dressed product states as tracked observables; the effective model
-    evolves the coupling-table Hamiltonian over spin product states.
+    model: object  # SpinHalfModel or SpinOneModel
+    initial_labels: tuple
+    tracked: tuple
+    sector_dim: int
+    result: EvolutionResult
+
+
+def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
+                      geometry=None, tracked=None):
+    """Evolve the dressed initial product state in the conserved sector.
+
+    Checks that every initial label lives in the n_excitations manifold,
+    builds that manifold's effective model, defaults the time grid to its
+    transfer periods, and tracks dressed product labels as observables.
     """
-    from .crystal import geometry_from_config
-
-    if geometry is None:
-        geometry = geometry_from_config(cfg)
-    drive = cfg.drive
     n_per_site = cfg.run.n_excitations
-    manifold = "half" if n_per_site == 1 else "one"
     if initial_labels is None:
         initial_labels = cfg.run.initial_state
     if initial_labels is None:
         raise SectorError("no initial state given (config key initial_state)")
     labels0 = tuple(initial_labels)
     for lab in labels0:
-        if _LABEL_EXCITATION.get(lab) != n_per_site:
+        if lab not in MANIFOLD_LABELS[n_per_site]:
             raise SectorError(f"label {lab!r} does not live in the "
                               f"{n_per_site}-excitation manifold")
+    if geometry is None:
+        geometry = geometry_from_config(cfg)
+    drive = cfg.drive
 
-    if manifold == "half":
-        model = spin_half_general(geometry, drive, homogeneous=cfg.homogeneous)
-    else:
-        model = spin_one_general(geometry, drive, homogeneous=cfg.homogeneous)
-
+    build_model = spin_half_general if n_per_site == 1 else spin_one_general
+    model = build_model(geometry, drive, homogeneous=cfg.homogeneous)
     if times is None:
         times = default_times(model, labels0, n_steps=cfg.run.n_steps,
                               t_final=cfg.run.t_final_ms)
-    times = np.asarray(times, dtype=float)
-
     if tracked is None:
-        tracked = _tracked_labels(manifold, geometry.n_ions, labels0)
-
-    # full model in the conserved sector
-    from .jchv import sector_basis_for
+        tracked = _tracked_labels(model.manifold, geometry.n_ions, labels0)
 
     basis = sector_basis_for(geometry.n_ions, n_per_site, dim_cap=cfg.dim_cap)
     h_full = build_full(basis, geometry, drive, homogeneous=cfg.homogeneous)
     det_x, det_y = local_detunings(geometry, drive, homogeneous=cfg.homogeneous)
-    psi0_full = dressed_product_state(labels0, drive, basis, det_x, det_y)
-    full_labels = {
+    psi0 = dressed_product_state(labels0, drive, basis, det_x, det_y)
+    label_states = {
         lab: dressed_product_state(lab, drive, basis, det_x, det_y)
         for lab in tracked
     }
+    result = evolve(h_full, psi0, times, label_states)
+    return FullRun(model=model, initial_labels=labels0, tracked=tuple(tracked),
+                   sector_dim=basis.dim, result=result)
 
-    # effective model on the spin product space
-    h_eff = build_spin_hamiltonian(model)
+
+def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
+                              geometry=None, tracked=None):
+    """Run matched full-sector and effective-spin evolutions.
+
+    The full model evolves as in evolve_full_model; the effective model
+    evolves the coupling-table Hamiltonian over spin product states on
+    the same time grid and tracked labels.
+    """
+    drive = cfg.drive
+    run = evolve_full_model(cfg, initial_labels, times, geometry, tracked)
+    res_full = run.result
+    times = res_full.times
+    manifold = run.model.manifold
+
+    h_eff = build_spin_hamiltonian(run.model)
     dim_eff = h_eff.dim
     psi0_eff = np.zeros(dim_eff, dtype=complex)
-    psi0_eff[spin_product_index(labels0, manifold)] = 1.0
+    psi0_eff[spin_product_index(run.initial_labels, manifold)] = 1.0
     eff_labels = {}
-    for lab in tracked:
+    for lab in run.tracked:
         vec = np.zeros(dim_eff, dtype=complex)
         vec[spin_product_index(lab, manifold)] = 1.0
         eff_labels[lab] = vec
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        fut_full = pool.submit(evolve, h_full, psi0_full, times, full_labels)
-        fut_eff = pool.submit(evolve, h_eff, psi0_eff, times, eff_labels)
-        res_full = fut_full.result()
-        res_eff = fut_eff.result()
+    res_eff = evolve(h_eff, psi0_eff, times, eff_labels)
 
     max_dev = {}
     l2_dev = {}
-    for lab in tracked:
+    for lab in run.tracked:
         diff = res_full.populations[lab] - res_eff.populations[lab]
         max_dev[lab] = float(np.max(np.abs(diff)))
         l2_dev[lab] = float(np.sqrt(np.mean(diff**2)))
     parameters = {
-        "n_ions": geometry.n_ions,
+        "n_ions": len(run.initial_labels),
         "manifold": manifold,
         "g_x_khz": drive.g_x / (2.0 * np.pi),
         "g_y_khz": drive.g_y / (2.0 * np.pi),
         "delta_khz": drive.delta / (2.0 * np.pi),
         "homogeneous": cfg.homogeneous,
-        "sector_dim": basis.dim,
-        "initial_state": ",".join(labels0),
+        "sector_dim": run.sector_dim,
+        "initial_state": ",".join(run.initial_labels),
         "t_final_ms": float(times[-1]),
         "n_steps": len(times),
     }
     return ComparisonReport(
         times=times,
-        labels=tuple(tracked),
+        labels=run.tracked,
         full=res_full,
         effective=res_eff,
         max_abs_deviation=max_dev,

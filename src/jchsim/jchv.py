@@ -202,6 +202,7 @@ def site_sector_eigh(n, det_x, det_y, drive):
 
 
 MANIFOLD_LABELS = {1: ("up", "down"), 2: ("1", "0", "-1")}
+MANIFOLD_N = {"half": 1, "one": 2}  # spin-1/2 and spin-1 manifold names
 
 
 def site_manifold_states(n, det_x, det_y, drive):

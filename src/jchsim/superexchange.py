@@ -17,7 +17,9 @@ coupling formulas valid at delta = 0, which serve as mutual oracles.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .crystal import CrystalGeometry, local_detunings
 from .fock import assemble, product_basis, site_sector_operators, site_states
 from .jchv import (
     MANIFOLD_LABELS,
+    MANIFOLD_N,
     site_manifold_states,
     site_sector_eigh,
 )
@@ -52,10 +55,9 @@ class DegenerateIntermediateError(RuntimeError):
 
 @dataclass(frozen=True)
 class _SiteData:
-    """Per-site dressed manifold plus full eigenpairs of the adjacent sectors."""
+    """Dressed manifold of one site plus full eigenpairs of its adjacent sectors."""
 
-    manifold_e: np.ndarray  # (d,)
-    manifold_v: np.ndarray  # (d, dim_n) dense manifold vectors
+    manifold_e: np.ndarray  # (d,) zeroth-order manifold energies
     upper_e: np.ndarray  # sector n+1 eigenvalues
     lower_e: np.ndarray  # sector n-1 eigenvalues
     # <r| a_beta |A>: manifold row, upper-eigenstate column
@@ -81,7 +83,6 @@ def _site_data(n, det_x, det_y, drive):
     dn = site_sector_operators(n)  # a_x/a_y: sector n -> n-1
     return _SiteData(
         manifold_e=np.array([energies[l] for l in labels]),
-        manifold_v=man_v,
         upper_e=upper_e,
         lower_e=lower_e,
         drop_x=man_v @ up["a_x"] @ upper_v,
@@ -89,6 +90,60 @@ def _site_data(n, det_x, det_y, drive):
         lift_x=lower_v.T @ dn["a_x"] @ man_v.T,
         lift_y=lower_v.T @ dn["a_y"] @ man_v.T,
     )
+
+
+def _site_table(n, geometry, drive, homogeneous):
+    """_SiteData of every site, computed once per model build."""
+    det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
+    return [_site_data(n, det_x[j], det_y[j], drive)
+            for j in range(geometry.n_ions)]
+
+
+def _hops(up: _SiteData, down: _SiteData, t_x, t_y):
+    """Intermediates with one excitation moved from site `down` to site `up`.
+
+    chi = |A_up, B_down>, reached by a_up^dag a_down, in row-major (A, B)
+    order. Returns the numerators <r_up r_down|H_b|chi> as an array
+    [chi, r_up, r_down] and the intermediate energies E_A + E_B.
+    """
+    num = (t_x * np.einsum("ra,bs->abrs", up.drop_x, down.lift_x)
+           + t_y * np.einsum("ra,bs->abrs", up.drop_y, down.lift_y))
+    d = len(up.manifold_e)
+    energies = (up.upper_e[:, None] + down.lower_e[None, :]).ravel()
+    return num.reshape(-1, d, d), energies
+
+
+def _degeneracy_tol(drive):
+    return DEGENERACY_TOL_FACTOR * max(drive.g_x, drive.g_y, 1e-30)
+
+
+def _second_order(pair, site_j: _SiteData, site_k: _SiteData, t_x, t_y, tol_deg):
+    """Zeroth-order pair energies and the symmetrized second-order matrix.
+
+    Rows run over product labels (r_j, r'_k), j-major. Both intermediate
+    splits, (n+1 at j, n-1 at k) then the reverse, are stacked and summed
+    in one weighted contraction.
+    """
+    d = len(site_j.manifold_e)
+    e_pair = (site_j.manifold_e[:, None] + site_k.manifold_e[None, :]).ravel()
+    num_jk, e_jk = _hops(site_j, site_k, t_x, t_y)
+    num_kj, e_kj = _hops(site_k, site_j, t_x, t_y)
+    num = np.concatenate([num_jk, num_kj.transpose(0, 2, 1)]).reshape(-1, d * d)
+    e_chi = np.concatenate([e_jk, e_kj])
+    dvec = e_pair[None, :] - e_chi[:, None]
+    close = np.abs(dvec) < tol_deg
+    tol_num = 1e-10 * (abs(t_x) + abs(t_y)) * math.sqrt(d)  # sqrt(n + 1)
+    coupled = close & (np.abs(num) > tol_num)
+    if np.any(coupled):
+        chi, where = divmod(int(np.argmax(coupled)), d * d)
+        raise DegenerateIntermediateError(
+            pair, float(np.abs(dvec[chi, where])),
+            float(e_pair[where]), float(e_chi[chi]),
+        )
+    # resonant but decoupled: zero numerator kills these rows anyway
+    inv = np.where(close, 0.0, 1.0 / np.where(close, 1.0, dvec))
+    a = (num * inv).T @ num
+    return e_pair, 0.5 * (a + a.T)
 
 
 @dataclass(frozen=True)
@@ -101,10 +156,7 @@ class PairEffectiveMatrix:
     labels: tuple  # product labels (r_j, r'_k), row-major in site j
     matrix: np.ndarray  # d^2 x d^2, zeroth + second order, Hermitian
     second_order: np.ndarray  # the superexchange part alone
-    pair_energies: np.ndarray  # zeroth-order diagonal E_r + E_r'
-    site_energies_j: np.ndarray
-    site_energies_k: np.ndarray
-    asymmetry: float  # Hermiticity defect before symmetrization
+    asymmetry: float  # Hermiticity defect of the second-order part
 
 
 def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
@@ -117,73 +169,53 @@ def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
     """
     if j == k:
         raise ValueError("pair requires distinct sites")
-    n = {"half": 1, "one": 2}[manifold]
-    labels = MANIFOLD_LABELS[n]
-    d = len(labels)
+    n = MANIFOLD_N[manifold]
     det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
-    data_j = _site_data(n, det_x[j], det_y[j], drive)
-    data_k = _site_data(n, det_x[k], det_y[k], drive)
-    t_x = geometry.t_x[j, k]
-    t_y = geometry.t_y[j, k]
-
-    e_pair = (data_j.manifold_e[:, None] + data_k.manifold_e[None, :]).ravel()
-    m2 = np.zeros((d * d, d * d))
-    tol_deg = DEGENERACY_TOL_FACTOR * max(drive.g_x, drive.g_y, 1e-30)
-    tol_num = 1e-10 * (abs(t_x) + abs(t_y)) * math.sqrt(n + 1.0)
-
-    def accumulate(num, e_chi):
-        # one intermediate chi: numerator vector over product labels (j-major)
-        if not np.any(num):
-            return
-        dvec = e_pair - e_chi
-        close = np.abs(dvec) < tol_deg
-        if np.any(close):
-            coupled = close & (np.abs(num) > tol_num)
-            if np.any(coupled):
-                where = int(np.argmax(coupled))
-                raise DegenerateIntermediateError(
-                    (j, k), float(np.abs(dvec[where])),
-                    float(e_pair[where]), float(e_chi),
-                )
-            # resonant but decoupled: zero numerator kills these rows anyway
-            inv = np.where(close, 0.0, 1.0 / np.where(close, 1.0, dvec))
-        else:
-            inv = 1.0 / dvec
-        m2[:, :] += np.outer(num, num) * 0.5 * (inv[:, None] + inv[None, :])
-
-    # split (n+1 at j, n-1 at k): chi = |A_j, B_k>, reached by a_j^dag a_k
-    for a_idx, e_a in enumerate(data_j.upper_e):
-        for b_idx, e_b in enumerate(data_k.lower_e):
-            num = (
-                t_x * np.outer(data_j.drop_x[:, a_idx], data_k.lift_x[b_idx, :])
-                + t_y * np.outer(data_j.drop_y[:, a_idx], data_k.lift_y[b_idx, :])
-            ).ravel()
-            accumulate(num, e_a + e_b)
-
-    # split (n-1 at j, n+1 at k): roles swapped, site j still indexes rows
-    for a_idx, e_a in enumerate(data_k.upper_e):
-        for b_idx, e_b in enumerate(data_j.lower_e):
-            num = (
-                t_x * np.outer(data_j.lift_x[b_idx, :], data_k.drop_x[:, a_idx])
-                + t_y * np.outer(data_j.lift_y[b_idx, :], data_k.drop_y[:, a_idx])
-            ).ravel()
-            accumulate(num, e_a + e_b)
-
-    asym = float(np.max(np.abs(m2 - m2.T))) if m2.size else 0.0
-    m2 = 0.5 * (m2 + m2.T)
-    product_labels = tuple((r, rp) for r in labels for rp in labels)
+    e_pair, m2 = _second_order(
+        (j, k),
+        _site_data(n, det_x[j], det_y[j], drive),
+        _site_data(n, det_x[k], det_y[k], drive),
+        geometry.t_x[j, k], geometry.t_y[j, k], _degeneracy_tol(drive),
+    )
+    labels = MANIFOLD_LABELS[n]
     return PairEffectiveMatrix(
         j=j,
         k=k,
         manifold=manifold,
-        labels=product_labels,
+        labels=tuple((r, rp) for r in labels for rp in labels),
         matrix=np.diag(e_pair) + m2,
         second_order=m2,
-        pair_energies=e_pair,
-        site_energies_j=data_j.manifold_e,
-        site_energies_k=data_k.manifold_e,
-        asymmetry=asym,
+        asymmetry=float(np.max(np.abs(m2 - m2.T))),
     )
+
+
+def _all_pairs(n, geometry, drive, homogeneous, extract):
+    """Second-order coefficients of every pair j < k from one site table.
+
+    extract maps a pair's second-order matrix to ({name: (for_j, for_k)},
+    residual). Table name holds for_j at [j, k] and for_k at [k, j], so a
+    pair coupling is a symmetric table, a site term sums along rows and a
+    pair constant (given as (const, 0)) sums over the whole table.
+    Returns the (N, d) zeroth-order manifold energies, the tables and
+    the residuals dict of the models.
+    """
+    sites = _site_table(n, geometry, drive, homogeneous)
+    n_ions = len(sites)
+    tables = defaultdict(lambda: np.zeros((n_ions, n_ions)))
+    tol_deg = _degeneracy_tol(drive)
+    max_residual = max_asym = 0.0
+    for j in range(n_ions):
+        for k in range(j + 1, n_ions):
+            _, m2 = _second_order((j, k), sites[j], sites[k], geometry.t_x[j, k],
+                                  geometry.t_y[j, k], tol_deg)
+            coeffs, residual = extract(m2)
+            for name, (for_j, for_k) in coeffs.items():
+                tables[name][j, k] = for_j
+                tables[name][k, j] = for_k
+            max_residual = max(max_residual, residual)
+            max_asym = max(max_asym, float(np.max(np.abs(m2 - m2.T))))
+    energies = np.array([s.manifold_e for s in sites])
+    return energies, tables, {"extraction": max_residual, "hermiticity": max_asym}
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +226,7 @@ def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
 class SpinHalfModel:
     """XXZ coupling tables: K matrices, second-order fields, zeroth-order split."""
 
+    manifold: ClassVar[str] = "half"
     K_xy: np.ndarray  # N x N symmetric, zero diagonal
     K_z: np.ndarray
     H_field: np.ndarray  # length N, second-order part only
@@ -210,6 +243,7 @@ class SpinHalfModel:
 class SpinOneModel:
     """Heisenberg-like spin-1 coupling tables including cubic/quartic terms."""
 
+    manifold: ClassVar[str] = "one"
     J_xy: np.ndarray
     J_z: np.ndarray
     W: np.ndarray
@@ -226,9 +260,8 @@ class SpinOneModel:
         return len(self.D_field)
 
 
-def _extract_half(pair: PairEffectiveMatrix):
-    """XXZ coefficients from a 4x4 pair matrix; the ansatz is exact here."""
-    m2 = pair.second_order
+def _extract_half(m2):
+    """XXZ coefficients from a 4x4 second-order pair matrix; the ansatz is exact here."""
     diag = np.diag(m2)
     k_xy = 0.5 * m2[1, 2]  # <up,down|H|down,up> = 2 K_xy
     const = 0.25 * diag.sum()
@@ -238,45 +271,27 @@ def _extract_half(pair: PairEffectiveMatrix):
     recon = np.diag(diag).astype(float)
     recon[1, 2] = recon[2, 1] = 2.0 * k_xy
     residual = float(np.max(np.abs(m2 - recon)))
-    return k_xy, k_z, h_j, h_k, const, residual
+    return {
+        "K_xy": (k_xy, k_xy),
+        "K_z": (k_z, k_z),
+        "H_field": (h_j, h_k),
+        "const": (const, 0.0),
+    }, residual
 
 
 def spin_half_general(geometry: CrystalGeometry, drive: DriveParams,
                       homogeneous=False):
     """Numeric spin-1/2 model from the pair engine, all pairs."""
-    n = geometry.n_ions
-    det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
-    k_xy = np.zeros((n, n))
-    k_z = np.zeros((n, n))
-    h_field = np.zeros(n)
-    e0_split = np.zeros(n)
-    offset = 0.0
-    max_residual = 0.0
-    max_asym = 0.0
-    for j in range(n):
-        energies, _ = site_manifold_states(1, det_x[j], det_y[j], drive)
-        e0_split[j] = 0.5 * (energies["up"] - energies["down"])
-        offset += 0.5 * (energies["up"] + energies["down"])
-    for j in range(n):
-        for k in range(j + 1, n):
-            pair = pair_effective_matrix(
-                j, k, geometry, drive, manifold="half", homogeneous=homogeneous
-            )
-            kxy, kz, h_j, h_k, const, residual = _extract_half(pair)
-            k_xy[j, k] = k_xy[k, j] = kxy
-            k_z[j, k] = k_z[k, j] = kz
-            h_field[j] += h_j
-            h_field[k] += h_k
-            offset += const
-            max_residual = max(max_residual, residual)
-            max_asym = max(max_asym, pair.asymmetry)
+    energies, tables, residuals = _all_pairs(1, geometry, drive, homogeneous,
+                                             _extract_half)
+    e_up, e_down = energies.T
     return SpinHalfModel(
-        K_xy=k_xy,
-        K_z=k_z,
-        H_field=h_field,
-        E0_split=e0_split,
-        energy_offset=offset,
-        residuals={"extraction": max_residual, "hermiticity": max_asym},
+        K_xy=tables["K_xy"],
+        K_z=tables["K_z"],
+        H_field=tables["H_field"].sum(axis=1),
+        E0_split=0.5 * (e_up - e_down),
+        energy_offset=np.sum(0.5 * (e_up + e_down)) + tables["const"].sum(),
+        residuals=residuals,
     )
 
 
@@ -292,15 +307,14 @@ _MONOMIALS = np.array(
 _MONOMIALS_INV = np.linalg.inv(_MONOMIALS)
 
 
-def _extract_one(pair: PairEffectiveMatrix):
-    """Spin-1 coefficients from a 9x9 pair matrix by pattern matching.
+def _extract_one(m2):
+    """Spin-1 coefficients from a 9x9 second-order pair matrix by pattern matching.
 
     The diagonal is solved exactly in the monomial basis m_j^p m_k^q; the
     j<->k antisymmetric part of the mixed cubic term falls outside the
     site-symmetric ansatz and is reported as a residual, as is any
     difference between the two transition elements feeding T^(0).
     """
-    m2 = pair.second_order
     coeff = _MONOMIALS_INV @ np.diag(m2)
     c = {(p, q): coeff[3 * p + q] for p in range(3) for q in range(3)}
     t_1 = m2[1, 3]  # (1,0) <-> (0,1)
@@ -308,6 +322,8 @@ def _extract_one(pair: PairEffectiveMatrix):
     t_0a = m2[2, 4]  # (1,-1) <-> (0,0)
     t_0b = m2[6, 4]  # (-1,1) <-> (0,0)
     t_0 = 0.5 * (t_0a + t_0b)
+    v_p1 = 0.5 * (t_1 - t_0)
+    v_m1 = 0.5 * (t_m1 - t_0)
     w_sym = 0.5 * (c[1, 2] + c[2, 1])
     w_asym = 0.5 * (c[1, 2] - c[2, 1])
 
@@ -319,64 +335,35 @@ def _extract_one(pair: PairEffectiveMatrix):
         max(np.max(np.abs(m2 - recon)), abs(w_asym), 0.5 * abs(t_0a - t_0b))
     )
     return {
-        "J_xy": t_0,
-        "v_p1": 0.5 * (t_1 - t_0),
-        "v_m1": 0.5 * (t_m1 - t_0),
-        "J_z": c[1, 1],
-        "W": w_sym,
-        "V": c[2, 2],
-        "b_j": c[1, 0],
-        "b_k": c[0, 1],
-        "d_j": c[2, 0],
-        "d_k": c[0, 2],
-        "const": c[0, 0],
-        "residual": residual,
-    }
+        "J_xy": (t_0, t_0),
+        "v_p1": (v_p1, v_p1),
+        "v_m1": (v_m1, v_m1),
+        "J_z": (c[1, 1], c[1, 1]),
+        "W": (w_sym, w_sym),
+        "V": (c[2, 2], c[2, 2]),
+        "B_field": (c[1, 0], c[0, 1]),
+        "D_field": (c[2, 0], c[0, 2]),
+        "const": (c[0, 0], 0.0),
+    }, residual
 
 
 def spin_one_general(geometry: CrystalGeometry, drive: DriveParams,
                      homogeneous=False):
     """Numeric spin-1 model from the pair engine, all pairs."""
-    n = geometry.n_ions
-    det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
-    mats = {name: np.zeros((n, n)) for name in ("J_xy", "J_z", "W", "V", "v_p1", "v_m1")}
-    d_field = np.zeros(n)
-    b_field = np.zeros(n)
-    offset = 0.0
-    max_residual = 0.0
-    max_asym = 0.0
-    for j in range(n):
-        energies, _ = site_manifold_states(2, det_x[j], det_y[j], drive)
-        e1, e0, em1 = energies["1"], energies["0"], energies["-1"]
-        d_field[j] = 0.5 * (e1 + em1 - 2.0 * e0)
-        b_field[j] = 0.5 * (e1 - em1)
-        offset += e0
-    for j in range(n):
-        for k in range(j + 1, n):
-            pair = pair_effective_matrix(
-                j, k, geometry, drive, manifold="one", homogeneous=homogeneous
-            )
-            co = _extract_one(pair)
-            for name in mats:
-                mats[name][j, k] = mats[name][k, j] = co[name]
-            b_field[j] += co["b_j"]
-            b_field[k] += co["b_k"]
-            d_field[j] += co["d_j"]
-            d_field[k] += co["d_k"]
-            offset += co["const"]
-            max_residual = max(max_residual, co["residual"])
-            max_asym = max(max_asym, pair.asymmetry)
+    energies, tables, residuals = _all_pairs(2, geometry, drive, homogeneous,
+                                             _extract_one)
+    e1, e0, em1 = energies.T
     return SpinOneModel(
-        J_xy=mats["J_xy"],
-        J_z=mats["J_z"],
-        W=mats["W"],
-        V=mats["V"],
-        v_p1=mats["v_p1"],
-        v_m1=mats["v_m1"],
-        D_field=d_field,
-        B_field=b_field,
-        energy_offset=offset,
-        residuals={"extraction": max_residual, "hermiticity": max_asym},
+        J_xy=tables["J_xy"],
+        J_z=tables["J_z"],
+        W=tables["W"],
+        V=tables["V"],
+        v_p1=tables["v_p1"],
+        v_m1=tables["v_m1"],
+        D_field=0.5 * (e1 + em1 - 2.0 * e0) + tables["D_field"].sum(axis=1),
+        B_field=0.5 * (e1 - em1) + tables["B_field"].sum(axis=1),
+        energy_offset=np.sum(e0) + tables["const"].sum(),
+        residuals=residuals,
     )
 
 
@@ -433,7 +420,7 @@ S_Y1 = 0.5j * (S_MINUS - S_PLUS)
 
 def spin_product_index(labels, manifold):
     """Ordinal of a spin product state in the kron basis used here."""
-    order = MANIFOLD_LABELS[1 if manifold == "half" else 2]
+    order = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
     dim = len(order)
     idx = 0
     for lab in labels:

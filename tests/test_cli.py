@@ -180,6 +180,14 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_evolve_rejects_labels_outside_manifold(tmp_path, capsys):
+    # spin-1/2 labels on a two-excitation run, default horizon
+    cfg = write_cfg(tmp_path, ISO_PAIR.replace("n_excitations = 1",
+                                               "n_excitations = 2"))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_exit_code_numerical_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
 n_ions = 2

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jchsim.crystal import CrystalGeometry
-from jchsim.params import KHZ, DriveParams, make_drive
+from jchsim.crystal import CrystalGeometry, local_detunings
+from jchsim.fock import site_sector_operators, site_states
+from jchsim.jchv import MANIFOLD_LABELS, site_manifold_states, site_sector_eigh
+from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive
 from jchsim.superexchange import (
     DegenerateIntermediateError,
     SIGMA_X,
@@ -18,6 +20,8 @@ from jchsim.superexchange import (
     S_Z1,
     SpinHalfModel,
     SpinOneModel,
+    _extract_half,
+    _extract_one,
     build_spin_hamiltonian,
     pair_effective_matrix,
     spin_half_analytic,
@@ -315,3 +319,112 @@ def test_spin_hamiltonian_matches_explicit_kron(manifold):
     h = build_spin_hamiltonian(model)
     assert h.dim == d**n
     assert np.max(np.abs(h.dense() - expect)) < 1e-13 * np.max(np.abs(expect))
+
+
+def trap_crystal(n_ions, nu_z_khz=120.0):
+    return CrystalGeometry.from_trap(
+        TrapConfig(n_ions, nu_z_khz * KHZ, 55.555555555555556, 100.0))
+
+
+def reference_second_order(j, k, geometry, drive, manifold, homogeneous):
+    """Second-order pair matrix summed one intermediate at a time."""
+    n = {"half": 1, "one": 2}[manifold]
+    det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
+
+    def site(s):
+        energies, vectors = site_manifold_states(n, det_x[s], det_y[s], drive)
+        states = site_states(n)
+        man_v = np.array([[vectors[lab].get(st, 0.0) for st in states]
+                          for lab in MANIFOLD_LABELS[n]])
+        upper_e, upper_v, _ = site_sector_eigh(n + 1, det_x[s], det_y[s], drive)
+        lower_e, lower_v, _ = site_sector_eigh(n - 1, det_x[s], det_y[s], drive)
+        up, dn = site_sector_operators(n + 1), site_sector_operators(n)
+        return {
+            "e": np.array([energies[lab] for lab in MANIFOLD_LABELS[n]]),
+            "upper_e": upper_e, "lower_e": lower_e,
+            "drop": {b: man_v @ up[f"a_{b}"] @ upper_v for b in "xy"},
+            "lift": {b: lower_v.T @ dn[f"a_{b}"] @ man_v.T for b in "xy"},
+        }
+
+    sj, sk = site(j), site(k)
+    t = {"x": geometry.t_x[j, k], "y": geometry.t_y[j, k]}
+    e_pair = np.add.outer(sj["e"], sk["e"]).ravel()
+    m2 = np.zeros((len(e_pair), len(e_pair)))
+
+    def add(num, e_chi):
+        inv = 1.0 / (e_pair - e_chi)
+        m2[:, :] += np.outer(num, num) * 0.5 * (inv[:, None] + inv[None, :])
+
+    # (n+1 at j, n-1 at k), then (n-1 at j, n+1 at k); site j indexes rows
+    for a, e_a in enumerate(sj["upper_e"]):
+        for b, e_b in enumerate(sk["lower_e"]):
+            add(sum(t[x] * np.outer(sj["drop"][x][:, a], sk["lift"][x][b])
+                    for x in "xy").ravel(), e_a + e_b)
+    for a, e_a in enumerate(sk["upper_e"]):
+        for b, e_b in enumerate(sj["lower_e"]):
+            add(sum(t[x] * np.outer(sj["lift"][x][b], sk["drop"][x][:, a])
+                    for x in "xy").ravel(), e_a + e_b)
+    return m2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["half", "one"]),
+       st.booleans(),
+       st.sampled_from([2, 4, 5]),
+       st.data(),
+       st.floats(min_value=8.0, max_value=40.0),
+       st.floats(min_value=8.0, max_value=40.0),
+       st.floats(min_value=-1.5, max_value=1.5))
+def test_pair_matrix_matches_per_intermediate_reference(
+        manifold, homogeneous, n_ions, data, g_x, g_y, d_over_g):
+    # two ions: an explicit uniform pair; four or five: a trap crystal,
+    # whose pairs include non-adjacent ones and either site order
+    if n_ions == 2:
+        geo = uniform_pair(0.1, 0.17)
+    else:
+        geo = trap_crystal(n_ions)
+    j = data.draw(st.integers(0, n_ions - 1))
+    k = data.draw(st.integers(0, n_ions - 1).filter(lambda x: x != j))
+    drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ,
+                       delta=d_over_g * min(g_x, g_y) * KHZ)
+    pair = pair_effective_matrix(j, k, geo, drive, manifold=manifold,
+                                 homogeneous=homogeneous)
+    ref = reference_second_order(j, k, geo, drive, manifold, homogeneous)
+    scale = np.max(np.abs(pair.second_order))
+    assert np.max(np.abs(pair.second_order - ref)) <= 1e-13 * scale
+
+
+def test_pair_entries_match_model_tables():
+    # inhomogeneous four-ion crystal: every pair, adjacent or not
+    geo = trap_crystal(4)
+    drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
+    half = spin_half_general(geo, drive)
+    one = spin_one_general(geo, drive)
+    tables = {"K_xy": half.K_xy, "K_z": half.K_z, "J_xy": one.J_xy,
+              "J_z": one.J_z, "W": one.W, "V": one.V, "v_p1": one.v_p1,
+              "v_m1": one.v_m1}
+    # site fields: zeroth order plus each partner's second-order share
+    fields = {"H_field": np.zeros(4), "B_field": np.zeros(4),
+              "D_field": np.zeros(4)}
+    det_x, det_y = local_detunings(geo, drive)
+    for s in range(4):
+        e, _ = site_manifold_states(2, det_x[s], det_y[s], drive)
+        fields["B_field"][s] = 0.5 * (e["1"] - e["-1"])
+        fields["D_field"][s] = 0.5 * (e["1"] + e["-1"] - 2.0 * e["0"])
+    for j in range(4):
+        for k in range(j + 1, 4):
+            for manifold, extract in (("half", _extract_half),
+                                      ("one", _extract_one)):
+                pair = pair_effective_matrix(j, k, geo, drive,
+                                             manifold=manifold)
+                coeffs, _ = extract(pair.second_order)
+                for name, (for_j, for_k) in coeffs.items():
+                    if name in tables:
+                        assert for_j == for_k == tables[name][j, k]
+                        assert tables[name][k, j] == tables[name][j, k]
+                    elif name in fields:
+                        fields[name][j] += for_j
+                        fields[name][k] += for_k
+    assert fields["H_field"] == pytest.approx(half.H_field, rel=1e-12)
+    assert fields["B_field"] == pytest.approx(one.B_field, rel=1e-12)
+    assert fields["D_field"] == pytest.approx(one.D_field, rel=1e-12)
