@@ -368,7 +368,7 @@ def _time_series_rows(times, labels, populations):
 
 
 def cmd_evolve(cfg, args, out_dir):
-    """Exact full-model evolution in the conserved sector."""
+    """Exact full-model evolution in the conserved N_X block."""
     from .dynamics import evolve_full_model
 
     run = evolve_full_model(cfg)
@@ -390,6 +390,8 @@ def cmd_evolve(cfg, args, out_dir):
         "norm_drift": res.norm_drift,
         "energy_drift": res.energy_drift,
         "sector_dim": run.sector_dim,
+        "block_dim": run.block_dim,
+        "method": res.method,
     }
 
 
@@ -439,6 +441,10 @@ def cmd_compare(cfg, args, out_dir):
         "effective_norm_drift": rep.effective.norm_drift,
         "full_energy_drift": rep.full.energy_drift,
         "effective_energy_drift": rep.effective.energy_drift,
+        "full_block_dim": rep.parameters["block_dim"],
+        "full_method": rep.full.method,
+        "effective_block_dim": len(rep.effective.final_state),
+        "effective_method": rep.effective.method,
     }
 
 

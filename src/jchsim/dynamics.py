@@ -4,17 +4,20 @@ Evolution is unitary: dense eigendecomposition below a dimension
 threshold, Lanczos propagation with adaptive substepping above it.
 States are tracked through squared overlaps with dressed product
 labels (full model) or spin product labels (effective model), which
-makes the two sides directly comparable trace by trace.
+makes the two sides directly comparable trace by trace. The full model
+runs in the N_X block of its initial state; tracked labels outside that
+block have population exactly 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .crystal import geometry_from_config, local_detunings
-from .fock import SectorBasis, SectorError, SparseOperator
+from .fock import SectorBasis, SectorError, SparseOperator, sector_dim
 from .jchv import (
+    LABEL_X,
     MANIFOLD_LABELS,
     MANIFOLD_N,
     build_full,
@@ -45,6 +48,7 @@ class EvolutionResult:
     norm_drift: float  # max |<psi|psi> - 1|
     energy_drift: float  # max relative drift of <psi|H|psi>
     final_state: np.ndarray
+    method: str  # "dense" or "krylov"
 
     def population_matrix(self):
         return np.array([self.populations[lab] for lab in self.labels])
@@ -67,13 +71,19 @@ class ComparisonReport:
         return max(self.max_abs_deviation.values()) if self.max_abs_deviation else 0.0
 
 
+def _n_x(labels):
+    """Total x-excitation number of a dressed product label."""
+    return sum(LABEL_X[lab] for lab in labels)
+
+
 def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
                           det_x=None, det_y=None):
     """Tensor product of single-site dressed states in the sector basis.
 
     det_x/det_y give per-site phonon detunings; None means the bare
     drive detuning on every site. Labels may mix manifolds as long as
-    the summed excitation matches the sector.
+    the summed excitation matches the sector, and their summed X the
+    basis's N_X block if it is one.
     """
     n_sites = basis.n_sites
     if len(labels) != n_sites:
@@ -85,6 +95,11 @@ def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
     if total != basis.n_total:
         raise SectorError(
             f"labels carry {total} excitations, sector holds {basis.n_total}"
+        )
+    n_x = _n_x(labels)
+    if basis.n_x_total is not None and n_x != basis.n_x_total:
+        raise SectorError(
+            f"labels carry X = {n_x}, block holds X = {basis.n_x_total}"
         )
     if det_x is None:
         det_x = np.full(n_sites, drive.Delta)
@@ -182,11 +197,24 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
         overlap_rows = np.zeros((0, h.dim))
 
     if h.dim < dense_threshold:
-        w, v = scipy.linalg.eigh(h.dense())
-        c0 = v.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(times, w))
-        psis = (phases * c0) @ v.T  # row i is v @ (phases[i] * c0)
+        method = "dense"
+        if np.any(h.mat.data.imag):
+            w, v = scipy.linalg.eigh(h.dense())
+            c0 = v.conj().T @ psi0
+            phases = np.exp(-1j * np.outer(times, w))
+            psis = (phases * c0) @ v.T  # row i is v @ (phases[i] * c0)
+        else:
+            # real symmetric H: v stays real, and is applied to the real
+            # and imaginary parts apart so that it is never upcast
+            w, v = scipy.linalg.eigh(h.mat.real.toarray(order="F"),
+                                     overwrite_a=True)
+            c0 = v.T @ psi0.real + 1j * (v.T @ psi0.imag)
+            coeffs = np.exp(-1j * np.outer(times, w)) * c0
+            psis = np.empty((len(times), h.dim), dtype=complex)
+            psis.real = coeffs.real @ v.T
+            psis.imag = coeffs.imag @ v.T
     else:
+        method = "krylov"
         matvec = h.matvec
         psis = np.empty((len(times), h.dim), dtype=complex)
         psi = psi0.copy()
@@ -215,6 +243,7 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
         norm_drift=norm_drift,
         energy_drift=energy_drift,
         final_state=psis[-1],
+        method=method,
     )
 
 
@@ -228,24 +257,24 @@ def estimate_period(model, initial_labels):
     h = build_spin_hamiltonian(model).dense()
     w, v = scipy.linalg.eigh(h)
     idx = spin_product_index(initial_labels, model.manifold)
-    weights = np.abs(v[idx]) ** 2
+    gap = _dominant_gap(w, np.abs(v[idx]) ** 2)
+    return None if gap is None else np.pi / gap
+
+
+def _dominant_gap(w, weights):
+    """|w[b] - w[a]| of the pair a < b with the largest weights[a] * weights[b],
+    the first in row-major order on ties, over eigenpairs of weight >= 1e-12
+    and gaps above a relative 1e-12; None if no pair qualifies."""
     gap_tol = max(1e-12 * np.max(np.abs(w)), 1e-30)
-    best = None
-    for a in range(len(w)):
-        if weights[a] < 1e-12:
-            continue
-        for b in range(a + 1, len(w)):
-            if weights[b] < 1e-12:
-                continue
-            gap = abs(w[b] - w[a])
-            if gap <= gap_tol:
-                continue
-            weight = weights[a] * weights[b]
-            if best is None or weight > best[0]:
-                best = (weight, gap)
-    if best is None:
+    keep = np.flatnonzero(weights >= 1e-12)
+    w, weights = w[keep], weights[keep]
+    gap = np.abs(w[None, :] - w[:, None])  # [a, b] = |w[b] - w[a]|
+    valid = np.triu(gap > gap_tol, k=1)
+    if not valid.any():
         return None
-    return np.pi / best[1]
+    # products of kept weights are positive, so -1 never wins
+    best = np.argmax(np.where(valid, weights[:, None] * weights[None, :], -1.0))
+    return gap.flat[best]
 
 
 def default_times(model, initial_labels, n_steps=400, t_final=None, n_periods=2.0):
@@ -274,17 +303,21 @@ class FullRun:
     model: object  # SpinHalfModel or SpinOneModel
     initial_labels: tuple
     tracked: tuple
-    sector_dim: int
+    sector_dim: int  # the total-excitation sector, counted, not allocated
+    block_dim: int  # the N_X block that was propagated
     result: EvolutionResult
 
 
 def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
                       geometry=None, tracked=None):
-    """Evolve the dressed initial product state in the conserved sector.
+    """Evolve the dressed initial product state in its conserved N_X block.
 
     Checks that every initial label lives in the n_excitations manifold,
     builds that manifold's effective model, defaults the time grid to its
     transfer periods, and tracks dressed product labels as observables.
+    The total-excitation sector is narrowed to the block with the initial
+    labels' X (cfg.dim_cap bounds that block); a tracked label with
+    another X never gains population, so its trace is exactly 0.
     """
     n_per_site = cfg.run.n_excitations
     if initial_labels is None:
@@ -292,7 +325,8 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
     if initial_labels is None:
         raise SectorError("no initial state given (config key initial_state)")
     labels0 = tuple(initial_labels)
-    for lab in labels0:
+    # tracked labels too: one from another manifold would read as a zero trace
+    for lab in labels0 + tuple(s for t in tracked or () for s in t):
         if lab not in MANIFOLD_LABELS[n_per_site]:
             raise SectorError(f"label {lab!r} does not live in the "
                               f"{n_per_site}-excitation manifold")
@@ -308,17 +342,24 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
     if tracked is None:
         tracked = _tracked_labels(model.manifold, geometry.n_ions, labels0)
 
-    basis = sector_basis_for(geometry.n_ions, n_per_site, dim_cap=cfg.dim_cap)
+    n_x = _n_x(labels0)
+    basis = sector_basis_for(geometry.n_ions, n_per_site, dim_cap=cfg.dim_cap,
+                             n_x_total=n_x)
     h_full = build_full(basis, geometry, drive, homogeneous=cfg.homogeneous)
     det_x, det_y = local_detunings(geometry, drive, homogeneous=cfg.homogeneous)
     psi0 = dressed_product_state(labels0, drive, basis, det_x, det_y)
     label_states = {
         lab: dressed_product_state(lab, drive, basis, det_x, det_y)
-        for lab in tracked
+        for lab in tracked if _n_x(lab) == n_x
     }
     result = evolve(h_full, psi0, times, label_states)
+    populations = {lab: result.populations[lab] if lab in label_states
+                   else np.zeros(len(result.times)) for lab in tracked}
+    result = replace(result, labels=tuple(tracked), populations=populations)
     return FullRun(model=model, initial_labels=labels0, tracked=tuple(tracked),
-                   sector_dim=basis.dim, result=result)
+                   sector_dim=sector_dim(geometry.n_ions,
+                                         geometry.n_ions * n_per_site),
+                   block_dim=basis.dim, result=result)
 
 
 def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
@@ -360,6 +401,9 @@ def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
         "delta_khz": drive.delta / (2.0 * np.pi),
         "homogeneous": cfg.homogeneous,
         "sector_dim": run.sector_dim,
+        "block_dim": run.block_dim,
+        "full_method": res_full.method,
+        "effective_method": res_eff.method,
         "initial_state": ",".join(run.initial_labels),
         "t_final_ms": float(times[-1]),
         "n_steps": len(times),

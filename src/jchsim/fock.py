@@ -4,7 +4,8 @@ A site state is (level, n_x, n_y) with level in {G, E1, E2}; its
 excitation number is n_x + n_y + (level != G). The total excitation
 operator N = sum_j N_j is exactly conserved, so the many-body basis is
 enumerated sector by sector: restriction to fixed total N is exact, not
-a truncation.
+a truncation. So is the x-excitation number N_X = sum_j (n_x + P_e1)_j,
+and a sector can be enumerated one N_X block at a time.
 
 A basis stores each many-body state as a row of small-int codes into an
 alphabet of site states (or spin labels, for the product bases of the
@@ -43,6 +44,16 @@ def site_alphabet(n_max):
     return tuple(s for s in itertools.product((G, E1, E2), range(n_max + 1),
                                               range(n_max + 1))
                  if site_excitation(s) <= n_max)
+
+
+def site_x_count(state):
+    """x-excitation number of one site state: n_x, plus one on level e1.
+
+    Each JC term trades an x phonon for e1 and each hop moves one species,
+    so sum_j X_j (N_X) is conserved alongside N.
+    """
+    level, n_x, _ = state
+    return n_x + (1 if level == E1 else 0)
 
 
 def site_states(n):
@@ -116,28 +127,60 @@ class SectorError(ValueError):
     """Basis request outside the supported sector constraints."""
 
 
-def _count_fillings(excitations, n_sites, n_total):
-    """ways[m, b]: rows of m <= n_sites sites holding b excitations (exact ints)."""
-    per_site = np.bincount(excitations, minlength=n_total + 1).astype(object)
-    ways = [np.array([1] + [0] * n_total, dtype=object)]
-    for _ in range(n_sites):
-        ways.append(np.convolve(ways[-1], per_site)[: n_total + 1])
-    return np.array(ways)
+def _count_fillings(counts, totals, n_sites):
+    """ways[m][t]: rows of m <= n_sites letters whose counts sum to t (exact ints).
+
+    counts is (letters, k); t runs over the k-dimensional grid 0..totals.
+    """
+    grid = tuple(t + 1 for t in totals)
+    ways = np.zeros((n_sites + 1,) + grid, dtype=object)
+    ways[(0,) * (len(grid) + 1)] = 1
+    for m in range(n_sites):
+        for c in counts:
+            if np.any(c >= grid):  # an x count above a block's n_x_total
+                continue
+            ways[m + 1][tuple(slice(ci, g) for ci, g in zip(c, grid))] += \
+                ways[m][tuple(slice(0, g - ci) for ci, g in zip(c, grid))]
+    return ways
+
+
+def _by_letter(ways, counts):
+    """[m, *t, c] = ways[m][t - counts[c]], or 0 where that leaves the grid."""
+    k = counts.shape[1]
+    left = (np.indices(ways.shape[1:])[..., None]
+            - counts.T.reshape((k,) + (1,) * k + (-1,)))
+    return np.where(np.all(left >= 0, axis=0),
+                    ways[(slice(None),) + tuple(np.maximum(left, 0))], 0)
 
 
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
     """Ordered many-body basis: codes[i, j] indexes alphabet at site j of state i.
 
-    The rows are all those holding n_total excitations, counting each
-    letter by `excitations`, in lexicographic order (site 0 most significant).
+    Each letter carries k conserved counts, counts[letter] (the excitation
+    number, and for an N_X block also the x-excitation number). The rows
+    are all those whose counts sum to totals, in lexicographic order
+    (site 0 most significant).
     """
 
     n_sites: int
-    n_total: int
+    totals: tuple
     alphabet: tuple
-    excitations: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
     codes: np.ndarray = field(repr=False)
+
+    @property
+    def n_total(self):
+        return self.totals[0]
+
+    @property
+    def n_x_total(self):
+        """Total x-excitation number of an N_X block; None for a full sector."""
+        return self.totals[1] if len(self.totals) > 1 else None
+
+    @property
+    def excitations(self):
+        return self.counts[:, 0]
 
     @property
     def dim(self):
@@ -157,24 +200,22 @@ class SectorBasis:
 
     @cached_property
     def _rank_table(self):
-        # [m, b, c]: the fillings of a site followed by m sites, holding b
-        # excitations between them, whose first letter is below c. A row's
+        # [m, *t, c]: the fillings of a site followed by m sites, holding
+        # counts t between them, whose first letter is below c. A row's
         # rank sums this over its sites, with its own prefix fixed.
-        ways = _count_fillings(self.excitations, self.n_sites - 1,
-                               self.n_total).astype(np.int64)
-        left = np.arange(self.n_total + 1)[:, None] - self.excitations
-        terms = np.where(left >= 0, ways[:, np.maximum(left, 0)], 0)
-        return np.cumsum(terms, axis=2) - terms
+        ways = _count_fillings(self.counts, self.totals, self.n_sites - 1)
+        terms = _by_letter(ways.astype(np.int64), self.counts)
+        return np.cumsum(terms, axis=-1) - terms
 
     def rank(self, codes):
         """Ordinals of code rows; SectorError if a row is not in the basis."""
-        exc = self.excitations[codes]
-        spent = np.cumsum(exc, axis=1)
-        if np.any(spent[:, -1] != self.n_total):
-            raise SectorError("operator moves a state out of the sector")
-        left = self.n_total - spent + exc
+        counts = self.counts[codes]
+        spent = np.cumsum(counts, axis=1)
+        if np.any(spent[:, -1] != self.totals):
+            raise SectorError("a state leaves the sector (or its N_X block)")
+        left = np.moveaxis(np.asarray(self.totals) - spent + counts, -1, 0)
         sites_after = np.arange(self.n_sites - 1, -1, -1)
-        return self._rank_table[sites_after, left, codes].sum(axis=1)
+        return self._rank_table[(sites_after,) + tuple(left) + (codes,)].sum(axis=1)
 
     def product_vector(self, site_amplitudes):
         """Dense prod_j (sum_s amp_j[s] |s>_j) from one {letter: amp} per site."""
@@ -192,40 +233,63 @@ class SectorBasis:
         )
 
 
-def _enumerate(alphabet, excitations, n_sites, n_total, dim_cap):
-    dim = _count_fillings(excitations, n_sites, n_total)[-1, -1]
+def _enumerate(alphabet, counts, totals, n_sites, dim_cap):
+    ways = _count_fillings(counts, totals, n_sites)
+    dim = ways[(-1,) + totals]
     if dim > dim_cap:
         raise SectorError(f"sector dimension {dim} exceeds cap {dim_cap}")
+    # [m, *t, c]: letter c can start m + 1 sites that hold exactly t
+    fits_table = _by_letter(ways, counts) > 0
     codes = np.zeros((1, 0), dtype=np.min_scalar_type(len(alphabet) - 1))
-    left = np.array([n_total])
+    left = np.array([totals])
     for site in range(n_sites):
-        # extend each row by every letter that fits; the last takes what is left
-        if site < n_sites - 1:
-            fits = excitations <= left[:, None]
-        else:
-            fits = excitations == left[:, None]
+        # extend each row by every letter that leaves a fillable rest
+        fits = fits_table[(n_sites - 1 - site,) + tuple(left.T)]
         row, letter = np.nonzero(fits)
         codes = np.column_stack([codes[row], letter.astype(codes.dtype)])
-        left = left[row] - excitations[letter]
-    return SectorBasis(n_sites, n_total, alphabet, excitations, codes)
+        left = left[row] - counts[letter]
+    return SectorBasis(n_sites, totals, alphabet, counts, codes)
 
 
-def enumerate_sector(n_sites, n_total, dim_cap=DEFAULT_DIM_CAP):
-    """Every configuration with sum_j n_j = n_total, lexicographically."""
+def _sector_counts(n_sites, n_total, n_x_total):
+    """(alphabet, counts, totals) of a sector, or of its N_X block."""
     if n_sites < 1:
         raise SectorError("n_sites must be >= 1")
     if n_total < 0:
         raise SectorError("n_total must be >= 0")
     alphabet = site_alphabet(n_total)
-    excitations = np.array([site_excitation(s) for s in alphabet])
-    return _enumerate(alphabet, excitations, n_sites, n_total, dim_cap)
+    if n_x_total is None:
+        return (alphabet, np.array([[site_excitation(s)] for s in alphabet]),
+                (n_total,))
+    if not 0 <= n_x_total <= n_total:
+        raise SectorError(f"n_x_total must lie in 0..{n_total}")
+    counts = np.array([[site_excitation(s), site_x_count(s)] for s in alphabet])
+    return alphabet, counts, (n_total, n_x_total)
+
+
+def sector_dim(n_sites, n_total, n_x_total=None):
+    """Exact dimension of enumerate_sector's basis, without enumerating it."""
+    _, counts, totals = _sector_counts(n_sites, n_total, n_x_total)
+    return int(_count_fillings(counts, totals, n_sites)[(-1,) + totals])
+
+
+def enumerate_sector(n_sites, n_total, dim_cap=DEFAULT_DIM_CAP, n_x_total=None):
+    """Every configuration with sum_j n_j = n_total, lexicographically.
+
+    With n_x_total, only the N_X block: the configurations that also hold
+    sum_j X_j = n_x_total (site_x_count), in the same relative order.
+    dim_cap bounds the dimension of the basis returned, checked against
+    the exact count before anything is allocated.
+    """
+    return _enumerate(*_sector_counts(n_sites, n_total, n_x_total), n_sites,
+                      dim_cap)
 
 
 def product_basis(alphabet, n_sites):
     """Every row of n_sites letters from alphabet, in kron order."""
     alphabet = tuple(alphabet)
-    return _enumerate(alphabet, np.zeros(len(alphabet), dtype=np.int64),
-                      n_sites, 0, DEFAULT_DIM_CAP)
+    return _enumerate(alphabet, np.zeros((len(alphabet), 1), dtype=np.int64),
+                      (0,), n_sites, DEFAULT_DIM_CAP)
 
 
 def embed(basis: SectorBasis, local, sites):

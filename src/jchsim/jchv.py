@@ -20,7 +20,6 @@ import numpy as np
 from .crystal import CrystalGeometry, local_detunings
 from .fock import (
     DEFAULT_DIM_CAP,
-    E1,
     SectorBasis,
     assemble,
     enumerate_sector,
@@ -28,6 +27,7 @@ from .fock import (
     site_operators,
     site_sector_operators,
     site_states,
+    site_x_count,
 )
 from .params import DriveParams
 
@@ -203,6 +203,10 @@ def site_sector_eigh(n, det_x, det_y, drive):
 
 MANIFOLD_LABELS = {1: ("up", "down"), 2: ("1", "0", "-1")}
 MANIFOLD_N = {"half": 1, "one": 2}  # spin-1/2 and spin-1 manifold names
+# x-excitation number X of each label: n - r for the r-th label of manifold
+# n, so up = 1, down = 0 and spin-1 m has X = m + 1
+LABEL_X = {lab: n - r for n, labs in MANIFOLD_LABELS.items()
+           for r, lab in enumerate(labs)}
 
 
 def site_manifold_states(n, det_x, det_y, drive):
@@ -219,10 +223,10 @@ def site_manifold_states(n, det_x, det_y, drive):
     if n not in MANIFOLD_LABELS:
         raise ValueError("manifold closed only for n = 1 or 2 excitations per site")
     h, states = site_sector_hamiltonian(n, det_x, det_y, drive)
-    x_count = [n_x + (level == E1) for level, n_x, _ in states]
+    x_count = [site_x_count(s) for s in states]
     energies, vectors = {}, {}
-    for r, label in enumerate(MANIFOLD_LABELS[n]):
-        idx = [i for i, x in enumerate(x_count) if x == n - r]  # X = n - r
+    for label in MANIFOLD_LABELS[n]:
+        idx = [i for i, x in enumerate(x_count) if x == LABEL_X[label]]
         vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
         vec = vecs[:, 0]
         if vec[0] < 0:  # the phononic component sorts first
@@ -232,6 +236,8 @@ def site_manifold_states(n, det_x, det_y, drive):
     return energies, vectors
 
 
-def sector_basis_for(n_sites, n_per_site, dim_cap=DEFAULT_DIM_CAP):
-    """Sector with n_per_site excitations on every site (total = product)."""
-    return enumerate_sector(n_sites, n_sites * n_per_site, dim_cap=dim_cap)
+def sector_basis_for(n_sites, n_per_site, dim_cap=DEFAULT_DIM_CAP, n_x_total=None):
+    """Sector with n_per_site excitations on every site (total = product),
+    or its N_X block with n_x_total x excitations."""
+    return enumerate_sector(n_sites, n_sites * n_per_site, dim_cap=dim_cap,
+                            n_x_total=n_x_total)

@@ -199,7 +199,7 @@ class SimConfig:
     t_x: float | None = None  # explicit uniform-lattice hopping override (angular)
     t_y: float | None = None
     homogeneous: bool = False
-    dim_cap: int = DEFAULT_DIM_CAP
+    dim_cap: int = DEFAULT_DIM_CAP  # bounds the allocated basis: a run's N_X block
     raw: dict = field(default_factory=dict)
 
 

@@ -135,6 +135,10 @@ def test_evolve_zero_hopping_static(tmp_path):
     assert manifest["residuals"]["norm_drift"] < 1e-9
     # two sites sharing two excitations: 1*7 + 4*4 + 7*1 site splittings
     assert manifest["residuals"]["sector_dim"] == 30
+    # propagated in the N_X = 1 block: 3 + 3 states with both on one site,
+    # 2*2 + 2*2 with one each
+    assert manifest["residuals"]["block_dim"] == 14
+    assert manifest["residuals"]["method"] == "dense"
 
 
 def test_compare_command(tmp_path):
@@ -153,6 +157,10 @@ def test_compare_command(tmp_path):
     manifest = json.loads((out / "compare_manifest.json").read_text())
     assert manifest["residuals"]["overall_max_deviation"] == pytest.approx(
         dev, abs=5e-7)
+    for key, value in (("full_block_dim", 14), ("full_method", "dense"),
+                       ("effective_block_dim", 4),
+                       ("effective_method", "dense")):
+        assert manifest["residuals"][key] == value
 
 
 def test_outputs_are_deterministic(tmp_path):

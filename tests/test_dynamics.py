@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from jchsim.dynamics import (
     ComparisonReport,
@@ -9,12 +11,14 @@ from jchsim.dynamics import (
     dressed_product_state,
     estimate_period,
     evolve,
+    evolve_full_model,
+    _dominant_gap,
     _tracked_labels,
 )
 from jchsim.fock import SectorError, SparseOperator
-from jchsim.jchv import build_full, sector_basis_for
+from jchsim.jchv import LABEL_X, build_full, sector_basis_for
 from jchsim.params import KHZ, make_drive, parse_config
-from jchsim.crystal import CrystalGeometry, geometry_from_config
+from jchsim.crystal import CrystalGeometry, geometry_from_config, local_detunings
 from jchsim.superexchange import SpinHalfModel, build_spin_hamiltonian
 
 DRIVE = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
@@ -53,6 +57,9 @@ def test_dressed_state_sector_mismatch():
         dressed_product_state(("up",), DRIVE, basis)
     with pytest.raises(SectorError):
         dressed_product_state(("1", "-1"), DRIVE, basis)
+    block = sector_basis_for(2, 1, n_x_total=1)
+    with pytest.raises(SectorError, match="X = 2"):
+        dressed_product_state(("up", "up"), DRIVE, block)
 
 
 def test_evolve_input_validation():
@@ -98,6 +105,22 @@ def test_flip_flop_rabi_formula():
     # transfer time = pi / (4 |K|)
     assert estimate_period(model, ("up", "down")) == pytest.approx(
         np.pi / (4.0 * abs(k) * KHZ), rel=1e-12)
+
+
+def test_dense_complex_hamiltonian_matches_expm():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+    h = SparseOperator(20, sp.csr_matrix(a + a.conj().T))
+    psi0 = rng.normal(size=20) + 1j * rng.normal(size=20)
+    psi0 /= np.linalg.norm(psi0)
+    tracked = {("e", str(i)): np.eye(20)[i] for i in range(20)}
+    times = np.linspace(0.0, 0.7, 8)
+    res = evolve(h, psi0, times, tracked)
+    assert res.method == "dense"
+    exact = np.array([scipy.linalg.expm(-1j * t * h.dense()) @ psi0
+                      for t in times])
+    assert np.max(np.abs(res.final_state - exact[-1])) < 1e-10
+    assert np.max(np.abs(res.population_matrix() - np.abs(exact.T) ** 2)) < 1e-10
 
 
 def test_diagonal_hamiltonian_freezes_populations():
@@ -169,6 +192,7 @@ def test_compare_three_ion_window():
     report = compare_full_vs_effective(cfg, times=times)
     assert report.overall_max_deviation < 0.1
     assert report.parameters["sector_dim"] == 262
+    assert report.parameters["block_dim"] == 93
     # reflection symmetry of the crystal about the center ion
     mirror = np.abs(report.full.populations[("down", "up", "up")]
                     - report.full.populations[("up", "up", "down")])
@@ -198,3 +222,73 @@ def test_compare_rejects_wrong_manifold_labels():
     cfg = parse_config(THREE_ION_CFG)
     with pytest.raises(SectorError):
         compare_full_vs_effective(cfg, initial_labels=("1", "0", "-1"))
+    with pytest.raises(SectorError):
+        compare_full_vs_effective(cfg, tracked=[("1", "1", "1")])
+
+
+def loop_dominant_gap(w, weights):
+    """The eigenpair scan estimate_period used to run, one pair at a time."""
+    gap_tol = max(1e-12 * np.max(np.abs(w)), 1e-30)
+    best = None
+    for a in range(len(w)):
+        if weights[a] < 1e-12:
+            continue
+        for b in range(a + 1, len(w)):
+            if weights[b] < 1e-12:
+                continue
+            gap = abs(w[b] - w[a])
+            if gap <= gap_tol:
+                continue
+            weight = weights[a] * weights[b]
+            if best is None or weight > best[0]:
+                best = (weight, gap)
+    return None if best is None else best[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([-2.5, -1.0, -1.0 + 1e-13, 0.0, 0.3, 0.3,
+                                 1.7, 4.0]), min_size=1, max_size=12),
+       st.lists(st.sampled_from([0.0, 1e-13, 1e-12, 0.05, 0.1, 0.1, 0.25]),
+                min_size=12, max_size=12))
+def test_dominant_gap_matches_loop(energies, weights):
+    # repeated energies and weights make ties and sub-tolerance gaps common
+    w = np.sort(np.array(energies))
+    weights = np.array(weights[: len(w)])
+    assert _dominant_gap(w, weights) == loop_dominant_gap(w, weights)
+
+
+def run_config(n_ions, n, trap, labels):
+    geometry = ("nu_z_khz = 120.0\naspect_x = 55.555555555555556\n"
+                "aspect_y = 100.0\n" if trap else
+                "t_x_khz = 0.1\nt_y_khz = 0.17\nhomogeneous = true\n")
+    return parse_config(f"n_ions = {n_ions}\n{geometry}g_x_khz = 19.0\n"
+                        f"g_y_khz = 20.0\ndelta_khz = -0.22\n"
+                        f"n_excitations = {n}\ninitial_state = {labels}\n")
+
+
+@pytest.mark.parametrize("trap", [False, True])
+@pytest.mark.parametrize("n_ions,n,labels", [(3, 1, "up,down,up"),
+                                             (2, 2, "1,-1")])
+def test_block_run_matches_full_sector(n_ions, n, labels, trap):
+    cfg = run_config(n_ions, n, trap, labels)
+    times = np.linspace(0.0, 200.0, 30)
+    run = evolve_full_model(cfg, times=times)
+    assert run.sector_dim == sector_basis_for(n_ions, n).dim
+    assert run.block_dim < run.sector_dim
+
+    # reference: the whole total-excitation sector
+    geo = geometry_from_config(cfg)
+    basis = sector_basis_for(n_ions, n)
+    det_x, det_y = local_detunings(geo, cfg.drive, cfg.homogeneous)
+    states = {lab: dressed_product_state(lab, cfg.drive, basis, det_x, det_y)
+              for lab in run.tracked}
+    ref = evolve(build_full(basis, geo, cfg.drive, cfg.homogeneous),
+                 states[run.initial_labels], times, states)
+    n_x = sum(LABEL_X[s] for s in run.initial_labels)
+    assert run.result.labels == run.tracked
+    for lab in run.tracked:
+        trace = run.result.populations[lab]
+        if sum(LABEL_X[s] for s in lab) == n_x:
+            assert np.max(np.abs(trace - ref.populations[lab])) < 1e-10
+        else:
+            assert np.all(trace == 0.0)

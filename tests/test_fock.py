@@ -15,9 +15,11 @@ from jchsim.fock import (
     build_site_operator,
     embed,
     enumerate_sector,
+    sector_dim,
     site_excitation,
     site_operators,
     site_states,
+    site_x_count,
     total_excitation_operator,
 )
 
@@ -68,6 +70,47 @@ def test_sector_matches_brute_force(n_sites, n_total):
     assert sorted(basis.states) == sorted(brute_force_sector(n_sites, n_total))
     for i, state in enumerate(basis.states):
         assert basis.index[state] == i
+
+
+@pytest.mark.parametrize("n_sites,n_total", [(1, 2), (2, 2), (3, 3), (4, 4),
+                                              (3, 6), (20, 2)])
+def test_block_is_sector_filtered_by_x(n_sites, n_total):
+    sector = enumerate_sector(n_sites, n_total)
+    x = np.array([site_x_count(s) for s in sector.alphabet])[sector.codes].sum(axis=1)
+    for n_x in range(n_total + 1):
+        block = enumerate_sector(n_sites, n_total, n_x_total=n_x)
+        assert block.n_x_total == n_x
+        np.testing.assert_array_equal(block.codes, sector.codes[x == n_x])
+        np.testing.assert_array_equal(block.rank(block.codes),
+                                      np.arange(block.dim))
+        assert block.dim == sector_dim(n_sites, n_total, n_x)
+        if n_x < n_total:
+            with pytest.raises(SectorError):
+                block.rank(sector.codes[x == n_x + 1][:1])
+    assert sector.dim == sector_dim(n_sites, n_total)
+    with pytest.raises(SectorError):
+        enumerate_sector(n_sites, n_total, n_x_total=n_total + 1)
+
+
+@pytest.mark.parametrize("n_sites,n_per_site,dim", [
+    (3, 1, 93),
+    (4, 1, 834),
+    (5, 1, 6735),
+    (3, 2, 984),
+    (4, 2, 23055),
+])
+def test_block_dimensions_frozen(n_sites, n_per_site, dim):
+    # the largest block: half of the sector's excitations are x
+    n_total = n_sites * n_per_site
+    block = enumerate_sector(n_sites, n_total, n_x_total=n_total // 2)
+    assert block.dim == dim
+
+
+def test_block_dimension_counted_without_enumeration():
+    assert sector_dim(6, 6, 3) == 64418
+    assert sector_dim(6, 6) == 226020
+    with pytest.raises(SectorError, match="64418"):
+        enumerate_sector(6, 6, dim_cap=64417, n_x_total=3)
 
 
 def test_sector_dim_cap():

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jchsim.crystal import CrystalGeometry
-from jchsim.fock import enumerate_sector, total_excitation_operator
+from jchsim.fock import (
+    assemble,
+    enumerate_sector,
+    site_operators,
+    total_excitation_operator,
+)
 from jchsim.jchv import (
     MANIFOLD_LABELS,
     build_full,
@@ -17,7 +22,7 @@ from jchsim.jchv import (
     site_manifold_states,
     site_sector_eigh,
 )
-from jchsim.params import KHZ, DriveParams, make_drive
+from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive
 
 GEO2 = CrystalGeometry.from_uniform_hoppings(2, 0.1 * KHZ, 0.17 * KHZ)
 
@@ -118,6 +123,29 @@ def test_full_hamiltonian_conserves_excitation():
     n_tot = total_excitation_operator(basis)
     assert h.hermiticity_defect() < 1e-13
     assert h.commutator_norm(n_tot) < 1e-13
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_full_hamiltonian_conserves_x_excitation(sector, trap, homogeneous, seed):
+    n_sites, n = sector
+    rng = np.random.default_rng(seed)
+    if trap:
+        geo = CrystalGeometry.from_trap(TrapConfig(
+            n_sites, rng.uniform(80.0, 200.0) * KHZ, rng.uniform(30.0, 80.0),
+            rng.uniform(90.0, 150.0)))
+    else:
+        geo = CrystalGeometry.from_uniform_hoppings(
+            n_sites, rng.uniform(0.01, 1.0) * KHZ, rng.uniform(0.01, 1.0) * KHZ)
+    basis = sector_basis_for(n_sites, n)
+    h = build_full(basis, geo, random_drive(rng), homogeneous=homogeneous)
+    ops = site_operators(basis.n_total)
+    n_x = assemble(basis, [(ops["num_x"] + ops["proj_e1"], (j,))
+                           for j in range(n_sites)])
+    assert h.commutator_norm(n_x) == 0.0
+    # N_X is not a multiple of the identity here, so the check has teeth
+    assert np.ptp(n_x.mat.diagonal().real) > 0
 
 
 def test_joint_offset_shifts_by_identity():
