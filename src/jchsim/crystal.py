@@ -13,9 +13,11 @@ The on-site phonon frequency shifts are delta_omega_{beta,j} =
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .fock import _read_only
 from .params import DriveParams, TrapConfig
 
 RESIDUAL_TOL = 1e-12
@@ -55,18 +57,20 @@ def _jacobian(u):
     return jac
 
 
+@lru_cache(maxsize=None)
 def equilibrium_positions(n_ions):
     """Solve the force balance by damped Newton with analytic Jacobian.
 
     Initial guess: uniform spacing over half-width 1.1 * n^0.56. Steps are
     halved until the residual norm decreases. The converged solution is
     symmetrized (u -> (u - reverse(u))/2) so reflection antisymmetry holds
-    exactly, then re-checked against the residual tolerance.
+    exactly, then re-checked against the residual tolerance. Cached per
+    n_ions, which alone fixes it, and read-only.
     """
     if n_ions < 1:
         raise ValueError("n_ions must be >= 1")
     if n_ions == 1:
-        return np.zeros(1)
+        return _read_only(np.zeros(1))
     half_width = 1.1 * n_ions**0.56
     u = np.linspace(-half_width, half_width, n_ions)
     g = force_residual(u)
@@ -94,7 +98,7 @@ def equilibrium_positions(n_ions):
     res = np.max(np.abs(force_residual(u)))
     if res >= RESIDUAL_TOL:
         raise ConvergenceError("symmetrized solution violates tolerance", res)
-    return u
+    return _read_only(u)
 
 
 def hopping_matrix(u, trap: TrapConfig):

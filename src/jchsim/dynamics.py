@@ -4,9 +4,9 @@ Evolution is unitary: dense eigendecomposition below a dimension
 threshold, Lanczos propagation with adaptive substepping above it.
 States are tracked through squared overlaps with dressed product
 labels (full model) or spin product labels (effective model), which
-makes the two sides directly comparable trace by trace. The full model
-runs in the N_X block of its initial state; tracked labels outside that
-block have population exactly 0.
+makes the two sides directly comparable trace by trace. Both run in the
+block of the initial labels' X: N_X for the full model, total S_z for
+the effective one. Tracked labels outside it have population exactly 0.
 """
 
 from dataclasses import dataclass, field, replace
@@ -27,9 +27,9 @@ from .jchv import (
 from .params import DriveParams, SimConfig
 from .superexchange import (
     build_spin_hamiltonian,
+    spin_block,
     spin_half_general,
     spin_one_general,
-    spin_product_index,
 )
 
 DENSE_THRESHOLD = 2000
@@ -72,7 +72,7 @@ class ComparisonReport:
 
 
 def _n_x(labels):
-    """Total x-excitation number of a dressed product label."""
+    """Total x-excitation number X of a dressed or spin product label."""
     return sum(LABEL_X[lab] for lab in labels)
 
 
@@ -135,7 +135,8 @@ def _lanczos_basis(matvec, psi, m):
         if j > 0:
             w = w - betas[j - 1] * rows[j - 1]
         for _ in range(2):
-            w = w - (rows[: j + 1].conj() @ w) @ rows[: j + 1]
+            # conj(rows @ conj(w)) = conj(rows) @ w without copying rows
+            w = w - (rows[: j + 1] @ w.conj()).conj() @ rows[: j + 1]
         b_next = float(np.linalg.norm(w))
         scale = max(np.max(np.abs(alpha[: j + 1])), 1e-30)
         if j == k_max - 1 or b_next < 1e-13 * scale:
@@ -253,10 +254,11 @@ def estimate_period(model, initial_labels):
     Taken as pi over the dominant eigen-gap, the gap weighted by the
     initial state's overlaps; this is the pi/(4 K_xy) transfer time in
     the two-site flip-flop case, half a full population cycle. None if
-    the initial state is stationary."""
-    h = build_spin_hamiltonian(model).dense()
-    w, v = scipy.linalg.eigh(h)
-    idx = spin_product_index(initial_labels, model.manifold)
+    the initial state is stationary. Only its S_z block is diagonalised."""
+    basis = spin_block(model.manifold, initial_labels)
+    w, v = scipy.linalg.eigh(build_spin_hamiltonian(model, basis).dense())
+    letter = {s: i for i, s in enumerate(basis.alphabet)}
+    idx = basis.rank(np.array([[letter[s] for s in initial_labels]]))[0]
     gap = _dominant_gap(w, np.abs(v[idx]) ** 2)
     return None if gap is None else np.pi / gap
 
@@ -293,6 +295,17 @@ def _tracked_labels(manifold, n_sites, initial_labels, cap=512):
             labels = [pre + (s,) for pre in labels for s in single]
         return tuple(labels)
     return (tuple(initial_labels),)
+
+
+def _evolve_labels(h, state_of, initial, tracked, times):
+    """evolve state_of(initial) in h's block, that of the initial X; a
+    tracked label with another X never gains population: exact zeros."""
+    n_x = _n_x(initial)
+    result = evolve(h, state_of(initial), times,
+                    {lab: state_of(lab) for lab in tracked if _n_x(lab) == n_x})
+    populations = {lab: result.populations[lab] if lab in result.populations
+                   else np.zeros(len(result.times)) for lab in tracked}
+    return replace(result, labels=tuple(tracked), populations=populations)
 
 
 @dataclass(frozen=True)
@@ -342,20 +355,13 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
     if tracked is None:
         tracked = _tracked_labels(model.manifold, geometry.n_ions, labels0)
 
-    n_x = _n_x(labels0)
     basis = sector_basis_for(geometry.n_ions, n_per_site, dim_cap=cfg.dim_cap,
-                             n_x_total=n_x)
+                             n_x_total=_n_x(labels0))
     h_full = build_full(basis, geometry, drive, homogeneous=cfg.homogeneous)
     det_x, det_y = local_detunings(geometry, drive, homogeneous=cfg.homogeneous)
-    psi0 = dressed_product_state(labels0, drive, basis, det_x, det_y)
-    label_states = {
-        lab: dressed_product_state(lab, drive, basis, det_x, det_y)
-        for lab in tracked if _n_x(lab) == n_x
-    }
-    result = evolve(h_full, psi0, times, label_states)
-    populations = {lab: result.populations[lab] if lab in label_states
-                   else np.zeros(len(result.times)) for lab in tracked}
-    result = replace(result, labels=tuple(tracked), populations=populations)
+    result = _evolve_labels(
+        h_full, lambda lab: dressed_product_state(lab, drive, basis, det_x, det_y),
+        labels0, tracked, times)
     return FullRun(model=model, initial_labels=labels0, tracked=tuple(tracked),
                    sector_dim=sector_dim(geometry.n_ions,
                                          geometry.n_ions * n_per_site),
@@ -364,28 +370,22 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
 
 def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
                               geometry=None, tracked=None):
-    """Run matched full-sector and effective-spin evolutions.
+    """Run matched full-model and effective-spin evolutions.
 
     The full model evolves as in evolve_full_model; the effective model
-    evolves the coupling-table Hamiltonian over spin product states on
-    the same time grid and tracked labels.
+    evolves the coupling-table Hamiltonian in the initial labels' S_z
+    block (spin_block), on the same time grid and tracked labels.
     """
     drive = cfg.drive
     run = evolve_full_model(cfg, initial_labels, times, geometry, tracked)
     res_full = run.result
     times = res_full.times
-    manifold = run.model.manifold
 
-    h_eff = build_spin_hamiltonian(run.model)
-    dim_eff = h_eff.dim
-    psi0_eff = np.zeros(dim_eff, dtype=complex)
-    psi0_eff[spin_product_index(run.initial_labels, manifold)] = 1.0
-    eff_labels = {}
-    for lab in run.tracked:
-        vec = np.zeros(dim_eff, dtype=complex)
-        vec[spin_product_index(lab, manifold)] = 1.0
-        eff_labels[lab] = vec
-    res_eff = evolve(h_eff, psi0_eff, times, eff_labels)
+    basis = spin_block(run.model.manifold, run.initial_labels)
+    res_eff = _evolve_labels(
+        build_spin_hamiltonian(run.model, basis),
+        lambda lab: basis.product_vector([{s: 1.0} for s in lab]),
+        run.initial_labels, run.tracked, times)
 
     max_dev = {}
     l2_dev = {}
@@ -395,7 +395,7 @@ def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
         l2_dev[lab] = float(np.sqrt(np.mean(diff**2)))
     parameters = {
         "n_ions": len(run.initial_labels),
-        "manifold": manifold,
+        "manifold": run.model.manifold,
         "g_x_khz": drive.g_x / (2.0 * np.pi),
         "g_y_khz": drive.g_y / (2.0 * np.pi),
         "delta_khz": drive.delta / (2.0 * np.pi),

@@ -8,7 +8,7 @@ a truncation. So is the x-excitation number N_X = sum_j (n_x + P_e1)_j,
 and a sector can be enumerated one N_X block at a time.
 
 A basis stores each many-body state as a row of small-int codes into an
-alphabet of site states (or spin labels, for the product bases of the
+alphabet of site states (or spin labels, for the S_z blocks of the
 effective models). `embed` maps an operator on one or two sites into a
 basis for all states at once; every Hamiltonian is a sum of embeddings
 of the single-site operators defined once in `site_operators`.
@@ -157,10 +157,10 @@ def _by_letter(ways, counts):
 class SectorBasis:
     """Ordered many-body basis: codes[i, j] indexes alphabet at site j of state i.
 
-    Each letter carries k conserved counts, counts[letter] (the excitation
-    number, and for an N_X block also the x-excitation number). The rows
-    are all those whose counts sum to totals, in lexicographic order
-    (site 0 most significant).
+    Each letter carries k conserved counts, counts[letter]: the excitation
+    number, and for an N_X block also the x-excitation number (a spin
+    product basis counts x alone). The rows are all those whose counts sum
+    to totals, in lexicographic order (site 0 most significant).
     """
 
     n_sites: int
@@ -233,7 +233,7 @@ class SectorBasis:
         )
 
 
-def _enumerate(alphabet, counts, totals, n_sites, dim_cap):
+def _enumerate(alphabet, counts, totals, n_sites, dim_cap=DEFAULT_DIM_CAP):
     ways = _count_fillings(counts, totals, n_sites)
     dim = ways[(-1,) + totals]
     if dim > dim_cap:
@@ -285,11 +285,11 @@ def enumerate_sector(n_sites, n_total, dim_cap=DEFAULT_DIM_CAP, n_x_total=None):
                       dim_cap)
 
 
-def product_basis(alphabet, n_sites):
-    """Every row of n_sites letters from alphabet, in kron order."""
-    alphabet = tuple(alphabet)
-    return _enumerate(alphabet, np.zeros((len(alphabet), 1), dtype=np.int64),
-                      (0,), n_sites, DEFAULT_DIM_CAP)
+def product_basis(x_counts, n_sites, n_x_total):
+    """Rows of n_sites letters (x_counts: letter -> x count) whose x counts
+    sum to n_x_total, in kron order; all counts 0, total 0: the whole space."""
+    counts = np.array([[x] for x in x_counts.values()], dtype=np.int64)
+    return _enumerate(tuple(x_counts), counts, (n_x_total,), n_sites)
 
 
 def embed(basis: SectorBasis, local, sites):

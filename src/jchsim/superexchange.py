@@ -26,6 +26,7 @@ import numpy as np
 from .crystal import CrystalGeometry, local_detunings
 from .fock import assemble, product_basis, site_sector_operators, site_states
 from .jchv import (
+    LABEL_X,
     MANIFOLD_LABELS,
     MANIFOLD_N,
     site_manifold_states,
@@ -156,7 +157,6 @@ class PairEffectiveMatrix:
     labels: tuple  # product labels (r_j, r'_k), row-major in site j
     matrix: np.ndarray  # d^2 x d^2, zeroth + second order, Hermitian
     second_order: np.ndarray  # the superexchange part alone
-    asymmetry: float  # Hermiticity defect of the second-order part
 
 
 def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
@@ -185,7 +185,6 @@ def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
         labels=tuple((r, rp) for r in labels for rp in labels),
         matrix=np.diag(e_pair) + m2,
         second_order=m2,
-        asymmetry=float(np.max(np.abs(m2 - m2.T))),
     )
 
 
@@ -401,7 +400,7 @@ def spin_one_isotropic_analytic(g, t_x, t_y):
 
 
 # ---------------------------------------------------------------------------
-# spin Hamiltonians on the 2^N / 3^N product space
+# spin Hamiltonians on a conserved S_z block of the 2^N / 3^N product space
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -418,30 +417,27 @@ S_X1 = 0.5 * (S_PLUS + S_MINUS)
 S_Y1 = 0.5j * (S_MINUS - S_PLUS)
 
 
-def spin_product_index(labels, manifold):
-    """Ordinal of a spin product state in the kron basis used here."""
-    order = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
-    dim = len(order)
-    idx = 0
-    for lab in labels:
-        idx = idx * dim + order.index(lab)
-    return idx
+def spin_block(manifold, labels):
+    """Product basis of the manifold's spin labels in the total-S_z block of
+    labels: each label counts its LABEL_X (S_z shifted to 0, 1, ...)."""
+    letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
+    return product_basis({lab: LABEL_X[lab] for lab in letters}, len(labels),
+                         sum(LABEL_X[lab] for lab in labels))
 
 
-def build_spin_hamiltonian(model):
+def build_spin_hamiltonian(model, basis):
     """Sparse effective spin Hamiltonian from a coupling-table model.
 
     Includes the zeroth-order single-site terms and the spin-independent
     constant, so its spectrum matches the pair effective matrices, not
-    just its dynamics. Basis order is that of spin_product_index.
+    just its dynamics. basis is a product basis of the model's labels:
+    a spin_block, or the whole product space (all x counts 0).
     """
     if isinstance(model, SpinHalfModel):
-        labels = MANIFOLD_LABELS[1]
         site = [(model.H_field + model.E0_split, SIGMA_Z)]
         pair = [(model.K_xy, np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)),
                 (model.K_z, np.kron(SIGMA_Z, SIGMA_Z))]
     elif isinstance(model, SpinOneModel):
-        labels = MANIFOLD_LABELS[2]
         sz2 = S_Z1 @ S_Z1
         a_p = np.kron(S_Z1 @ S_PLUS, S_MINUS @ S_Z1)
         a_m = np.kron(S_Z1 @ S_MINUS, S_PLUS @ S_Z1)
@@ -458,5 +454,5 @@ def build_spin_hamiltonian(model):
     terms = [(sum(c[j] * op for c, op in site), (j,)) for j in range(n)]
     terms += [(sum(c[j, k] * op for c, op in pair), (j, k))
               for j in range(n) for k in range(j + 1, n)]
-    terms.append((model.energy_offset * np.eye(len(labels)), (0,)))
-    return assemble(product_basis(labels, n), terms)
+    terms.append((model.energy_offset * np.eye(len(basis.alphabet)), (0,)))
+    return assemble(basis, terms)

@@ -158,7 +158,7 @@ def test_compare_command(tmp_path):
     assert manifest["residuals"]["overall_max_deviation"] == pytest.approx(
         dev, abs=5e-7)
     for key, value in (("full_block_dim", 14), ("full_method", "dense"),
-                       ("effective_block_dim", 4),
+                       ("effective_block_dim", 2),
                        ("effective_method", "dense")):
         assert manifest["residuals"][key] == value
 

@@ -29,6 +29,8 @@ def test_positions_two_ions_closed_form():
 def test_positions_three_ions_closed_form():
     u = equilibrium_positions(3)
     assert u == pytest.approx([-U3, 0.0, U3], abs=1e-12)
+    # solved once per ion count: later calls share one read-only array
+    assert equilibrium_positions(3) is u and not u.flags.writeable
 
 
 def test_single_ion_at_origin():

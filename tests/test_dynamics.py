@@ -15,11 +15,24 @@ from jchsim.dynamics import (
     _dominant_gap,
     _tracked_labels,
 )
-from jchsim.fock import SectorError, SparseOperator
-from jchsim.jchv import LABEL_X, build_full, sector_basis_for
+from jchsim.fock import SectorError, SparseOperator, product_basis
+from jchsim.jchv import (
+    LABEL_X,
+    MANIFOLD_LABELS,
+    MANIFOLD_N,
+    build_full,
+    sector_basis_for,
+)
 from jchsim.params import KHZ, make_drive, parse_config
 from jchsim.crystal import CrystalGeometry, geometry_from_config, local_detunings
-from jchsim.superexchange import SpinHalfModel, build_spin_hamiltonian
+from jchsim.superexchange import (
+    SpinHalfModel,
+    SpinOneModel,
+    build_spin_hamiltonian,
+    spin_block,
+    spin_half_general,
+    spin_one_general,
+)
 
 DRIVE = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
 
@@ -93,11 +106,10 @@ def test_initial_populations_are_overlaps():
 def test_flip_flop_rabi_formula():
     k = -0.02  # kHz
     model = rabi_model(k)
-    h = build_spin_hamiltonian(model)
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[1] = 1.0  # (up, down)
-    target = np.zeros(4, dtype=complex)
-    target[2] = 1.0  # (down, up)
+    basis = spin_block("half", ("up", "down"))
+    h = build_spin_hamiltonian(model, basis)
+    psi0 = basis.product_vector([{"up": 1.0}, {"down": 1.0}])
+    target = basis.product_vector([{"down": 1.0}, {"up": 1.0}])
     times = np.linspace(0.0, 20.0, 201)
     res = evolve(h, psi0, times, {("down", "up"): target})
     expected = np.sin(2.0 * k * KHZ * times) ** 2
@@ -292,3 +304,89 @@ def test_block_run_matches_full_sector(n_ions, n, labels, trap):
             assert np.max(np.abs(trace - ref.populations[lab])) < 1e-10
         else:
             assert np.all(trace == 0.0)
+
+
+def whole_space_basis(manifold, n_sites):
+    """Every spin product state of the manifold, in kron order."""
+    letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
+    return product_basis(dict.fromkeys(letters, 0), n_sites, 0)
+
+
+def one_hot(basis, labels):
+    return basis.product_vector([{s: 1.0} for s in labels])
+
+
+@pytest.mark.parametrize("trap", [False, True])
+@pytest.mark.parametrize("n_ions,n,labels", [(3, 1, "up,down,up"),
+                                             (2, 2, "1,-1")])
+def test_effective_block_run_matches_whole_space(n_ions, n, labels, trap):
+    cfg = run_config(n_ions, n, trap, labels)
+    times = np.linspace(0.0, 200.0, 30)
+    report = compare_full_vs_effective(cfg, times=times)
+    eff = report.effective
+    initial = tuple(labels.split(","))
+    manifold = report.parameters["manifold"]
+    assert len(eff.final_state) == spin_block(manifold, initial).dim
+    assert len(eff.final_state) < len(MANIFOLD_LABELS[n]) ** n_ions
+
+    # reference: the whole 2^N / 3^N product space
+    build = spin_half_general if n == 1 else spin_one_general
+    model = build(geometry_from_config(cfg), cfg.drive,
+                  homogeneous=cfg.homogeneous)
+    whole = whole_space_basis(manifold, n_ions)
+    states = {lab: one_hot(whole, lab) for lab in report.labels}
+    ref = evolve(build_spin_hamiltonian(model, whole), states[initial], times,
+                 states)
+    n_x = sum(LABEL_X[s] for s in initial)
+    assert eff.labels == report.labels
+    for lab in report.labels:
+        trace = eff.populations[lab]
+        if sum(LABEL_X[s] for s in lab) == n_x:
+            assert np.max(np.abs(trace - ref.populations[lab])) < 1e-10
+        else:
+            assert np.all(trace == 0.0)
+
+
+def whole_space_period(model, initial_labels):
+    """estimate_period over the whole product space, with the loop scan."""
+    basis = whole_space_basis(model.manifold, model.n_sites)
+    w, v = scipy.linalg.eigh(build_spin_hamiltonian(model, basis).dense())
+    idx = np.flatnonzero(one_hot(basis, initial_labels))[0]
+    gap = loop_dominant_gap(w, np.abs(v[idx]) ** 2)
+    return None if gap is None else np.pi / gap
+
+
+def random_model(manifold, n_sites, rng):
+    def couplings():
+        m = np.triu(rng.normal(size=(n_sites, n_sites)), k=1)
+        return m + m.T
+
+    def field():
+        return rng.normal(size=n_sites)
+
+    if manifold == "half":
+        return SpinHalfModel(K_xy=couplings(), K_z=couplings(), H_field=field(),
+                             E0_split=field(), energy_offset=rng.normal())
+    return SpinOneModel(J_xy=couplings(), J_z=couplings(), W=couplings(),
+                        V=couplings(), v_p1=couplings(), v_m1=couplings(),
+                        D_field=field(), B_field=field(),
+                        energy_offset=rng.normal())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["half", "one"]), st.integers(min_value=2, max_value=5),
+       st.data())
+def test_period_matches_whole_space(manifold, n_sites, data):
+    if manifold == "one":
+        n_sites = min(n_sites, 4)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = random_model(manifold, n_sites, rng)
+    letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
+    labels = tuple(data.draw(st.lists(st.sampled_from(letters),
+                                      min_size=n_sites, max_size=n_sites)))
+    ref = whole_space_period(model, labels)
+    got = estimate_period(model, labels)
+    if ref is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(ref, rel=1e-9)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jchsim.crystal import CrystalGeometry, local_detunings
-from jchsim.fock import site_sector_operators, site_states
-from jchsim.jchv import MANIFOLD_LABELS, site_manifold_states, site_sector_eigh
+from jchsim.fock import (
+    SectorError,
+    product_basis,
+    site_sector_operators,
+    site_states,
+)
+from jchsim.jchv import (
+    LABEL_X,
+    MANIFOLD_LABELS,
+    MANIFOLD_N,
+    site_manifold_states,
+    site_sector_eigh,
+)
 from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive
 from jchsim.superexchange import (
     DegenerateIntermediateError,
@@ -27,8 +39,8 @@ from jchsim.superexchange import (
     spin_half_analytic,
     spin_half_general,
     spin_one_general,
+    spin_block,
     spin_one_isotropic_analytic,
-    spin_product_index,
 )
 
 
@@ -167,8 +179,11 @@ def test_pair_matrix_consistency_with_spin_hamiltonian():
         pair = pair_effective_matrix(0, 1, geo, drive, manifold=manifold,
                                      homogeneous=True)
         model = builder(geo, drive, homogeneous=True)
-        h = build_spin_hamiltonian(model).dense()
-        idx = [spin_product_index(lab, manifold) for lab in pair.labels]
+        letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
+        basis = product_basis(dict.fromkeys(letters, 0), 2, 0)
+        h = build_spin_hamiltonian(model, basis).dense()
+        idx = basis.rank(np.array([[letters.index(s) for s in lab]
+                                   for lab in pair.labels]))
         diff = np.max(np.abs(h[np.ix_(idx, idx)].real - pair.matrix))
         assert diff < 1e-12 * max(1.0, np.max(np.abs(pair.matrix)))
         assert np.max(np.abs(h.imag)) == 0.0
@@ -194,15 +209,24 @@ def test_spin_one_operator_algebra():
     assert np.allclose(casimir, 2.0 * np.eye(3))
 
 
-def test_spin_product_index_bijective():
-    seen = set()
-    for a in ("up", "down"):
-        for b in ("up", "down"):
-            seen.add(spin_product_index((a, b), "half"))
-    assert seen == set(range(4))
-    seen = {spin_product_index((a, b), "one")
-            for a in ("1", "0", "-1") for b in ("1", "0", "-1")}
-    assert seen == set(range(9))
+def test_product_basis_rank_round_trip():
+    for manifold, n_sites in itertools.product(("half", "one"), (1, 2, 4)):
+        letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
+        rows = np.array(list(itertools.product(range(len(letters)),
+                                               repeat=n_sites)))  # kron order
+        whole = product_basis(dict.fromkeys(letters, 0), n_sites, 0)
+        np.testing.assert_array_equal(whole.codes, rows)
+        np.testing.assert_array_equal(whole.rank(rows), np.arange(len(rows)))
+        # every S_z block: the kron rows with its X, ranked in that order
+        x = np.array([LABEL_X[s] for s in letters])[rows].sum(axis=1)
+        for n_x in range(x.max() + 1):
+            block = spin_block(manifold,
+                               [letters[c] for c in rows[x == n_x][0]])
+            np.testing.assert_array_equal(block.codes, rows[x == n_x])
+            np.testing.assert_array_equal(block.rank(block.codes),
+                                          np.arange(block.dim))
+            with pytest.raises(SectorError):
+                block.rank(rows[x != n_x][:1])
 
 
 def test_transition_elements_feed_back_consistently():
@@ -316,9 +340,22 @@ def test_spin_hamiltonian_matches_explicit_kron(manifold):
                 expect += model.V[j, k] * pair(sz2, sz2)
                 expect += model.v_p1[j, k] * (a_p + a_p.conj().T)
                 expect += model.v_m1[j, k] * (a_m + a_m.conj().T)
-    h = build_spin_hamiltonian(model)
+    letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
+    scale = np.max(np.abs(expect))
+    h = build_spin_hamiltonian(model, product_basis(dict.fromkeys(letters, 0),
+                                                    n, 0))
     assert h.dim == d**n
-    assert np.max(np.abs(h.dense() - expect)) < 1e-13 * np.max(np.abs(expect))
+    assert np.max(np.abs(h.dense() - expect)) < 1e-13 * scale
+    # each S_z block is the kron matrix on the block's rows, and the blocks
+    # together hold every entry of it
+    blocks = np.zeros_like(expect)
+    for n_x in range(n * (d - 1) + 1):
+        block = product_basis({s: LABEL_X[s] for s in letters}, n, n_x)
+        rows = block.codes @ d ** np.arange(n - 1, -1, -1)
+        got = build_spin_hamiltonian(model, block).dense()
+        assert np.max(np.abs(got - expect[np.ix_(rows, rows)])) < 1e-13 * scale
+        blocks[np.ix_(rows, rows)] = got
+    assert np.max(np.abs(blocks - expect)) < 1e-13 * scale
 
 
 def trap_crystal(n_ions, nu_z_khz=120.0):
