@@ -16,8 +16,6 @@ from xml.sax.saxutils import escape
 
 
 def _fmt(v):
-    if isinstance(v, str):
-        return v
     if isinstance(v, (int,)) or type(v).__name__ in ("int64", "int32", "intp"):
         return str(int(v))
     return f"{float(v):.11e}"
@@ -45,13 +43,7 @@ _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 72, 16, 28, 52
 
 
-def _ticks(lo, hi, n=5):
-    import numpy as np
-
-    return np.linspace(lo, hi, n)
-
-
-def write_line_svg(path, x, series, xlabel, ylabel, title="", dashed=()):
+def write_line_svg(path, x, series, xlabel, ylabel, title, dashed=()):
     """series: list of (name, y-array); dashed names get a dash pattern."""
     import numpy as np
 
@@ -80,14 +72,14 @@ def write_line_svg(path, x, series, xlabel, ylabel, title="", dashed=()):
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="#333"/>',
     ]
-    for tx in _ticks(lo_x, hi_x):
+    for tx in np.linspace(lo_x, hi_x, 5):
         parts.append(
             f'<line x1="{px(tx):.1f}" y1="{_H - _MB}" x2="{px(tx):.1f}" '
             f'y2="{_H - _MB + 5}" stroke="#333"/>'
             f'<text x="{px(tx):.1f}" y="{_H - _MB + 18}" font-size="11" '
             f'text-anchor="middle">{tx:.4g}</text>'
         )
-    for ty in _ticks(lo_y, hi_y):
+    for ty in np.linspace(lo_y, hi_y, 5):
         parts.append(
             f'<line x1="{_ML - 5}" y1="{py(ty):.1f}" x2="{_ML}" '
             f'y2="{py(ty):.1f}" stroke="#333"/>'
@@ -116,11 +108,10 @@ def write_line_svg(path, x, series, xlabel, ylabel, title="", dashed=()):
         f'text-anchor="middle" transform="rotate(-90 16 '
         f'{(_MT + _H - _MB) / 2:.0f})">{escape(ylabel)}</text>'
     )
-    if title:
-        parts.append(
-            f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="18" font-size="14" '
-            f'text-anchor="middle">{escape(title)}</text>'
-        )
+    parts.append(
+        f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="18" font-size="14" '
+        f'text-anchor="middle">{escape(title)}</text>'
+    )
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -296,6 +287,7 @@ def cmd_couplings(cfg, args, out_dir):
     from .crystal import geometry_from_config
     from .params import KHZ
     from .superexchange import (
+        pair_effective_matrix,
         spin_half_analytic,
         spin_half_general,
         spin_one_general,
@@ -303,8 +295,8 @@ def cmd_couplings(cfg, args, out_dir):
     )
 
     geo = geometry_from_config(cfg)
-    half = spin_half_general(geo, cfg.drive, homogeneous=cfg.homogeneous)
-    one = spin_one_general(geo, cfg.drive, homogeneous=cfg.homogeneous)
+    half = spin_half_general(geo, cfg.drive)
+    one = spin_one_general(geo, cfg.drive)
 
     half_path = os.path.join(out_dir, "couplings_spin_half.csv")
     one_path = os.path.join(out_dir, "couplings_spin_one.csv")
@@ -337,9 +329,9 @@ def cmd_couplings(cfg, args, out_dir):
 
         def one_point(v):
             vcfg = config_variant(cfg.raw, **{key: float(v)})
-            vgeo = geometry_from_config(vcfg)
-            m = spin_half_general(vgeo, vcfg.drive, homogeneous=vcfg.homogeneous)
-            kxy, kz = m.K_xy[0, 1], m.K_z[0, 1]
+            pair = pair_effective_matrix(0, 1, geometry_from_config(vcfg),
+                                         vcfg.drive)
+            kxy, kz = pair.couplings["K_xy"][0], pair.couplings["K_z"][0]
             lam = kz / kxy if kxy != 0.0 else float("nan")
             return (float(v), kxy / KHZ, kz / KHZ, lam)
 

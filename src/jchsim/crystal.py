@@ -159,17 +159,18 @@ class CrystalGeometry:
         return cls(u=idx - idx.mean(), t_x=t_x, t_y=t_y, dw_x=dw_x, dw_y=dw_y)
 
 
-def local_detunings(geometry: CrystalGeometry, drive: DriveParams, homogeneous=False):
+def local_detunings(geometry: CrystalGeometry, drive: DriveParams):
     """Per-site phonon detunings Delta_{beta,j} = Delta + dw_{beta,j} - dw_{beta,ref}.
 
-    The homogeneous switch drops the site dependence entirely (the limit
-    used by the closed-form spectra).
+    A homogeneous drive drops the site dependence entirely (the limit used
+    by the closed-form spectra). The only place that decides detunings:
+    the full and the effective side of a run both read them here.
     """
     n = geometry.n_ions
     ref = drive.reference_ion
     if not 0 <= ref < n:
         raise IndexError(f"reference_ion {ref} out of range for {n} ions")
-    if homogeneous:
+    if drive.homogeneous:
         return np.full(n, drive.Delta), np.full(n, drive.Delta)
     det_x = drive.Delta + geometry.dw_x - geometry.dw_x[ref]
     det_y = drive.Delta + geometry.dw_y - geometry.dw_y[ref]

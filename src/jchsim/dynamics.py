@@ -36,6 +36,8 @@ DENSE_THRESHOLD = 2000
 KRYLOV_DIM = 30
 KRYLOV_LOCAL_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
+N_PERIODS = 2.0  # default horizon, in transfer periods
+TRACK_CAP = 512  # track every product label while there are at most this many
 
 
 @dataclass(frozen=True)
@@ -77,13 +79,12 @@ def _n_x(labels):
 
 
 def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
-                          det_x=None, det_y=None):
+                          det_x, det_y):
     """Tensor product of single-site dressed states in the sector basis.
 
-    det_x/det_y give per-site phonon detunings; None means the bare
-    drive detuning on every site. Labels may mix manifolds as long as
-    the summed excitation matches the sector, and their summed X the
-    basis's N_X block if it is one.
+    det_x/det_y give per-site phonon detunings (crystal.local_detunings).
+    Labels may mix manifolds as long as the summed excitation matches the
+    sector, and their summed X the basis's N_X block if it is one.
     """
     n_sites = basis.n_sites
     if len(labels) != n_sites:
@@ -101,11 +102,6 @@ def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
         raise SectorError(
             f"labels carry X = {n_x}, block holds X = {basis.n_x_total}"
         )
-    if det_x is None:
-        det_x = np.full(n_sites, drive.Delta)
-    if det_y is None:
-        det_y = np.full(n_sites, drive.Delta)
-
     site_vectors = []
     for j, lab in enumerate(labels):
         _, vectors = site_manifold_states(excitations[lab], det_x[j],
@@ -171,12 +167,24 @@ def _krylov_propagate(matvec, psi, dt_total, m, tol):
     return psi
 
 
+def _observables(h, psis, overlap_rows):
+    """Norms, label populations and energies of the state rows psis."""
+    norms = np.einsum("ij,ij->i", psis.conj(), psis).real
+    pops = np.abs(psis @ overlap_rows.T) ** 2
+    energies = np.einsum("ij,ij->i", psis.conj(), (h.mat @ psis.T).T).real
+    return norms, pops, energies
+
+
 def evolve(h: SparseOperator, psi0, times, label_states=None,
            dense_threshold=DENSE_THRESHOLD):
     """Propagate psi0 over the time grid and record label populations.
 
     label_states maps label -> dense vector; populations are squared
-    overlaps. Raises ValueError on non-Hermitian input or a bad grid.
+    overlaps. H must be real symmetric, as every Hamiltonian the program
+    builds is. The dense method propagates the whole grid at once; the
+    Krylov method keeps only the current state and records each time
+    point's observables as it passes. Raises ValueError on a complex or
+    non-Hermitian H, or a bad grid.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -186,51 +194,44 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
         raise ValueError("psi0 is not normalized")
+    if np.any(h.mat.data.imag):
+        raise ValueError("Hamiltonian has an imaginary part; evolve takes "
+                         "real symmetric H only")
     scale = np.max(np.abs(h.mat.data)) if h.mat.nnz else 0.0
     if h.hermiticity_defect() > HERMITICITY_TOL * max(1.0, scale):
         raise ValueError("Hamiltonian fails the Hermiticity pre-check")
 
-    label_states = dict(label_states or {})
-    labels = tuple(label_states)
-    if labels:
-        overlap_rows = np.array([label_states[lab].conj() for lab in labels])
-    else:
-        overlap_rows = np.zeros((0, h.dim))
+    labels = tuple(label_states or {})
+    overlap_rows = np.array([label_states[lab].conj() for lab in labels],
+                            dtype=complex).reshape(len(labels), h.dim)
 
     if h.dim < dense_threshold:
         method = "dense"
-        if np.any(h.mat.data.imag):
-            w, v = scipy.linalg.eigh(h.dense())
-            c0 = v.conj().T @ psi0
-            phases = np.exp(-1j * np.outer(times, w))
-            psis = (phases * c0) @ v.T  # row i is v @ (phases[i] * c0)
-        else:
-            # real symmetric H: v stays real, and is applied to the real
-            # and imaginary parts apart so that it is never upcast
-            w, v = scipy.linalg.eigh(h.mat.real.toarray(order="F"),
-                                     overwrite_a=True)
-            c0 = v.T @ psi0.real + 1j * (v.T @ psi0.imag)
-            coeffs = np.exp(-1j * np.outer(times, w)) * c0
-            psis = np.empty((len(times), h.dim), dtype=complex)
-            psis.real = coeffs.real @ v.T
-            psis.imag = coeffs.imag @ v.T
+        # v stays real, and is applied to the real and imaginary parts
+        # apart so that it is never upcast
+        w, v = scipy.linalg.eigh(h.mat.real.toarray(order="F"),
+                                 overwrite_a=True)
+        c0 = v.T @ psi0.real + 1j * (v.T @ psi0.imag)
+        coeffs = np.exp(-1j * np.outer(times, w)) * c0
+        psis = np.empty((len(times), h.dim), dtype=complex)
+        psis.real = coeffs.real @ v.T
+        psis.imag = coeffs.imag @ v.T
+        norms, pops, energies = _observables(h, psis, overlap_rows)
+        final_state = psis[-1]
     else:
         method = "krylov"
-        matvec = h.matvec
-        psis = np.empty((len(times), h.dim), dtype=complex)
+        steps = []
         psi = psi0.copy()
         t_prev = 0.0
-        for i, t in enumerate(times):
-            psi = _krylov_propagate(matvec, psi, t - t_prev, KRYLOV_DIM,
+        for t in times:
+            psi = _krylov_propagate(h.matvec, psi, t - t_prev, KRYLOV_DIM,
                                     KRYLOV_LOCAL_TOL)
-            psis[i] = psi
+            steps.append(_observables(h, psi[None, :], overlap_rows))
             t_prev = t
+        norms, pops, energies = (np.concatenate(obs) for obs in zip(*steps))
+        final_state = psi
 
-    norms = np.einsum("ij,ij->i", psis.conj(), psis).real
     norm_drift = float(np.max(np.abs(norms - 1.0)))
-    pops = np.abs(psis @ overlap_rows.T) ** 2 if labels else np.zeros((len(times), 0))
-
-    energies = np.einsum("ij,ij->i", psis.conj(), (h.mat @ psis.T).T).real
     e0 = energies[0]
     energy_drift = float(
         np.max(np.abs(energies - e0)) / max(abs(e0), scale, 1e-30)
@@ -243,7 +244,7 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
         populations=populations,
         norm_drift=norm_drift,
         energy_drift=energy_drift,
-        final_state=psis[-1],
+        final_state=final_state,
         method=method,
     )
 
@@ -279,17 +280,18 @@ def _dominant_gap(w, weights):
     return gap.flat[best]
 
 
-def default_times(model, initial_labels, n_steps=400, t_final=None, n_periods=2.0):
-    """Output grid covering n_periods of the dominant oscillation."""
+def default_times(model, initial_labels, n_steps, t_final):
+    """n_steps points up to t_final, or if that is None, over N_PERIODS of
+    the dominant oscillation."""
     if t_final is None:
         period = estimate_period(model, initial_labels)
-        t_final = n_periods * period if period is not None else 1.0
+        t_final = N_PERIODS * period if period is not None else 1.0
     return np.linspace(0.0, t_final, n_steps)
 
 
-def _tracked_labels(manifold, n_sites, initial_labels, cap=512):
+def _tracked_labels(manifold, n_sites, initial_labels):
     single = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
-    if len(single) ** n_sites <= cap:
+    if len(single) ** n_sites <= TRACK_CAP:
         labels = [()]
         for _ in range(n_sites):
             labels = [pre + (s,) for pre in labels for s in single]
@@ -322,7 +324,7 @@ class FullRun:
 
 
 def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
-                      geometry=None, tracked=None):
+                      tracked=None):
     """Evolve the dressed initial product state in its conserved N_X block.
 
     Checks that every initial label lives in the n_excitations manifold,
@@ -343,12 +345,11 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
         if lab not in MANIFOLD_LABELS[n_per_site]:
             raise SectorError(f"label {lab!r} does not live in the "
                               f"{n_per_site}-excitation manifold")
-    if geometry is None:
-        geometry = geometry_from_config(cfg)
+    geometry = geometry_from_config(cfg)
     drive = cfg.drive
 
     build_model = spin_half_general if n_per_site == 1 else spin_one_general
-    model = build_model(geometry, drive, homogeneous=cfg.homogeneous)
+    model = build_model(geometry, drive)
     if times is None:
         times = default_times(model, labels0, n_steps=cfg.run.n_steps,
                               t_final=cfg.run.t_final_ms)
@@ -357,8 +358,8 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
 
     basis = sector_basis_for(geometry.n_ions, n_per_site, dim_cap=cfg.dim_cap,
                              n_x_total=_n_x(labels0))
-    h_full = build_full(basis, geometry, drive, homogeneous=cfg.homogeneous)
-    det_x, det_y = local_detunings(geometry, drive, homogeneous=cfg.homogeneous)
+    h_full = build_full(basis, geometry, drive)
+    det_x, det_y = local_detunings(geometry, drive)
     result = _evolve_labels(
         h_full, lambda lab: dressed_product_state(lab, drive, basis, det_x, det_y),
         labels0, tracked, times)
@@ -369,7 +370,7 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
 
 
 def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
-                              geometry=None, tracked=None):
+                              tracked=None):
     """Run matched full-model and effective-spin evolutions.
 
     The full model evolves as in evolve_full_model; the effective model
@@ -377,7 +378,7 @@ def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
     block (spin_block), on the same time grid and tracked labels.
     """
     drive = cfg.drive
-    run = evolve_full_model(cfg, initial_labels, times, geometry, tracked)
+    run = evolve_full_model(cfg, initial_labels, times, tracked)
     res_full = run.result
     times = res_full.times
 
@@ -399,7 +400,7 @@ def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
         "g_x_khz": drive.g_x / (2.0 * np.pi),
         "g_y_khz": drive.g_y / (2.0 * np.pi),
         "delta_khz": drive.delta / (2.0 * np.pi),
-        "homogeneous": cfg.homogeneous,
+        "homogeneous": drive.homogeneous,
         "sector_dim": run.sector_dim,
         "block_dim": run.block_dim,
         "full_method": res_full.method,

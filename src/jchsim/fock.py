@@ -9,8 +9,8 @@ and a sector can be enumerated one N_X block at a time.
 
 A basis stores each many-body state as a row of small-int codes into an
 alphabet of site states (or spin labels, for the S_z blocks of the
-effective models). `embed` maps an operator on one or two sites into a
-basis for all states at once; every Hamiltonian is a sum of embeddings
+effective models). `embed` maps an operator on any number of sites into
+a basis for all states at once; every Hamiltonian is a sum of embeddings
 of the single-site operators defined once in `site_operators`.
 """
 
@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 
 G, E1, E2 = 0, 1, 2
-LEVEL_NAMES = ("g", "e1", "e2")
 
 DROP_TOL = 1e-15
 DEFAULT_DIM_CAP = 2_000_000
@@ -179,10 +178,6 @@ class SectorBasis:
         return self.totals[1] if len(self.totals) > 1 else None
 
     @property
-    def excitations(self):
-        return self.counts[:, 0]
-
-    @property
     def dim(self):
         return len(self.codes)
 
@@ -225,12 +220,6 @@ class SectorBasis:
         psi = np.zeros(self.dim, dtype=complex)
         psi[self.rank(np.array(list(codes)))] = np.array(list(amps)).prod(axis=1)
         return psi
-
-    def state_label(self, i):
-        return " ".join(
-            f"({LEVEL_NAMES[l]},{nx},{ny})"
-            for l, nx, ny in (self.alphabet[c] for c in self.codes[i])
-        )
 
 
 def _enumerate(alphabet, counts, totals, n_sites, dim_cap=DEFAULT_DIM_CAP):
@@ -293,11 +282,11 @@ def product_basis(x_counts, n_sites, n_x_total):
 
 
 def embed(basis: SectorBasis, local, sites):
-    """Map an operator on one or two sites into the basis: (rows, cols, vals).
+    """Map an operator on any number of sites into the basis: (rows, cols, vals).
 
     local is a square dense or sparse matrix over the letters of `sites`,
-    site-major in the order given: for sites (j, k) its index is
-    c_j * len(alphabet) + c_k. All basis states are mapped at once; the
+    site-major in the order given: for sites (j, k, l) its index is
+    (c_j * len(alphabet) + c_k) * len(alphabet) + c_l. All basis states are mapped at once; the
     result lists <rows|local|cols> for every nonzero entry, with
     duplicates not summed. Raises SectorError if local leaves the basis.
     """
@@ -326,7 +315,7 @@ class SparseOperator:
     """Hermitian-friendly sparse operator on a SectorBasis.
 
     Backed by a CSR matrix; built from a coordinate list with duplicate
-    accumulation and a 1e-15 drop tolerance.
+    accumulation, dropping entries of magnitude at most DROP_TOL.
     """
 
     def __init__(self, dim, mat):
@@ -334,12 +323,12 @@ class SparseOperator:
         self.mat = mat
 
     @classmethod
-    def from_coo(cls, dim, rows, cols, vals, drop_tol=DROP_TOL):
+    def from_coo(cls, dim, rows, cols, vals):
         mat = sp.coo_matrix(
             (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
         ).tocsr()
         mat.sum_duplicates()
-        mat.data[np.abs(mat.data) <= drop_tol] = 0.0
+        mat.data[np.abs(mat.data) <= DROP_TOL] = 0.0
         mat.eliminate_zeros()
         return cls(dim, mat)
 
@@ -368,37 +357,3 @@ def assemble(basis: SectorBasis, terms):
         return SparseOperator.from_coo(basis.dim, [], [], [])
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
     return SparseOperator.from_coo(basis.dim, rows, cols, vals)
-
-
-SITE_OPERATOR_KINDS = ("num_x", "num_y", "proj_e1", "proj_e2", "jc_x", "jc_y")
-
-
-def build_site_operator(basis: SectorBasis, site, kind):
-    """One-site operator embedded in the sector; kind in SITE_OPERATOR_KINDS.
-
-    jc_x is a_x |e1><g| + h.c. and jc_y its e2/y counterpart; both conserve
-    the site excitation N_j, as do the number and projector kinds.
-    """
-    if not 0 <= site < basis.n_sites:
-        raise IndexError(f"site {site} out of range")
-    if kind not in SITE_OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind: {kind}")
-    return assemble(basis, [(site_operators(basis.n_total)[kind], (site,))])
-
-
-def build_hop_operator(basis: SectorBasis, j, k, species):
-    """a_{b,j}^dag a_{b,k} + a_{b,j} a_{b,k}^dag for species b in {'x','y'}.
-
-    Conserves total N but moves one excitation between sites j and k.
-    """
-    if j == k:
-        raise ValueError("hop requires two distinct sites")
-    if species not in ("x", "y"):
-        raise ValueError(f"unknown species: {species}")
-    return assemble(basis, [(hop_operator(basis.n_total, species), (j, k))])
-
-
-def total_excitation_operator(basis: SectorBasis):
-    """N = sum_j (n_x + n_y + P_e1 + P_e2); diagonal and constant on a sector."""
-    diag = basis.excitations[basis.codes].sum(axis=1).astype(complex)
-    return SparseOperator(basis.dim, sp.diags(diag).tocsr())

@@ -39,12 +39,11 @@ def site_hamiltonian(ops, det_x, det_y, drive: DriveParams):
             + drive.g_x * ops["jc_x"] + drive.g_y * ops["jc_y"])
 
 
-def build_hjc(basis: SectorBasis, geometry: CrystalGeometry, drive: DriveParams,
-              homogeneous=False):
+def build_hjc(basis: SectorBasis, geometry: CrystalGeometry, drive: DriveParams):
     """On-site JC Hamiltonian on the sector, with per-site detunings."""
     if basis.n_sites != geometry.n_ions:
         raise ValueError("basis and geometry disagree on the number of sites")
-    det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
+    det_x, det_y = local_detunings(geometry, drive)
     ops = site_operators(basis.n_total)
     return assemble(basis, [
         (site_hamiltonian(ops, det_x[j], det_y[j], drive), (j,))
@@ -67,8 +66,8 @@ def build_hb(basis: SectorBasis, geometry: CrystalGeometry):
     ])
 
 
-def build_full(basis, geometry, drive, homogeneous=False):
-    return build_hjc(basis, geometry, drive, homogeneous) + build_hb(basis, geometry)
+def build_full(basis, geometry, drive):
+    return build_hjc(basis, geometry, drive) + build_hb(basis, geometry)
 
 
 # ---------------------------------------------------------------------------

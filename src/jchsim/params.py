@@ -74,7 +74,8 @@ class DriveParams:
     """Spin-phonon couplings and detunings (angular, rad/ms).
 
     delta = omega0 - Delta holds identically; construct via make_drive to
-    fill the missing one of the three.
+    fill the missing one of the three. reference_ion and homogeneous fix
+    the per-site phonon detunings (crystal.local_detunings).
     """
 
     g_x: float
@@ -83,6 +84,7 @@ class DriveParams:
     Delta: float
     omega0: float
     reference_ion: int = 0  # 0-based site index fixing the homogeneous shift
+    homogeneous: bool = False  # drop the site dependence of the detunings
 
     def __post_init__(self):
         if self.g_x < 0 or self.g_y < 0:
@@ -93,7 +95,8 @@ class DriveParams:
             raise ConfigError("inconsistent detunings: delta != omega0 - Delta")
 
 
-def make_drive(g_x, g_y, delta=None, Delta=None, omega0=None, reference_ion=0):
+def make_drive(g_x, g_y, delta=None, Delta=None, omega0=None, reference_ion=0,
+               homogeneous=False):
     """Build DriveParams from any two of (delta, Delta, omega0).
 
     Giving delta alone is allowed and fixes the gauge Delta = 0.
@@ -112,7 +115,7 @@ def make_drive(g_x, g_y, delta=None, Delta=None, omega0=None, reference_ion=0):
         omega0 = delta
     else:
         raise ConfigError("missing key: need delta (or two of delta/Delta/omega0)")
-    return DriveParams(g_x, g_y, delta, Delta, omega0, reference_ion)
+    return DriveParams(g_x, g_y, delta, Delta, omega0, reference_ion, homogeneous)
 
 
 @dataclass(frozen=True)
@@ -139,14 +142,12 @@ class GradientParams:
     """Oscillating magnetic-field quadrupole drive.
 
     b is the gradient magnitude, mu1/mu2 the dipole matrix elements of the
-    g-e1 and g-e2 transitions. Drive frequencies are bookkeeping only.
+    g-e1 and g-e2 transitions.
     """
 
     b: float
     mu1: float
     mu2: float
-    nu1: float | None = None
-    nu2: float | None = None
 
 
 def couplings_from_laser(p: LaserParams):
@@ -194,11 +195,8 @@ class SimConfig:
     drive: DriveParams
     run: RunConfig
     trap: TrapConfig | None = None
-    laser: LaserParams | None = None
-    gradient: GradientParams | None = None
     t_x: float | None = None  # explicit uniform-lattice hopping override (angular)
     t_y: float | None = None
-    homogeneous: bool = False
     dim_cap: int = DEFAULT_DIM_CAP  # bounds the allocated basis: a run's N_X block
     raw: dict = field(default_factory=dict)
 
@@ -371,6 +369,7 @@ def parse_config(text) -> SimConfig:
         Delta=None if Delta is None else khz(Delta),
         omega0=None if omega0 is None else khz(omega0),
         reference_ion=reference_ion - 1,
+        homogeneous=_get(raw, "homogeneous", _bool, default=False),
     )
 
     initial = _get(raw, "initial_state", str)
@@ -386,11 +385,8 @@ def parse_config(text) -> SimConfig:
         drive=drive,
         run=run,
         trap=trap,
-        laser=laser,
-        gradient=gradient,
         t_x=None if not explicit_t else khz(_get(raw, "t_x_khz", float, required=True)),
         t_y=None if not explicit_t else khz(_get(raw, "t_y_khz", float, required=True)),
-        homogeneous=_get(raw, "homogeneous", _bool, default=False),
         dim_cap=_get(raw, "dim_cap", int, default=DEFAULT_DIM_CAP),
         raw=raw,
     )

@@ -93,9 +93,9 @@ def _site_data(n, det_x, det_y, drive):
     )
 
 
-def _site_table(n, geometry, drive, homogeneous):
+def _site_table(n, geometry, drive):
     """_SiteData of every site, computed once per model build."""
-    det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
+    det_x, det_y = local_detunings(geometry, drive)
     return [_site_data(n, det_x[j], det_y[j], drive)
             for j in range(geometry.n_ions)]
 
@@ -157,20 +157,22 @@ class PairEffectiveMatrix:
     labels: tuple  # product labels (r_j, r'_k), row-major in site j
     matrix: np.ndarray  # d^2 x d^2, zeroth + second order, Hermitian
     second_order: np.ndarray  # the superexchange part alone
+    couplings: dict  # {name: (for_j, for_k)}, as the model tables hold them
 
 
 def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
-                          manifold="half", homogeneous=False):
+                          manifold="half"):
     """Second-order effective pair Hamiltonian, Eq.-style symmetrized denominators.
 
     manifold 'half' uses the one-excitation dressed doublet per site,
     'one' the two-excitation triplet. Raises DegenerateIntermediateError
-    when a coupled intermediate is resonant with the manifold.
+    when a coupled intermediate is resonant with the manifold. Its
+    couplings are bit-identical to the model tables' [j, k] entries.
     """
     if j == k:
         raise ValueError("pair requires distinct sites")
     n = MANIFOLD_N[manifold]
-    det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
+    det_x, det_y = local_detunings(geometry, drive)
     e_pair, m2 = _second_order(
         (j, k),
         _site_data(n, det_x[j], det_y[j], drive),
@@ -185,10 +187,11 @@ def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
         labels=tuple((r, rp) for r in labels for rp in labels),
         matrix=np.diag(e_pair) + m2,
         second_order=m2,
+        couplings=_EXTRACT[manifold](m2)[0],
     )
 
 
-def _all_pairs(n, geometry, drive, homogeneous, extract):
+def _all_pairs(n, geometry, drive, extract):
     """Second-order coefficients of every pair j < k from one site table.
 
     extract maps a pair's second-order matrix to ({name: (for_j, for_k)},
@@ -198,7 +201,7 @@ def _all_pairs(n, geometry, drive, homogeneous, extract):
     Returns the (N, d) zeroth-order manifold energies, the tables and
     the residuals dict of the models.
     """
-    sites = _site_table(n, geometry, drive, homogeneous)
+    sites = _site_table(n, geometry, drive)
     n_ions = len(sites)
     tables = defaultdict(lambda: np.zeros((n_ions, n_ions)))
     tol_deg = _degeneracy_tol(drive)
@@ -278,11 +281,9 @@ def _extract_half(m2):
     }, residual
 
 
-def spin_half_general(geometry: CrystalGeometry, drive: DriveParams,
-                      homogeneous=False):
+def spin_half_general(geometry: CrystalGeometry, drive: DriveParams):
     """Numeric spin-1/2 model from the pair engine, all pairs."""
-    energies, tables, residuals = _all_pairs(1, geometry, drive, homogeneous,
-                                             _extract_half)
+    energies, tables, residuals = _all_pairs(1, geometry, drive, _extract_half)
     e_up, e_down = energies.T
     return SpinHalfModel(
         K_xy=tables["K_xy"],
@@ -346,11 +347,9 @@ def _extract_one(m2):
     }, residual
 
 
-def spin_one_general(geometry: CrystalGeometry, drive: DriveParams,
-                     homogeneous=False):
+def spin_one_general(geometry: CrystalGeometry, drive: DriveParams):
     """Numeric spin-1 model from the pair engine, all pairs."""
-    energies, tables, residuals = _all_pairs(2, geometry, drive, homogeneous,
-                                             _extract_one)
+    energies, tables, residuals = _all_pairs(2, geometry, drive, _extract_one)
     e1, e0, em1 = energies.T
     return SpinOneModel(
         J_xy=tables["J_xy"],
@@ -364,6 +363,9 @@ def spin_one_general(geometry: CrystalGeometry, drive: DriveParams,
         energy_offset=np.sum(e0) + tables["const"].sum(),
         residuals=residuals,
     )
+
+
+_EXTRACT = {"half": _extract_half, "one": _extract_one}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from jchsim.dynamics import (
     dressed_product_state,
     evolve,
 )
-from jchsim.fock import enumerate_sector, total_excitation_operator
+from jchsim.fock import assemble, enumerate_sector, site_operators
 from jchsim.jchv import (
     build_full,
     particle_hole_gaps,
@@ -122,9 +122,9 @@ def test_criterion_3_spin_half_oracle():
         ratio = rng.uniform(0.002, 0.05)
         t_x = ratio * min(g_x, g_y) * rng.uniform(0.3, 1.0)
         t_y = ratio * min(g_x, g_y) * rng.uniform(0.3, 1.0)
-        drive = make_drive(g_x=g_x, g_y=g_y, delta=0.0)
+        drive = make_drive(g_x=g_x, g_y=g_y, delta=0.0, homogeneous=True)
         geo = CrystalGeometry.from_uniform_hoppings(2, t_x, t_y)
-        model = spin_half_general(geo, drive, homogeneous=True)
+        model = spin_half_general(geo, drive)
         kxy_a, kz_a, h_a = spin_half_analytic(g_x, g_y, geo.t_x, geo.t_y)
         worst = max(
             worst,
@@ -141,9 +141,9 @@ def test_criterion_4_spin_one_closed_forms():
     t0 = time.perf_counter()
     g = 34.0 * KHZ
     t_x, t_y = 0.1 * KHZ, 0.17 * KHZ
-    drive = make_drive(g_x=g, g_y=g, delta=0.0)
+    drive = make_drive(g_x=g, g_y=g, delta=0.0, homogeneous=True)
     geo = CrystalGeometry.from_uniform_hoppings(2, t_x, t_y)
-    model = spin_one_general(geo, drive, homogeneous=True)
+    model = spin_one_general(geo, drive)
     targets = {
         "J_xy": (model.J_xy[0, 1],
                  -123.0 * math.sqrt(2.0) / 7.0 * t_x * t_y / g),
@@ -208,7 +208,10 @@ def test_criterion_7_conservation(three_ion_report):
                        CrystalGeometry.from_uniform_hoppings(
                            2, 0.1 * KHZ, 0.17 * KHZ),
                        drive)
-        n_op = total_excitation_operator(basis)
+        ops = site_operators(basis.n_total)
+        n_op = assemble(basis, [(ops["num_x"] + ops["num_y"] + ops["proj_e1"]
+                                 + ops["proj_e2"], (j,))
+                                for j in range(basis.n_sites)])
         comm = h.mat @ n_op.mat - n_op.mat @ h.mat
         comm_worst = max(comm_worst,
                          np.max(np.abs(comm.toarray())) if comm.nnz else 0.0)

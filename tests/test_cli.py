@@ -7,8 +7,17 @@ from pathlib import Path
 import pytest
 
 import jchsim
-from jchsim.cli import main, parse_sweep
-from jchsim.params import ConfigError
+from jchsim.cli import (
+    _COUPLING_HEADER,
+    _half_rows,
+    _one_rows,
+    _write_csv,
+    main,
+    parse_sweep,
+)
+from jchsim.crystal import CrystalGeometry
+from jchsim.params import KHZ, ConfigError, TrapConfig, make_drive
+from jchsim.superexchange import spin_half_general, spin_one_general
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -121,6 +130,40 @@ def test_couplings_sweep(tmp_path):
     assert lam[-1] == pytest.approx(1.0, rel=1e-10)
     tree = ET.parse(out / "couplings_sweep.svg")
     assert tree.getroot().tag.endswith("svg")
+
+
+TRAP4 = """
+n_ions = 4
+nu_z_khz = 120.0
+aspect_x = 55.555555555555556
+aspect_y = 100.0
+g_x_khz = 19.0
+g_y_khz = 20.0
+delta_khz = -0.22
+"""
+
+
+def test_couplings_homogeneous_switch(tmp_path):
+    # the config key reaches the detunings through the drive alone
+    names = ("couplings_spin_half.csv", "couplings_spin_one.csv")
+    geo = CrystalGeometry.from_trap(TrapConfig(4, 120.0 * KHZ,
+                                               55.555555555555556, 100.0))
+    drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ,
+                       homogeneous=True)
+    _write_csv(tmp_path / names[0], _COUPLING_HEADER,
+               _half_rows(spin_half_general(geo, drive)))
+    _write_csv(tmp_path / names[1], _COUPLING_HEADER,
+               _one_rows(spin_one_general(geo, drive)))
+    tables = {}
+    for flag in ("true", "false"):
+        cfg = write_cfg(tmp_path, TRAP4 + f"homogeneous = {flag}\n",
+                        flag + ".cfg")
+        out = tmp_path / flag
+        assert main(["couplings", "--config", cfg, "--out", str(out)]) == 0
+        tables[flag] = [(out / name).read_bytes() for name in names]
+    assert tables["true"] == [(tmp_path / name).read_bytes() for name in names]
+    for hom, inh in zip(tables["true"], tables["false"]):
+        assert hom != inh
 
 
 def test_evolve_zero_hopping_static(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,7 +86,7 @@ def test_local_detunings_reference_convention():
     # the on-site frequency difference, -0.756 kHz in x for this trap
     assert det_x[0] == pytest.approx(drive.Delta)
     assert (det_x[1] - det_x[0]) / KHZ == pytest.approx(-0.756, rel=1e-12)
-    hom_x, hom_y = local_detunings(geo, drive, homogeneous=True)
+    hom_x, hom_y = local_detunings(geo, replace(drive, homogeneous=True))
     assert hom_x == pytest.approx([drive.Delta] * 3)
     assert hom_y == pytest.approx([drive.Delta] * 3)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -56,10 +58,16 @@ def rabi_model(k_xy_khz):
                          energy_offset=0.0)
 
 
+def bare_state(labels, drive, basis):
+    """dressed_product_state with the drive's own detuning on every site."""
+    det = np.full(basis.n_sites, drive.Delta)
+    return dressed_product_state(labels, drive, basis, det, det)
+
+
 def test_dressed_states_orthonormal():
     basis = sector_basis_for(2, 1)
     labels = [("up", "down"), ("down", "up"), ("up", "up"), ("down", "down")]
-    vecs = [dressed_product_state(lab, DRIVE, basis) for lab in labels]
+    vecs = [bare_state(lab, DRIVE, basis) for lab in labels]
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
@@ -67,12 +75,12 @@ def test_dressed_states_orthonormal():
 def test_dressed_state_sector_mismatch():
     basis = sector_basis_for(2, 1)
     with pytest.raises(SectorError):
-        dressed_product_state(("up",), DRIVE, basis)
+        bare_state(("up",), DRIVE, basis)
     with pytest.raises(SectorError):
-        dressed_product_state(("1", "-1"), DRIVE, basis)
+        bare_state(("1", "-1"), DRIVE, basis)
     block = sector_basis_for(2, 1, n_x_total=1)
     with pytest.raises(SectorError, match="X = 2"):
-        dressed_product_state(("up", "up"), DRIVE, block)
+        bare_state(("up", "up"), DRIVE, block)
 
 
 def test_evolve_input_validation():
@@ -89,14 +97,18 @@ def test_evolve_input_validation():
     bad = SparseOperator(2, sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
     with pytest.raises(ValueError):
         evolve(bad, psi0, [0.0, 1.0])
+    # Hermitian but complex: every H the program builds is real symmetric
+    cplx = SparseOperator(2, sp.csr_matrix(np.array([[0.0, -1j], [1j, 0.0]])))
+    with pytest.raises(ValueError, match="imaginary"):
+        evolve(cplx, psi0, [0.0, 1.0])
 
 
 def test_initial_populations_are_overlaps():
     basis = sector_basis_for(2, 1)
-    psi0 = dressed_product_state(("up", "down"), DRIVE, basis)
+    psi0 = bare_state(("up", "down"), DRIVE, basis)
     geo = CrystalGeometry.from_uniform_hoppings(2, 0.05 * KHZ, 0.07 * KHZ)
-    h = build_full(basis, geo, DRIVE, homogeneous=True)
-    tracked = {lab: dressed_product_state(lab, DRIVE, basis)
+    h = build_full(basis, geo, replace(DRIVE, homogeneous=True))
+    tracked = {lab: bare_state(lab, DRIVE, basis)
                for lab in [("up", "down"), ("down", "up")]}
     res = evolve(h, psi0, [0.0], tracked)
     assert res.populations[("up", "down")][0] == pytest.approx(1.0, abs=1e-12)
@@ -119,10 +131,10 @@ def test_flip_flop_rabi_formula():
         np.pi / (4.0 * abs(k) * KHZ), rel=1e-12)
 
 
-def test_dense_complex_hamiltonian_matches_expm():
+def test_dense_hamiltonian_matches_expm():
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-    h = SparseOperator(20, sp.csr_matrix(a + a.conj().T))
+    a = rng.normal(size=(20, 20))
+    h = SparseOperator(20, sp.csr_matrix(a + a.T))
     psi0 = rng.normal(size=20) + 1j * rng.normal(size=20)
     psi0 /= np.linalg.norm(psi0)
     tracked = {("e", str(i)): np.eye(20)[i] for i in range(20)}
@@ -154,7 +166,7 @@ def test_krylov_matches_dense():
     geo = geometry_from_config(cfg)
     basis = sector_basis_for(3, 1)
     h = build_full(basis, geo, cfg.drive)
-    psi0 = dressed_product_state(("up", "down", "up"), cfg.drive, basis)
+    psi0 = bare_state(("up", "down", "up"), cfg.drive, basis)
     tracked = {("up", "down", "up"): psi0}
     times = np.linspace(0.0, 4.0, 25)
     dense = evolve(h, psi0, times, tracked, dense_threshold=10**9)
@@ -162,6 +174,7 @@ def test_krylov_matches_dense():
     diff = np.abs(dense.populations[("up", "down", "up")]
                   - krylov.populations[("up", "down", "up")])
     assert np.max(diff) < 1e-8
+    assert np.max(np.abs(dense.final_state - krylov.final_state)) < 1e-8
     assert krylov.norm_drift < 1e-9
     assert krylov.energy_drift < 1e-8
 
@@ -174,9 +187,9 @@ def test_joint_detuning_offset_invariance():
 
     def traces(drive):
         h = build_full(basis, geo, drive)
-        psi0 = dressed_product_state(("up", "down", "up"), drive, basis)
+        psi0 = bare_state(("up", "down", "up"), drive, basis)
         tracked = {
-            lab: dressed_product_state(lab, drive, basis)
+            lab: bare_state(lab, drive, basis)
             for lab in [("up", "down", "up"), ("down", "up", "up")]
         }
         return evolve(h, psi0, times, tracked).population_matrix()
@@ -213,12 +226,12 @@ def test_compare_three_ion_window():
 
 def test_default_times_and_period():
     model = rabi_model(-0.02)
-    times = default_times(model, ("up", "down"), n_steps=101)
+    times = default_times(model, ("up", "down"), n_steps=101, t_final=None)
     assert len(times) == 101
     assert times[0] == 0.0
     # two transfer periods = one full population cycle
     assert times[-1] == pytest.approx(2.0 * np.pi / (0.08 * KHZ), rel=1e-12)
-    stationary = default_times(model, ("up", "up"), n_steps=11)
+    stationary = default_times(model, ("up", "up"), n_steps=11, t_final=None)
     assert stationary[-1] == pytest.approx(1.0)
     assert estimate_period(model, ("up", "up")) is None
 
@@ -291,10 +304,10 @@ def test_block_run_matches_full_sector(n_ions, n, labels, trap):
     # reference: the whole total-excitation sector
     geo = geometry_from_config(cfg)
     basis = sector_basis_for(n_ions, n)
-    det_x, det_y = local_detunings(geo, cfg.drive, cfg.homogeneous)
+    det_x, det_y = local_detunings(geo, cfg.drive)
     states = {lab: dressed_product_state(lab, cfg.drive, basis, det_x, det_y)
               for lab in run.tracked}
-    ref = evolve(build_full(basis, geo, cfg.drive, cfg.homogeneous),
+    ref = evolve(build_full(basis, geo, cfg.drive),
                  states[run.initial_labels], times, states)
     n_x = sum(LABEL_X[s] for s in run.initial_labels)
     assert run.result.labels == run.tracked
@@ -331,8 +344,7 @@ def test_effective_block_run_matches_whole_space(n_ions, n, labels, trap):
 
     # reference: the whole 2^N / 3^N product space
     build = spin_half_general if n == 1 else spin_one_general
-    model = build(geometry_from_config(cfg), cfg.drive,
-                  homogeneous=cfg.homogeneous)
+    model = build(geometry_from_config(cfg), cfg.drive)
     whole = whole_space_basis(manifold, n_ions)
     states = {lab: one_hot(whole, lab) for lab in report.labels}
     ref = evolve(build_spin_hamiltonian(model, whole), states[initial], times,

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,6 @@ from jchsim.superexchange import (
     S_Z1,
     SpinHalfModel,
     SpinOneModel,
-    _extract_half,
-    _extract_one,
     build_spin_hamiltonian,
     pair_effective_matrix,
     spin_half_analytic,
@@ -54,9 +53,8 @@ def test_frozen_isotropic_xxz_constants():
     # and K_z = -9 (t_x^2 + t_y^2) / (32 g)
     g = 34.0 * KHZ
     t_x, t_y = 1e-3 * KHZ, 1.7e-3 * KHZ
-    drive = make_drive(g_x=g, g_y=g, delta=0.0)
-    model = spin_half_general(uniform_pair(1e-3, 1.7e-3), drive,
-                              homogeneous=True)
+    drive = make_drive(g_x=g, g_y=g, delta=0.0, homogeneous=True)
+    model = spin_half_general(uniform_pair(1e-3, 1.7e-3), drive)
     assert model.K_xy[0, 1] == pytest.approx(-9.0 * t_x * t_y / (16.0 * g),
                                              rel=1e-12)
     assert model.K_z[0, 1] == pytest.approx(
@@ -75,9 +73,10 @@ def test_engine_matches_analytic_anisotropic():
         scale = rng.uniform(0.001, 0.05) * min(g_x, g_y)
         t_x = scale * rng.uniform(0.2, 1.0)
         t_y = scale * rng.uniform(0.2, 1.0)
-        drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ, delta=0.0)
+        drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ, delta=0.0,
+                           homogeneous=True)
         geo = uniform_pair(t_x, t_y)
-        model = spin_half_general(geo, drive, homogeneous=True)
+        model = spin_half_general(geo, drive)
         kxy_a, kz_a, h_a = spin_half_analytic(g_x * KHZ, g_y * KHZ,
                                               geo.t_x, geo.t_y)
         assert model.K_xy[0, 1] == pytest.approx(kxy_a[0, 1], rel=1e-10)
@@ -88,9 +87,9 @@ def test_engine_matches_analytic_anisotropic():
 def test_spin_one_isotropic_closed_forms():
     g = 34.0 * KHZ
     t_x, t_y = 0.1 * KHZ, 0.17 * KHZ
-    drive = make_drive(g_x=g, g_y=g, delta=0.0)
+    drive = make_drive(g_x=g, g_y=g, delta=0.0, homogeneous=True)
     geo = uniform_pair(0.1, 0.17)
-    model = spin_one_general(geo, drive, homogeneous=True)
+    model = spin_one_general(geo, drive)
     jxy_a, jz_a, b_a = spin_one_isotropic_analytic(g, geo.t_x, geo.t_y)
     assert model.J_xy[0, 1] == pytest.approx(jxy_a[0, 1], rel=1e-6)
     assert model.J_z[0, 1] == pytest.approx(jz_a[0, 1], rel=1e-6)
@@ -104,9 +103,10 @@ def test_spin_one_isotropic_closed_forms():
 
 def test_no_direct_double_flip_coupling():
     # (1,-1) <-> (-1,1) needs four phonon moves; absent at second order
-    drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ)
+    drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ,
+                       homogeneous=True)
     pair = pair_effective_matrix(0, 1, uniform_pair(0.05, 0.07), drive,
-                                 manifold="one", homogeneous=True)
+                                 manifold="one")
     i = pair.labels.index(("1", "-1"))
     j = pair.labels.index(("-1", "1"))
     assert abs(pair.second_order[i, j]) < 1e-14 * np.max(
@@ -114,11 +114,12 @@ def test_no_direct_double_flip_coupling():
 
 
 def test_second_order_scales_quadratically():
-    drive = make_drive(g_x=20.0 * KHZ, g_y=26.0 * KHZ, delta=3.0 * KHZ)
+    drive = make_drive(g_x=20.0 * KHZ, g_y=26.0 * KHZ, delta=3.0 * KHZ,
+                       homogeneous=True)
     base = pair_effective_matrix(0, 1, uniform_pair(0.02, 0.03), drive,
-                                 manifold="half", homogeneous=True)
+                                 manifold="half")
     scaled = pair_effective_matrix(0, 1, uniform_pair(0.06, 0.09), drive,
-                                   manifold="half", homogeneous=True)
+                                   manifold="half")
     assert np.max(np.abs(scaled.second_order - 9.0 * base.second_order)) \
         < 1e-10 * np.max(np.abs(scaled.second_order))
 
@@ -126,15 +127,15 @@ def test_second_order_scales_quadratically():
 def test_species_swap_symmetry():
     t_x, t_y = 0.04, 0.07
     g_x, g_y = 14.0, 22.0
-    d1 = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ, delta=0.0)
-    d2 = make_drive(g_x=g_y * KHZ, g_y=g_x * KHZ, delta=0.0)
-    m1 = spin_half_general(uniform_pair(t_x, t_y), d1, homogeneous=True)
-    m2 = spin_half_general(uniform_pair(t_y, t_x), d2, homogeneous=True)
+    d1 = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ, delta=0.0, homogeneous=True)
+    d2 = make_drive(g_x=g_y * KHZ, g_y=g_x * KHZ, delta=0.0, homogeneous=True)
+    m1 = spin_half_general(uniform_pair(t_x, t_y), d1)
+    m2 = spin_half_general(uniform_pair(t_y, t_x), d2)
     assert m2.K_xy[0, 1] == pytest.approx(m1.K_xy[0, 1], rel=1e-12)
     assert m2.K_z[0, 1] == pytest.approx(m1.K_z[0, 1], rel=1e-12)
     assert m2.H_field[0] == pytest.approx(-m1.H_field[0], rel=1e-12)
-    o1 = spin_one_general(uniform_pair(t_x, t_y), d1, homogeneous=True)
-    o2 = spin_one_general(uniform_pair(t_y, t_x), d2, homogeneous=True)
+    o1 = spin_one_general(uniform_pair(t_x, t_y), d1)
+    o2 = spin_one_general(uniform_pair(t_y, t_x), d2)
     assert o2.J_xy[0, 1] == pytest.approx(o1.J_xy[0, 1], rel=1e-12)
     assert o2.J_z[0, 1] == pytest.approx(o1.J_z[0, 1], rel=1e-12)
     assert o2.W[0, 1] == pytest.approx(-o1.W[0, 1], rel=1e-10)
@@ -145,8 +146,9 @@ def test_species_swap_symmetry():
 
 
 def test_zero_hopping_gives_free_spins():
-    drive = make_drive(g_x=20.0 * KHZ, g_y=21.0 * KHZ, delta=0.0)
-    model = spin_half_general(uniform_pair(0.0, 0.0), drive, homogeneous=True)
+    drive = make_drive(g_x=20.0 * KHZ, g_y=21.0 * KHZ, delta=0.0,
+                       homogeneous=True)
+    model = spin_half_general(uniform_pair(0.0, 0.0), drive)
     assert np.all(model.K_xy == 0.0)
     assert np.all(model.K_z == 0.0)
     assert np.all(model.H_field == 0.0)
@@ -155,30 +157,31 @@ def test_zero_hopping_gives_free_spins():
 
 def test_degenerate_intermediate_raises():
     g = 34.0 * KHZ
-    drive = make_drive(g_x=g, g_y=g, delta=1e6 * g)
+    drive = make_drive(g_x=g, g_y=g, delta=1e6 * g, homogeneous=True)
     with pytest.raises(DegenerateIntermediateError):
         pair_effective_matrix(0, 1, uniform_pair(0.1, 0.17), drive,
-                              manifold="half", homogeneous=True)
+                              manifold="half")
 
 
 def test_benign_zero_coupled_crossing_passes():
     # at g_y = sqrt(3) g_x, delta = 0 an intermediate crosses the manifold
     # energy with exactly vanishing coupling; must not raise
     g_x = 10.0 * KHZ
-    drive = make_drive(g_x=g_x, g_y=math.sqrt(3.0) * g_x, delta=0.0)
+    drive = make_drive(g_x=g_x, g_y=math.sqrt(3.0) * g_x, delta=0.0,
+                       homogeneous=True)
     pair = pair_effective_matrix(0, 1, uniform_pair(0.01, 0.01), drive,
-                                 manifold="half", homogeneous=True)
+                                 manifold="half")
     assert np.all(np.isfinite(pair.second_order))
 
 
 def test_pair_matrix_consistency_with_spin_hamiltonian():
-    drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ)
+    drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ,
+                       homogeneous=True)
     geo = uniform_pair(0.05, 0.07)
     for manifold, builder in (("half", spin_half_general),
                               ("one", spin_one_general)):
-        pair = pair_effective_matrix(0, 1, geo, drive, manifold=manifold,
-                                     homogeneous=True)
-        model = builder(geo, drive, homogeneous=True)
+        pair = pair_effective_matrix(0, 1, geo, drive, manifold=manifold)
+        model = builder(geo, drive)
         letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
         basis = product_basis(dict.fromkeys(letters, 0), 2, 0)
         h = build_spin_hamiltonian(model, basis).dense()
@@ -190,10 +193,11 @@ def test_pair_matrix_consistency_with_spin_hamiltonian():
 
 
 def test_extraction_residuals_tiny():
-    drive = make_drive(g_x=25.0 * KHZ, g_y=31.0 * KHZ, delta=2.0 * KHZ)
+    drive = make_drive(g_x=25.0 * KHZ, g_y=31.0 * KHZ, delta=2.0 * KHZ,
+                       homogeneous=True)
     geo = CrystalGeometry.from_uniform_hoppings(3, 0.05 * KHZ, 0.08 * KHZ)
     for builder in (spin_half_general, spin_one_general):
-        model = builder(geo, drive, homogeneous=True)
+        model = builder(geo, drive)
         scale = max(np.max(np.abs(model.K_xy if hasattr(model, "K_xy")
                                   else model.J_xy)), 1e-30)
         assert model.residuals["extraction"] < 1e-10 * scale
@@ -232,11 +236,11 @@ def test_product_basis_rank_round_trip():
 def test_transition_elements_feed_back_consistently():
     # the off-diagonal pattern T1 = Jxy + 2 v_p1 etc. must reproduce the
     # raw pair matrix elements it was extracted from
-    drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ)
+    drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ,
+                       homogeneous=True)
     geo = uniform_pair(0.05, 0.07)
-    pair = pair_effective_matrix(0, 1, geo, drive, manifold="one",
-                                 homogeneous=True)
-    model = spin_one_general(geo, drive, homogeneous=True)
+    pair = pair_effective_matrix(0, 1, geo, drive, manifold="one")
+    model = spin_one_general(geo, drive)
     m2 = pair.second_order
     lab = pair.labels
     t_1 = m2[lab.index(("1", "0")), lab.index(("0", "1"))]
@@ -251,8 +255,8 @@ def test_inhomogeneous_detunings_break_field_uniformity():
     trap_geo = CrystalGeometry.from_uniform_hoppings(3, 0.05 * KHZ,
                                                      0.08 * KHZ)
     drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
-    hom = spin_half_general(trap_geo, drive, homogeneous=True)
-    inh = spin_half_general(trap_geo, drive, homogeneous=False)
+    hom = spin_half_general(trap_geo, replace(drive, homogeneous=True))
+    inh = spin_half_general(trap_geo, drive)
     assert hom.E0_split[0] == pytest.approx(hom.E0_split[1])
     assert inh.E0_split[0] != pytest.approx(inh.E0_split[1])
 
@@ -266,18 +270,17 @@ def test_inhomogeneous_detunings_break_field_uniformity():
 def test_pair_matrix_properties(g_x, g_y, d_over_g, tx_frac, ty_frac):
     g_lo = min(g_x, g_y)
     drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ,
-                       delta=d_over_g * g_lo * KHZ)
+                       delta=d_over_g * g_lo * KHZ, homogeneous=True)
     geo = uniform_pair(tx_frac * g_lo, ty_frac * g_lo)
-    pair = pair_effective_matrix(0, 1, geo, drive, manifold="half",
-                                 homogeneous=True)
+    pair = pair_effective_matrix(0, 1, geo, drive, manifold="half")
     m2 = pair.second_order
     assert np.max(np.abs(m2 - m2.T)) == 0.0
     assert np.all(np.isfinite(m2))
     # K_xy is exactly bilinear in (t_x, t_y): the flip-flop element has no
     # t_x^2 or t_y^2 piece, so doubling t_x alone doubles it
-    model = spin_half_general(geo, drive, homogeneous=True)
+    model = spin_half_general(geo, drive)
     geo2 = uniform_pair(2.0 * tx_frac * g_lo, ty_frac * g_lo)
-    model2 = spin_half_general(geo2, drive, homogeneous=True)
+    model2 = spin_half_general(geo2, drive)
     assert model2.K_xy[0, 1] == pytest.approx(2.0 * model.K_xy[0, 1],
                                               rel=1e-10, abs=1e-18)
 
@@ -363,10 +366,10 @@ def trap_crystal(n_ions, nu_z_khz=120.0):
         TrapConfig(n_ions, nu_z_khz * KHZ, 55.555555555555556, 100.0))
 
 
-def reference_second_order(j, k, geometry, drive, manifold, homogeneous):
+def reference_second_order(j, k, geometry, drive, manifold):
     """Second-order pair matrix summed one intermediate at a time."""
     n = {"half": 1, "one": 2}[manifold]
-    det_x, det_y = local_detunings(geometry, drive, homogeneous=homogeneous)
+    det_x, det_y = local_detunings(geometry, drive)
 
     def site(s):
         energies, vectors = site_manifold_states(n, det_x[s], det_y[s], drive)
@@ -423,10 +426,10 @@ def test_pair_matrix_matches_per_intermediate_reference(
     j = data.draw(st.integers(0, n_ions - 1))
     k = data.draw(st.integers(0, n_ions - 1).filter(lambda x: x != j))
     drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ,
-                       delta=d_over_g * min(g_x, g_y) * KHZ)
-    pair = pair_effective_matrix(j, k, geo, drive, manifold=manifold,
-                                 homogeneous=homogeneous)
-    ref = reference_second_order(j, k, geo, drive, manifold, homogeneous)
+                       delta=d_over_g * min(g_x, g_y) * KHZ,
+                       homogeneous=homogeneous)
+    pair = pair_effective_matrix(j, k, geo, drive, manifold=manifold)
+    ref = reference_second_order(j, k, geo, drive, manifold)
     scale = np.max(np.abs(pair.second_order))
     assert np.max(np.abs(pair.second_order - ref)) <= 1e-13 * scale
 
@@ -450,12 +453,10 @@ def test_pair_entries_match_model_tables():
         fields["D_field"][s] = 0.5 * (e["1"] + e["-1"] - 2.0 * e["0"])
     for j in range(4):
         for k in range(j + 1, 4):
-            for manifold, extract in (("half", _extract_half),
-                                      ("one", _extract_one)):
+            for manifold in ("half", "one"):
                 pair = pair_effective_matrix(j, k, geo, drive,
                                              manifold=manifold)
-                coeffs, _ = extract(pair.second_order)
-                for name, (for_j, for_k) in coeffs.items():
+                for name, (for_j, for_k) in pair.couplings.items():
                     if name in tables:
                         assert for_j == for_k == tables[name][j, k]
                         assert tables[name][k, j] == tables[name][j, k]
