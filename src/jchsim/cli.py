@@ -8,11 +8,11 @@ failure. JCHSIM_THREADS pins the BLAS thread count.
 """
 
 import argparse
+import html
 import json
 import os
 import sys
 import time
-from xml.sax.saxutils import escape
 
 
 def _fmt(v):
@@ -99,18 +99,18 @@ def write_line_svg(path, x, series, xlabel, ylabel, title, dashed=()):
             f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" x2="{_W - _MR - 96}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"{dash}/>'
             f'<text x="{_W - _MR - 90}" y="{ly}" font-size="11">'
-            f"{escape(name)}</text>"
+            f"{html.escape(name, quote=False)}</text>"
         )
     parts.append(
         f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 12}" font-size="13" '
-        f'text-anchor="middle">{escape(xlabel)}</text>'
+        f'text-anchor="middle">{html.escape(xlabel, quote=False)}</text>'
         f'<text x="16" y="{(_MT + _H - _MB) / 2:.0f}" font-size="13" '
         f'text-anchor="middle" transform="rotate(-90 16 '
-        f'{(_MT + _H - _MB) / 2:.0f})">{escape(ylabel)}</text>'
+        f'{(_MT + _H - _MB) / 2:.0f})">{html.escape(ylabel, quote=False)}</text>'
     )
     parts.append(
         f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="18" font-size="14" '
-        f'text-anchor="middle">{escape(title)}</text>'
+        f'text-anchor="middle">{html.escape(title, quote=False)}</text>'
     )
     parts.append("</svg>")
     with open(path, "w") as fh:
@@ -138,11 +138,14 @@ def parse_sweep(text):
 
 
 def config_variant(raw, **overrides):
-    """Re-render a raw key-value dict with overrides and re-parse it."""
+    """Re-render a raw key-value dict with overrides and re-parse it.
+
+    An integral float is written as an integer, so integer keys sweep."""
     from .params import parse_config
 
     merged = dict(raw)
-    merged.update({k: repr(v) for k, v in overrides.items()})
+    merged.update({k: str(int(v)) if float(v).is_integer() else repr(v)
+                   for k, v in overrides.items()})
     text = "\n".join(f"{k} = {v}" for k, v in merged.items())
     return parse_config(text)
 
@@ -294,6 +297,13 @@ def cmd_couplings(cfg, args, out_dir):
         spin_one_isotropic_analytic,
     )
 
+    # every sweep point's config is built before anything is written, so
+    # a bad point fails the run with no output
+    if args.sweep:
+        key, start, stop, n = parse_sweep(args.sweep)
+        values = np.linspace(start, stop, n)
+        variants = [config_variant(cfg.raw, **{key: float(v)}) for v in values]
+
     geo = geometry_from_config(cfg)
     half = spin_half_general(geo, cfg.drive)
     one = spin_one_general(geo, cfg.drive)
@@ -308,34 +318,34 @@ def cmd_couplings(cfg, args, out_dir):
         "spin_half": half.residuals,
         "spin_one": one.residuals,
     }
+
+    def rel(num, closed_form):
+        # no relative residual against a closed form that is 0
+        return abs(num / closed_form - 1.0) if closed_form != 0.0 else None
+
     # closed forms hold at delta = 0 (spin-1 additionally at g_x = g_y)
     if cfg.drive.delta == 0.0:
         kxy_a, kz_a, _ = spin_half_analytic(
             cfg.drive.g_x, cfg.drive.g_y, geo.t_x, geo.t_y
         )
-        num = half.K_xy[0, 1]
-        residuals["analytic_K_xy_rel"] = abs(num / kxy_a[0, 1] - 1.0)
-        residuals["analytic_K_z_rel"] = abs(half.K_z[0, 1] / kz_a[0, 1] - 1.0)
+        residuals["analytic_K_xy_rel"] = rel(half.K_xy[0, 1], kxy_a[0, 1])
+        residuals["analytic_K_z_rel"] = rel(half.K_z[0, 1], kz_a[0, 1])
         if cfg.drive.g_x == cfg.drive.g_y:
             jxy_a, jz_a, _ = spin_one_isotropic_analytic(
                 cfg.drive.g_x, geo.t_x, geo.t_y
             )
-            residuals["analytic_J_xy_rel"] = abs(one.J_xy[0, 1] / jxy_a[0, 1] - 1.0)
-            residuals["analytic_J_z_rel"] = abs(one.J_z[0, 1] / jz_a[0, 1] - 1.0)
+            residuals["analytic_J_xy_rel"] = rel(one.J_xy[0, 1], jxy_a[0, 1])
+            residuals["analytic_J_z_rel"] = rel(one.J_z[0, 1], jz_a[0, 1])
 
     if args.sweep:
-        key, start, stop, n = parse_sweep(args.sweep)
-        values = np.linspace(start, stop, n)
-
-        def one_point(v):
-            vcfg = config_variant(cfg.raw, **{key: float(v)})
+        def one_point(v, vcfg):
             pair = pair_effective_matrix(0, 1, geometry_from_config(vcfg),
                                          vcfg.drive)
             kxy, kz = pair.couplings["K_xy"][0], pair.couplings["K_z"][0]
             lam = kz / kxy if kxy != 0.0 else float("nan")
             return (float(v), kxy / KHZ, kz / KHZ, lam)
 
-        sweep_rows = [one_point(v) for v in values]
+        sweep_rows = [one_point(v, vcfg) for v, vcfg in zip(values, variants)]
         sweep_path = os.path.join(out_dir, "couplings_sweep.csv")
         _write_csv(sweep_path, (key, "K_xy_khz", "K_z_khz", "lambda"),
                    sweep_rows)
@@ -384,6 +394,8 @@ def cmd_evolve(cfg, args, out_dir):
         "sector_dim": run.sector_dim,
         "block_dim": run.block_dim,
         "method": res.method,
+        "products": res.products,
+        "truncation_bound": res.truncation_bound,
     }
 
 
@@ -437,6 +449,10 @@ def cmd_compare(cfg, args, out_dir):
         "full_method": rep.full.method,
         "effective_block_dim": len(rep.effective.final_state),
         "effective_method": rep.effective.method,
+        "full_products": rep.full.products,
+        "full_truncation_bound": rep.full.truncation_bound,
+        "effective_products": rep.effective.products,
+        "effective_truncation_bound": rep.effective.truncation_bound,
     }
 
 

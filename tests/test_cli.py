@@ -14,8 +14,10 @@ from jchsim.cli import (
     _write_csv,
     main,
     parse_sweep,
+    write_line_svg,
 )
 from jchsim.crystal import CrystalGeometry
+from jchsim.dynamics import CHEBYSHEV_TOL
 from jchsim.params import KHZ, ConfigError, TrapConfig, make_drive
 from jchsim.superexchange import spin_half_general, spin_one_general
 
@@ -132,6 +134,55 @@ def test_couplings_sweep(tmp_path):
     assert tree.getroot().tag.endswith("svg")
 
 
+def test_couplings_sweep_integer_key(tmp_path):
+    cfg = str(CONFIG_DIR / "crystal21.cfg")
+    out = tmp_path / "o"
+    assert main(["couplings", "--config", cfg, "--out", str(out),
+                 "--sweep", "n_ions:2:4:3"]) == 0
+    header, rows = read_csv(out / "couplings_sweep.csv")
+    assert header[0] == "n_ions"
+    assert [r[0] for r in rows] == [2.0, 3.0, 4.0]
+    # more ions pull the pair closer: stronger coupling
+    k_xy = [abs(r[header.index("K_xy_khz")]) for r in rows]
+    assert k_xy == sorted(k_xy)
+
+
+def test_couplings_sweep_bad_point_writes_nothing(tmp_path, capsys):
+    # the middle point asks for 2.5 ions
+    out = tmp_path / "o"
+    assert main(["couplings", "--config", str(CONFIG_DIR / "crystal21.cfg"),
+                 "--out", str(out), "--sweep", "n_ions:2:3:3"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_couplings_zero_hopping_manifest_is_strict_json(tmp_path):
+    out = tmp_path / "o"
+    assert main(["couplings", "--config",
+                 str(CONFIG_DIR / "single_site_spectrum.cfg"),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "couplings_manifest.json").read_text(),
+                          parse_constant=refuse_constant)
+    # the closed forms are 0, so no relative residual exists
+    assert manifest["residuals"]["analytic_K_xy_rel"] is None
+    assert manifest["residuals"]["analytic_K_z_rel"] is None
+
+
+def test_svg_escapes_markup_only(tmp_path):
+    path = tmp_path / "t.svg"
+    write_line_svg(path, [0.0, 1.0], [("a<b", [0.0, 1.0])], "x & y",
+                   "'y' \"z\"", title="t > 0")
+    text = path.read_text()
+    for escaped in ("a&lt;b", "x &amp; y", "'y' \"z\"", "t &gt; 0"):
+        assert escaped in text
+    ET.parse(path)
+
+
 TRAP4 = """
 n_ions = 4
 nu_z_khz = 120.0
@@ -182,6 +233,36 @@ def test_evolve_zero_hopping_static(tmp_path):
     # 2*2 + 2*2 with one each
     assert manifest["residuals"]["block_dim"] == 14
     assert manifest["residuals"]["method"] == "dense"
+    assert manifest["residuals"]["products"] == 0
+    assert manifest["residuals"]["truncation_bound"] == 0.0
+
+
+N5_EVOLVE = """
+n_ions = 5
+t_x_khz = 0.1
+t_y_khz = 0.17
+g_x_khz = 19.0
+g_y_khz = 20.0
+delta_khz = -0.22
+n_excitations = 1
+initial_state = up,down,up,down,up
+t_final_ms = 0.01
+n_steps = 5
+"""
+
+
+def test_evolve_manifest_reports_chebyshev_budget(tmp_path):
+    cfg = write_cfg(tmp_path, N5_EVOLVE)
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    residuals = json.loads((out / "evolve_manifest.json").read_text())[
+        "residuals"]
+    assert residuals["block_dim"] == 6735
+    assert residuals["method"] == "chebyshev"
+    # four intervals, each cut where its tail falls below CHEBYSHEV_TOL
+    assert residuals["products"] > 0
+    assert 0.0 < residuals["truncation_bound"] <= 4 * CHEBYSHEV_TOL
+    assert residuals["norm_drift"] < 1e-9
 
 
 def test_compare_command(tmp_path):
@@ -202,7 +283,10 @@ def test_compare_command(tmp_path):
         dev, abs=5e-7)
     for key, value in (("full_block_dim", 14), ("full_method", "dense"),
                        ("effective_block_dim", 2),
-                       ("effective_method", "dense")):
+                       ("effective_method", "dense"), ("full_products", 0),
+                       ("full_truncation_bound", 0.0),
+                       ("effective_products", 0),
+                       ("effective_truncation_bound", 0.0)):
         assert manifest["residuals"][key] == value
 
 

@@ -1,19 +1,27 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+import scipy.special  # the oracle for J_k; src/ computes its own
+from hypothesis import example, given, settings, strategies as st
 
+import jchsim.dynamics as dynamics
 from jchsim.dynamics import (
+    CHEBYSHEV_TOL,
+    DENSE_THRESHOLD,
     ComparisonReport,
+    _chebyshev_terms,
+    bessel_j,
     compare_full_vs_effective,
     default_times,
     dressed_product_state,
     estimate_period,
     evolve,
     evolve_full_model,
+    gershgorin_interval,
     _dominant_gap,
     _tracked_labels,
 )
@@ -161,7 +169,7 @@ def test_diagonal_hamiltonian_freezes_populations():
     assert res.energy_drift < 1e-12
 
 
-def test_krylov_matches_dense():
+def test_chebyshev_matches_dense():
     cfg = parse_config(THREE_ION_CFG)
     geo = geometry_from_config(cfg)
     basis = sector_basis_for(3, 1)
@@ -170,13 +178,134 @@ def test_krylov_matches_dense():
     tracked = {("up", "down", "up"): psi0}
     times = np.linspace(0.0, 4.0, 25)
     dense = evolve(h, psi0, times, tracked, dense_threshold=10**9)
-    krylov = evolve(h, psi0, times, tracked, dense_threshold=1)
+    cheb = evolve(h, psi0, times, tracked, dense_threshold=1)
+    assert cheb.method == "chebyshev"
     diff = np.abs(dense.populations[("up", "down", "up")]
-                  - krylov.populations[("up", "down", "up")])
+                  - cheb.populations[("up", "down", "up")])
     assert np.max(diff) < 1e-8
-    assert np.max(np.abs(dense.final_state - krylov.final_state)) < 1e-8
-    assert krylov.norm_drift < 1e-9
-    assert krylov.energy_drift < 1e-8
+    assert np.max(np.abs(dense.final_state - cheb.final_state)) < 1e-8
+    assert cheb.norm_drift < 1e-9
+    assert cheb.energy_drift < 1e-8
+    assert 0 < cheb.truncation_bound <= 24 * CHEBYSHEV_TOL
+    assert (dense.products, dense.truncation_bound) == (0, 0.0)
+
+
+def random_symmetric(rng, dim):
+    a = rng.normal(size=(dim, dim)) * rng.uniform(0.1, 10.0)
+    return SparseOperator(dim, sp.csr_matrix(a + a.T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.05, 0.3, 2.0]),
+                min_size=1, max_size=8),
+       st.sampled_from([CHEBYSHEV_TOL, 1e-7, 1e-3]))
+@example(40, 7, [0.0, 0.05, 0.0, 0.05], 1e-6)
+@example(1, 3, [0.0, 2.0, 2.0], CHEBYSHEV_TOL)
+def test_chebyshev_error_within_bound(dim, seed, gaps, tol):
+    # zero gaps repeat a time point: that interval must cost nothing
+    rng = np.random.default_rng(seed)
+    h = random_symmetric(rng, dim)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    tracked = {("e", str(i)): np.eye(dim)[i] for i in range(dim)}
+    times = np.cumsum(gaps)
+    with mock.patch.object(dynamics, "CHEBYSHEV_TOL", tol):
+        cheb = evolve(h, psi0, times, tracked, dense_threshold=1)
+    dense = evolve(h, psi0, times, tracked, dense_threshold=10**9)
+    assert cheb.method == "chebyshev"
+    # one tail per expansion; an interval is split into expansions of
+    # half * gap <= CHEBYSHEV_MAX_X
+    lo, hi = gershgorin_interval(h)
+    expansions = sum(np.ceil(0.5 * (hi - lo) * gap / dynamics.CHEBYSHEV_MAX_X)
+                     for gap in gaps)
+    assert cheb.truncation_bound <= expansions * tol
+    if not np.any(gaps):
+        assert cheb.products == 0
+        assert np.array_equal(cheb.final_state, psi0)
+    roundoff = 1e-10
+    err = np.linalg.norm(cheb.final_state - dense.final_state)
+    assert err <= cheb.truncation_bound + roundoff
+    # |P - P'| <= (|a| + |a'|) |a - a'| at every point, each within the bound
+    pop_err = np.abs(cheb.population_matrix() - dense.population_matrix())
+    assert np.max(pop_err) <= 2.0 * cheb.truncation_bound + roundoff
+
+
+def test_long_interval_is_split():
+    # x = half * dt = 2500 > CHEBYSHEV_MAX_X: three expansions of x / 3
+    rng = np.random.default_rng(11)
+    h = random_symmetric(rng, 30)
+    lo, hi = gershgorin_interval(h)
+    half = 0.5 * (hi - lo)
+    dt = 2500.0 / half
+    psi0 = rng.normal(size=30) + 1j * rng.normal(size=30)
+    psi0 /= np.linalg.norm(psi0)
+    cheb = evolve(h, psi0, [0.0, dt], dense_threshold=1)
+    dense = evolve(h, psi0, [0.0, dt], dense_threshold=10**9)
+    j, tail = _chebyshev_terms(half * dt / 3)
+    assert cheb.products == 3 * (len(j) - 1)
+    assert cheb.truncation_bound == pytest.approx(3 * tail)
+    err = np.linalg.norm(cheb.final_state - dense.final_state)
+    assert err <= cheb.truncation_bound + 1e-10
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-31, 1e-12, 1e-5, 0.5, 1.55, 10.0,
+                               100.0, 637.3, 999.9, 1000.0])
+def test_bessel_j_matches_scipy(x):
+    j = bessel_j(x)
+    ref = scipy.special.jv(np.arange(len(j)), x)
+    assert np.max(np.abs(j - ref)) < 1e-13
+    big = np.abs(ref) > 1e-30
+    assert np.max(np.abs(j - ref)[big] / np.abs(ref[big])) < 1e-8
+    # every order left out is below 1e-30
+    assert np.all(np.abs(scipy.special.jv(len(j) + np.arange(50), x)) < 1e-30)
+
+
+@pytest.mark.parametrize("x", [1e-12, 0.5, 1.55, 31.0, 262.0, 1000.0])
+def test_chebyshev_cut_is_the_first_order_within_tolerance(x):
+    j, tail = _chebyshev_terms(x)
+    k_cut = len(j) - 1
+    absolute = np.abs(scipy.special.jv(np.arange(k_cut + 400), x))
+    assert tail == pytest.approx(2.0 * np.sum(absolute[k_cut + 1:]),
+                                 rel=1e-6, abs=1e-30)
+    assert tail <= CHEBYSHEV_TOL
+    assert 2.0 * np.sum(absolute[k_cut:]) > CHEBYSHEV_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_gershgorin_interval_holds_spectrum(dim, seed, stored_complex):
+    rng = np.random.default_rng(seed)
+    h = random_symmetric(rng, dim)
+    if stored_complex:  # as build_full and build_spin_hamiltonian store H
+        h = SparseOperator(dim, h.mat.astype(complex))
+    w = scipy.linalg.eigvalsh(h.dense())
+    lo, hi = gershgorin_interval(h)
+    assert lo <= w[0] and w[-1] <= hi
+
+
+@pytest.mark.slow
+def test_chebyshev_matches_dense_above_threshold():
+    cfg = run_config(5, 1, False, "up,down,down,down,down")
+    geo = geometry_from_config(cfg)
+    basis = sector_basis_for(5, 1, n_x_total=1)
+    assert basis.dim > DENSE_THRESHOLD
+    h = build_full(basis, geo, cfg.drive)
+    det_x, det_y = local_detunings(geo, cfg.drive)
+    labels = [tuple("up" if i == j else "down" for i in range(5))
+              for j in range(5)]
+    states = {lab: dressed_product_state(lab, cfg.drive, basis, det_x, det_y)
+              for lab in labels}
+    times = np.linspace(0.0, 2.0, 11)
+    cheb = evolve(h, states[labels[0]], times, states)
+    dense = evolve(h, states[labels[0]], times, states,
+                   dense_threshold=10**9)
+    assert (cheb.method, dense.method) == ("chebyshev", "dense")
+    assert np.max(np.abs(cheb.population_matrix()
+                         - dense.population_matrix())) < 1e-9
+    assert np.max(np.abs(cheb.final_state - dense.final_state)) < 1e-9
+    assert cheb.truncation_bound < 1e-9
 
 
 def test_joint_detuning_offset_invariance():
