@@ -394,6 +394,7 @@ def cmd_evolve(cfg, args, out_dir):
         "sector_dim": run.sector_dim,
         "block_dim": run.block_dim,
         "method": res.method,
+        "blocks": res.blocks,
         "products": res.products,
         "truncation_bound": res.truncation_bound,
     }
@@ -449,6 +450,8 @@ def cmd_compare(cfg, args, out_dir):
         "full_method": rep.full.method,
         "effective_block_dim": len(rep.effective.final_state),
         "effective_method": rep.effective.method,
+        "full_blocks": rep.full.blocks,
+        "effective_blocks": rep.effective.blocks,
         "full_products": rep.full.products,
         "full_truncation_bound": rep.full.truncation_bound,
         "effective_products": rep.effective.products,

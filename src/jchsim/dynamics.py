@@ -1,15 +1,17 @@
 """Exact time evolution and full-vs-effective comparison.
 
 Evolution is unitary: dense eigendecomposition below a dimension
-threshold; above it, a Chebyshev expansion of exp(-i H dt) per grid
-interval (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) on the
-Gershgorin interval of H, in real arithmetic, cut where the series tail,
-a certified bound on the state error, falls below CHEBYSHEV_TOL.
-States are tracked through squared overlaps with dressed product
-labels (full model) or spin product labels (effective model), which
-makes the two sides directly comparable trace by trace. Both run in the
-block of the initial labels' X: N_X for the full model, total S_z for
-the effective one. Tracked labels outside it have population exactly 0.
+threshold, one real eigh per chain-reflection parity block; above it, a
+Chebyshev expansion of exp(-i H dt) per grid interval (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967 (1984)) on the Gershgorin interval of
+H, each term one product of H with the complex state, cut where the
+series tail, a certified bound on the state error, falls below
+CHEBYSHEV_TOL. States are tracked through squared overlaps with dressed
+product labels (full model) or spin product labels (effective model),
+which makes the two sides directly comparable trace by trace. Both run
+in the block of the initial labels' X: N_X for the full model, total
+S_z for the effective one. Tracked labels outside it have population
+exactly 0.
 """
 
 from dataclasses import dataclass, field, replace
@@ -59,6 +61,7 @@ class EvolutionResult:
     method: str  # "dense" or "chebyshev"
     products: int  # products with H, 0 for dense
     truncation_bound: float  # summed series tails bounding the state error
+    blocks: tuple  # dims of the parity blocks diagonalised, () for chebyshev
 
     def population_matrix(self):
         return np.array([self.populations[lab] for lab in self.labels])
@@ -153,34 +156,58 @@ def gershgorin_interval(h: SparseOperator):
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
-def _chebyshev_propagate(h_tilde: SparseOperator, psi, x):
-    """exp(-i x H~) psi for a real H~ with spectrum in [-1, 1], as
-    sum_k c_k T_k(H~) psi with c_0 = J_0(x), c_k = 2 (-i)^k J_k(x).
+def _chebyshev_propagate(h: SparseOperator, psi, mid, half, x):
+    """exp(-i x H~) psi for H~ = (H - mid) / half, whose spectrum lies in
+    [-1, 1], as sum_k c_k T_k(H~) psi with c_0 = J_0(x), c_k = 2 (-i)^k J_k(x).
 
-    The complex state runs as a (dim, 2) real array, one column per part,
-    so every product is one real two-column product. c_k is real for even
-    k and imaginary for odd k, so the two sums are kept apart. Returns the
-    state, the product count and the truncation bound sum_{k>K} |c_k|.
+    The shift and scale act on the vectors, T_1 = (H - mid) psi / half and
+    T_k+1 = 2 (H - mid) T_k / half - T_k-1, so every term costs one product
+    of H with the complex state. Returns the state, the product count and
+    the truncation bound sum_{k>K} |c_k|.
     """
     j, tail = _chebyshev_terms(x)
-    # c_k = a_k for even k, i a_k for odd k
-    a = 2.0 * j * np.array([1.0, -1.0, -1.0, 1.0])[np.arange(len(j)) % 4]
-    a[0] = j[0]
-    t_prev = np.ascontiguousarray(psi).view(float).reshape(-1, 2)
-    sums = [a[0] * t_prev, np.zeros_like(t_prev)]  # even k, odd k
-    t_k = t_prev
+    c = 2.0 * j * np.array([1.0, -1j, -1.0, 1j])[np.arange(len(j)) % 4]
+    c[0] = j[0]
+    out = c[0] * psi
+    t_prev, t_k = None, psi
     for k in range(1, len(j)):
-        t_next = h_tilde.matvec(t_k)
-        if k > 1:
-            t_next *= 2.0
+        t_next = h.matvec(t_k)
+        t_next -= mid * t_k
+        if k == 1:
+            t_next /= half
+        else:
+            t_next *= 2.0 / half
             t_next -= t_prev
-        sums[k % 2] += a[k] * t_next
+        out += c[k] * t_next
         t_prev, t_k = t_k, t_next
-    even, odd = sums
-    out = np.empty(len(even), dtype=complex)
-    out.real = even[:, 0] - odd[:, 1]
-    out.imag = even[:, 1] + odd[:, 0]
     return out, len(j) - 1, tail
+
+
+def _parity_bases(mirror, dim):
+    """Orthonormal real bases, sparse (dim, k), of the even and odd
+    subspaces of a basis involution m: e_i for each row with m(i) = i,
+    and (e_i + e_m(i)) / sqrt(2), (e_i - e_m(i)) / sqrt(2) for each pair
+    i < m(i). mirror None is the identity: one even basis, no odd one."""
+    rows = np.arange(dim)
+    m = rows if mirror is None else np.asarray(mirror)
+    if (m.shape != (dim,) or np.any((m < 0) | (m >= dim))
+            or np.any(m[m] != rows)):
+        raise ValueError("mirror is not an involution of the basis")
+    fixed, lead = rows[m == rows], rows[m > rows]
+    n_fixed, n_pairs = len(fixed), len(lead)
+    pair_cols = np.arange(n_pairs)
+    even_cols = n_fixed + pair_cols
+    s = np.sqrt(0.5)
+    even = sp.csr_matrix(
+        (np.r_[np.ones(n_fixed), np.full(2 * n_pairs, s)],
+         (np.r_[fixed, lead, m[lead]],
+          np.r_[np.arange(n_fixed), even_cols, even_cols])),
+        shape=(dim, n_fixed + n_pairs))
+    odd = sp.csr_matrix(
+        (np.r_[np.full(n_pairs, s), np.full(n_pairs, -s)],
+         (np.r_[lead, m[lead]], np.r_[pair_cols, pair_cols])),
+        shape=(dim, n_pairs))
+    return even, odd
 
 
 def _observables(h, psis, overlap_rows):
@@ -192,15 +219,19 @@ def _observables(h, psis, overlap_rows):
 
 
 def evolve(h: SparseOperator, psi0, times, label_states=None,
-           dense_threshold=DENSE_THRESHOLD):
+           dense_threshold=DENSE_THRESHOLD, mirror=None):
     """Propagate psi0 over the time grid and record label populations.
 
     label_states maps label -> dense vector; populations are squared
     overlaps. H must be real symmetric, as every Hamiltonian the program
-    builds is. The dense method propagates the whole grid at once; the
-    Chebyshev method keeps only the current state and records each time
-    point's observables as it passes. Raises ValueError on a complex or
-    non-Hermitian H, or a bad grid.
+    builds is. The dense method splits H into the even and odd blocks of
+    mirror, a zero-argument callable returning the chain reflection of
+    h's basis (SectorBasis.mirror), None for the identity; it is called
+    only by the dense method. Each block is diagonalised and propagated
+    over the whole grid at once. The Chebyshev method keeps only the
+    current state and records each time point's observables as it
+    passes. Raises ValueError on a complex or non-Hermitian H, on one
+    that mixes the parity blocks, or on a bad grid.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -221,28 +252,38 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     overlap_rows = np.array([label_states[lab].conj() for lab in labels],
                             dtype=complex).reshape(len(labels), h.dim)
 
-    products, truncation_bound = 0, 0.0
+    products, truncation_bound, blocks = 0, 0.0, ()
     if h.dim < dense_threshold:
         method = "dense"
-        # v stays real, and is applied to the real and imaginary parts
-        # apart so that it is never upcast
-        w, v = scipy.linalg.eigh(h.mat.real.toarray(order="F"),
-                                 overwrite_a=True)
-        c0 = v.T @ psi0.real + 1j * (v.T @ psi0.imag)
-        coeffs = np.exp(-1j * np.outer(times, w)) * c0
-        psis = np.empty((len(times), h.dim), dtype=complex)
-        psis.real = coeffs.real @ v.T
-        psis.imag = coeffs.imag @ v.T
+        even, odd = _parity_bases(None if mirror is None else mirror(), h.dim)
+        real = h.mat.real
+        h_even = real @ even
+        cross = odd.T @ h_even
+        if cross.nnz and (np.max(np.abs(cross.data))
+                          > HERMITICITY_TOL * max(1.0, scale)):
+            raise ValueError("Hamiltonian fails the reflection-symmetry "
+                             "pre-check")
+        psis = np.zeros((len(times), h.dim), dtype=complex)
+        for basis, h_block in ((even, even.T @ h_even),
+                               (odd, odd.T @ real @ odd)):
+            if basis.shape[1] == 0:
+                continue
+            # v stays real, and is applied to the real and imaginary parts
+            # apart so that it is never upcast
+            w, v = scipy.linalg.eigh(h_block.toarray(order="F"),
+                                     overwrite_a=True)
+            c0 = (v.T @ (basis.T @ psi0.real)
+                  + 1j * (v.T @ (basis.T @ psi0.imag)))
+            coeffs = np.exp(-1j * np.outer(times, w)) * c0
+            psis.real += (basis @ (v @ coeffs.real.T)).T
+            psis.imag += (basis @ (v @ coeffs.imag.T)).T
+            blocks += (basis.shape[1],)
         norms, pops, energies = _observables(h, psis, overlap_rows)
         final_state = psis[-1]
     else:
         method = "chebyshev"
         lo, hi = gershgorin_interval(h)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        # half = 0 means H = mid * I, so H~ = 0 whatever it is divided by
-        h_tilde = SparseOperator(h.dim, (
-            (h.mat.real - mid * sp.identity(h.dim, format="csr"))
-            / (half or 1.0)).tocsr())
         steps = []
         psi = psi0.copy()
         t_prev = 0.0
@@ -250,8 +291,9 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
             dt = t - t_prev
             n_split = max(1, int(np.ceil(half * dt / CHEBYSHEV_MAX_X)))
             for _ in range(n_split):
+                # half = 0 gives x = 0: the series is J_0 = 1, no product
                 psi, n_products, tail = _chebyshev_propagate(
-                    h_tilde, psi, half * dt / n_split)
+                    h, psi, mid, half, half * dt / n_split)
                 products += n_products
                 truncation_bound += tail
             psi *= np.exp(-1j * mid * dt)
@@ -277,6 +319,7 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
         method=method,
         products=products,
         truncation_bound=truncation_bound,
+        blocks=blocks,
     )
 
 
@@ -330,12 +373,14 @@ def _tracked_labels(manifold, n_sites, initial_labels):
     return (tuple(initial_labels),)
 
 
-def _evolve_labels(h, state_of, initial, tracked, times):
-    """evolve state_of(initial) in h's block, that of the initial X; a
-    tracked label with another X never gains population: exact zeros."""
+def _evolve_labels(h, basis, state_of, initial, tracked, times):
+    """evolve state_of(initial) in h's block, that of the initial X, with
+    the block's chain reflection; a tracked label with another X never
+    gains population: exact zeros."""
     n_x = _n_x(initial)
     result = evolve(h, state_of(initial), times,
-                    {lab: state_of(lab) for lab in tracked if _n_x(lab) == n_x})
+                    {lab: state_of(lab) for lab in tracked if _n_x(lab) == n_x},
+                    mirror=basis.mirror)
     populations = {lab: result.populations[lab] if lab in result.populations
                    else np.zeros(len(result.times)) for lab in tracked}
     return replace(result, labels=tuple(tracked), populations=populations)
@@ -392,7 +437,8 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
     h_full = build_full(basis, geometry, drive)
     det_x, det_y = local_detunings(geometry, drive)
     result = _evolve_labels(
-        h_full, lambda lab: dressed_product_state(lab, drive, basis, det_x, det_y),
+        h_full, basis,
+        lambda lab: dressed_product_state(lab, drive, basis, det_x, det_y),
         labels0, tracked, times)
     return FullRun(model=model, initial_labels=labels0, tracked=tuple(tracked),
                    sector_dim=sector_dim(geometry.n_ions,
@@ -415,7 +461,7 @@ def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
 
     basis = spin_block(run.model.manifold, run.initial_labels)
     res_eff = _evolve_labels(
-        build_spin_hamiltonian(run.model, basis),
+        build_spin_hamiltonian(run.model, basis), basis,
         lambda lab: basis.product_vector([{s: 1.0} for s in lab]),
         run.initial_labels, run.tracked, times)
 
@@ -436,6 +482,7 @@ def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
         "block_dim": run.block_dim,
         "full_method": res_full.method,
         "effective_method": res_eff.method,
+        "blocks": f"full {res_full.blocks}, effective {res_eff.blocks}",
         "initial_state": ",".join(run.initial_labels),
         "t_final_ms": float(times[-1]),
         "n_steps": len(times),

@@ -212,6 +212,11 @@ class SectorBasis:
         sites_after = np.arange(self.n_sites - 1, -1, -1)
         return self._rank_table[(sites_after,) + tuple(left) + (codes,)].sum(axis=1)
 
+    def mirror(self):
+        """Ordinal of each row's chain reflection (sites reversed): an
+        involution, since every count a basis holds is a sum over sites."""
+        return self.rank(self.codes[:, ::-1])
+
     def product_vector(self, site_amplitudes):
         """Dense prod_j (sum_s amp_j[s] |s>_j) from one {letter: amp} per site."""
         letter = {s: i for i, s in enumerate(self.alphabet)}

@@ -233,6 +233,8 @@ def test_evolve_zero_hopping_static(tmp_path):
     # 2*2 + 2*2 with one each
     assert manifest["residuals"]["block_dim"] == 14
     assert manifest["residuals"]["method"] == "dense"
+    # no row is its own reflection: X = 1 cannot split evenly over two sites
+    assert manifest["residuals"]["blocks"] == [7, 7]
     assert manifest["residuals"]["products"] == 0
     assert manifest["residuals"]["truncation_bound"] == 0.0
 
@@ -259,6 +261,7 @@ def test_evolve_manifest_reports_chebyshev_budget(tmp_path):
         "residuals"]
     assert residuals["block_dim"] == 6735
     assert residuals["method"] == "chebyshev"
+    assert residuals["blocks"] == []
     # four intervals, each cut where its tail falls below CHEBYSHEV_TOL
     assert residuals["products"] > 0
     assert 0.0 < residuals["truncation_bound"] <= 4 * CHEBYSHEV_TOL
@@ -277,6 +280,7 @@ def test_compare_command(tmp_path):
         assert (out / name).exists()
     report = (out / "compare_report.txt").read_text()
     dev = float(report.splitlines()[0].split("=")[1])
+    assert "parameters.blocks = full (7, 7), effective (1, 1)\n" in report
     assert dev < 0.1
     manifest = json.loads((out / "compare_manifest.json").read_text())
     assert manifest["residuals"]["overall_max_deviation"] == pytest.approx(
@@ -284,6 +288,7 @@ def test_compare_command(tmp_path):
     for key, value in (("full_block_dim", 14), ("full_method", "dense"),
                        ("effective_block_dim", 2),
                        ("effective_method", "dense"), ("full_products", 0),
+                       ("full_blocks", [7, 7]), ("effective_blocks", [1, 1]),
                        ("full_truncation_bound", 0.0),
                        ("effective_products", 0),
                        ("effective_truncation_bound", 0.0)):

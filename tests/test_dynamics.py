@@ -188,6 +188,7 @@ def test_chebyshev_matches_dense():
     assert cheb.energy_drift < 1e-8
     assert 0 < cheb.truncation_bound <= 24 * CHEBYSHEV_TOL
     assert (dense.products, dense.truncation_bound) == (0, 0.0)
+    assert (dense.blocks, cheb.blocks) == ((basis.dim,), ())
 
 
 def random_symmetric(rng, dim):
@@ -285,6 +286,62 @@ def test_gershgorin_interval_holds_spectrum(dim, seed, stored_complex):
     assert lo <= w[0] and w[-1] <= hi
 
 
+def random_involution(rng, dim, n_pairs):
+    """Map of range(dim) swapping n_pairs random pairs, fixing the rest."""
+    order = rng.permutation(dim)
+    a, b = order[:n_pairs], order[n_pairs:2 * n_pairs]
+    m = np.arange(dim)
+    m[a], m[b] = b, a
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(0, 2**32 - 1),
+       st.integers(min_value=0, max_value=20))
+@example(7, 0, 0)  # the identity
+@example(8, 1, 4)  # no fixed point
+def test_parity_blocks_match_one_block(dim, seed, pairs):
+    rng = np.random.default_rng(seed)
+    n_pairs = min(pairs, dim // 2)
+    m = random_involution(rng, dim, n_pairs)
+    a = random_symmetric(rng, dim).dense().real
+    # exactly invariant: each mirrored pair of entries sums the same two terms
+    h = SparseOperator(dim, sp.csr_matrix(0.5 * (a + a[np.ix_(m, m)])))
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    tracked = {("e", str(i)): np.eye(dim)[i] for i in range(dim)}
+    times = np.linspace(0.0, rng.uniform(0.1, 2.0), 7)
+    whole = evolve(h, psi0, times, tracked)
+    split = evolve(h, psi0, times, tracked, mirror=lambda: m)
+    assert whole.blocks == (dim,)
+    assert split.blocks == ((dim - n_pairs, n_pairs) if n_pairs else (dim,))
+    assert np.max(np.abs(split.population_matrix()
+                         - whole.population_matrix())) < 1e-10
+    assert np.max(np.abs(split.final_state - whole.final_state)) < 1e-10
+    assert abs(split.norm_drift - whole.norm_drift) < 1e-10
+    assert abs(split.energy_drift - whole.energy_drift) < 1e-10
+
+
+def test_evolve_checks_the_mirror():
+    psi0 = np.array([1.0, 0.0])
+    swap = lambda: np.array([1, 0])  # noqa: E731
+    # H mixes the even and odd vectors of the swap
+    h = SparseOperator(2, sp.csr_matrix(np.diag([1.0, 2.0])))
+    with pytest.raises(ValueError, match="reflection"):
+        evolve(h, psi0, [0.0, 1.0], mirror=swap)
+    # a rounding-level asymmetry, as onsite_shifts leaves, passes
+    h = SparseOperator(2, sp.csr_matrix(np.diag([1.0, 1.0 + 4e-16])))
+    assert evolve(h, psi0, [0.0, 1.0], mirror=swap).blocks == (1, 1)
+    for bad in ([1, 1], [1, 2], [0]):
+        with pytest.raises(ValueError, match="involution"):
+            evolve(h, psi0, [0.0, 1.0], mirror=lambda: np.array(bad))
+    # the Chebyshev method never asks for the map
+    mirror = mock.Mock()
+    assert evolve(h, psi0, [0.0, 1.0], dense_threshold=1,
+                  mirror=mirror).blocks == ()
+    mirror.assert_not_called()
+
+
 @pytest.mark.slow
 def test_chebyshev_matches_dense_above_threshold():
     cfg = run_config(5, 1, False, "up,down,down,down,down")
@@ -301,11 +358,17 @@ def test_chebyshev_matches_dense_above_threshold():
     cheb = evolve(h, states[labels[0]], times, states)
     dense = evolve(h, states[labels[0]], times, states,
                    dense_threshold=10**9)
+    split = evolve(h, states[labels[0]], times, states,
+                   dense_threshold=10**9, mirror=basis.mirror)
     assert (cheb.method, dense.method) == ("chebyshev", "dense")
     assert np.max(np.abs(cheb.population_matrix()
                          - dense.population_matrix())) < 1e-9
     assert np.max(np.abs(cheb.final_state - dense.final_state)) < 1e-9
     assert cheb.truncation_bound < 1e-9
+    assert sum(split.blocks) == basis.dim and len(split.blocks) == 2
+    assert np.max(np.abs(split.population_matrix()
+                         - dense.population_matrix())) < 1e-9
+    assert np.max(np.abs(split.final_state - dense.final_state)) < 1e-9
 
 
 def test_joint_detuning_offset_invariance():
@@ -411,12 +474,17 @@ def test_dominant_gap_matches_loop(energies, weights):
     assert _dominant_gap(w, weights) == loop_dominant_gap(w, weights)
 
 
-def run_config(n_ions, n, trap, labels):
+def run_config(n_ions, n, trap, labels, homogeneous=None):
+    """Trap crystal or uniform chain; homogeneous defaults to the uniform
+    chain's flag and to off for the trap."""
     geometry = ("nu_z_khz = 120.0\naspect_x = 55.555555555555556\n"
                 "aspect_y = 100.0\n" if trap else
-                "t_x_khz = 0.1\nt_y_khz = 0.17\nhomogeneous = true\n")
+                "t_x_khz = 0.1\nt_y_khz = 0.17\n")
+    if homogeneous is None:
+        homogeneous = not trap
     return parse_config(f"n_ions = {n_ions}\n{geometry}g_x_khz = 19.0\n"
                         f"g_y_khz = 20.0\ndelta_khz = -0.22\n"
+                        f"homogeneous = {str(homogeneous).lower()}\n"
                         f"n_excitations = {n}\ninitial_state = {labels}\n")
 
 
@@ -446,6 +514,34 @@ def test_block_run_matches_full_sector(n_ions, n, labels, trap):
             assert np.max(np.abs(trace - ref.populations[lab])) < 1e-10
         else:
             assert np.all(trace == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)]),
+       st.booleans(), st.booleans(), st.data())
+def test_hamiltonians_are_reflection_symmetric(size, trap, homogeneous, data):
+    n_ions, n = size
+    labels = data.draw(st.lists(st.sampled_from(MANIFOLD_LABELS[n]),
+                                min_size=n_ions, max_size=n_ions))
+    cfg = run_config(n_ions, n, trap, ",".join(labels), homogeneous)
+    geo = geometry_from_config(cfg)
+    full = sector_basis_for(n_ions, n,
+                            n_x_total=sum(LABEL_X[s] for s in labels))
+    model = (spin_half_general if n == 1 else spin_one_general)(geo, cfg.drive)
+    spin = spin_block(model.manifold, labels)
+    for h, basis in ((build_full(full, geo, cfg.drive), full),
+                     (build_spin_hamiltonian(model, spin), spin)):
+        m = basis.mirror()
+        scale = np.max(np.abs(h.mat.data))
+        assert abs(h.mat[m][:, m] - h.mat).max() <= 1e-12 * scale
+
+
+def test_compare_n4_parity_blocks():
+    cfg = run_config(4, 1, False, "up,down,up,down")
+    report = compare_full_vs_effective(cfg, times=np.linspace(0.0, 1.0, 3))
+    # 834 N_X = 2 states, 14 their own reflection; 6 S_z = 0 spin states
+    assert report.full.blocks == (424, 410)
+    assert report.effective.blocks == (4, 2)
 
 
 def whole_space_basis(manifold, n_sites):

@@ -21,6 +21,7 @@ from jchsim.fock import (
     site_states,
     site_x_count,
 )
+from jchsim.superexchange import spin_block
 
 
 def site_operator(basis, site, kind):
@@ -115,6 +116,33 @@ def test_block_dimensions_frozen(n_sites, n_per_site, dim):
     n_total = n_sites * n_per_site
     block = enumerate_sector(n_sites, n_total, n_x_total=n_total // 2)
     assert block.dim == dim
+
+
+def mirror_blocks(n_sites):
+    """Every N_X block of the one-per-site sector (and of the two-per-site
+    sector up to three sites), and every S_z block of both spin manifolds."""
+    blocks = [enumerate_sector(n_sites, n_sites, n_x_total=x)
+              for x in range(n_sites + 1)]
+    if n_sites <= 3:
+        blocks += [enumerate_sector(n_sites, 2 * n_sites, n_x_total=x)
+                   for x in range(2 * n_sites + 1)]
+    for letters in (("up", "down"), ("1", "0", "-1")):
+        manifold = "half" if len(letters) == 2 else "one"
+        blocks += [spin_block(manifold, labels) for labels in
+                   itertools.combinations_with_replacement(letters, n_sites)]
+    return blocks
+
+
+@pytest.mark.parametrize("n_sites", range(1, 7))
+def test_mirror_is_a_count_keeping_involution(n_sites):
+    for basis in mirror_blocks(n_sites):
+        m = basis.mirror()
+        assert np.array_equal(m[m], np.arange(basis.dim))
+        assert np.array_equal(basis.codes[m], basis.codes[:, ::-1])
+        counts = basis.counts[basis.codes]
+        assert np.array_equal(counts[m], counts[:, ::-1])
+        if n_sites == 1:  # one site: every row is its own reflection
+            assert np.array_equal(m, np.arange(basis.dim))
 
 
 def test_block_dimension_counted_without_enumeration():
