@@ -116,8 +116,14 @@ def hopping_matrix(u, trap: TrapConfig):
 
 
 def onsite_shifts(t_x, t_y):
-    """delta_omega_{beta,j} = -sum_{k != j} t_{j,k}^beta (hopping row sums, negated)."""
-    return -t_x.sum(axis=1), -t_y.sum(axis=1)
+    """delta_omega_{beta,j} = -sum_{k != j} t_{j,k}^beta (hopping row sums, negated).
+
+    Each row is summed forwards and backwards and the two averaged: site
+    j's row is its mirror site's row reversed, so a mirror-symmetric t
+    gives shifts that are mirror-symmetric to the last bit.
+    """
+    return tuple(-0.5 * (t.sum(axis=1) + t[:, ::-1].sum(axis=1))
+                 for t in (t_x, t_y))
 
 
 @dataclass(frozen=True)

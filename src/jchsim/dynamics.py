@@ -15,6 +15,8 @@ exactly 0.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -113,12 +115,20 @@ def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
         raise SectorError(
             f"labels carry X = {n_x}, block holds X = {basis.n_x_total}"
         )
-    site_vectors = []
-    for j, lab in enumerate(labels):
-        _, vectors = site_manifold_states(excitations[lab], det_x[j],
-                                          det_y[j], drive)
-        site_vectors.append(vectors[lab])
-    return basis.product_vector(site_vectors)
+    return basis.product_vector([
+        _site_vectors(excitations[lab], float(det_x[j]), float(det_y[j]),
+                      drive)[lab]
+        for j, lab in enumerate(labels)])
+
+
+@lru_cache(maxsize=256)
+def _site_vectors(n, det_x, det_y, drive):
+    """site_manifold_states' dressed vectors of one site, read-only: a run
+    builds every tracked label's state from the same sites, so each site
+    is solved once."""
+    _, vectors = site_manifold_states(n, det_x, det_y, drive)
+    return MappingProxyType({lab: MappingProxyType(vec)
+                             for lab, vec in vectors.items()})
 
 
 def bessel_j(x):

@@ -9,9 +9,15 @@ and a sector can be enumerated one N_X block at a time.
 
 A basis stores each many-body state as a row of small-int codes into an
 alphabet of site states (or spin labels, for the S_z blocks of the
-effective models). `embed` maps an operator on any number of sites into
-a basis for all states at once; every Hamiltonian is a sum of embeddings
-of the single-site operators defined once in `site_operators`.
+effective models). Its rows are in lexicographic order, and a row's
+ordinal is a sum of one exact-count table term per site (`rank`).
+`embed` maps an operator on any number of sites into a basis for all
+states at once; every Hamiltonian is a sum of embeddings of the
+single-site operators defined once in `site_operators`. It ranks a
+moved row by updating its source row's ordinal: only the terms of the
+sites from the operator's first to its last site change (the per-site
+tables of exact-diagonalisation codes; H. Q. Lin, Phys. Rev. B 42,
+6561 (1990)).
 """
 
 from __future__ import annotations
@@ -115,11 +121,16 @@ def site_sector_operators(n):
     })
 
 
+@lru_cache(maxsize=None)
 def hop_operator(n_max, species):
-    """Sparse a_j^dag a_k + a_j a_k^dag of species 'x'/'y' for embed on (j, k)."""
+    """Sparse a_j^dag a_k + a_j a_k^dag of species 'x'/'y' for embed on (j, k);
+    cached, read-only."""
     a = sp.csr_array(site_operators(n_max)["a_" + species])
     hop = sp.kron(a.T, a, format="csr")
-    return hop + hop.T
+    hop = hop + hop.T
+    for part in (hop.data, hop.indices, hop.indptr):
+        _read_only(part)
+    return hop
 
 
 class SectorError(ValueError):
@@ -167,6 +178,7 @@ class SectorBasis:
     alphabet: tuple
     counts: np.ndarray = field(repr=False)
     codes: np.ndarray = field(repr=False)
+    ways: np.ndarray = field(repr=False)  # _count_fillings up to n_sites
 
     @property
     def n_total(self):
@@ -198,9 +210,18 @@ class SectorBasis:
         # [m, *t, c]: the fillings of a site followed by m sites, holding
         # counts t between them, whose first letter is below c. A row's
         # rank sums this over its sites, with its own prefix fixed.
-        ways = _count_fillings(self.counts, self.totals, self.n_sites - 1)
-        terms = _by_letter(ways.astype(np.int64), self.counts)
-        return np.cumsum(terms, axis=-1) - terms
+        terms = _by_letter(self.ways[:self.n_sites].astype(np.int64), self.counts)
+        return np.ascontiguousarray(np.cumsum(terms, axis=-1) - terms)
+
+    @cached_property
+    def _left(self):
+        # [s, t, i]: count t that row i leaves to sites s.. (totals less the
+        # counts of the sites before s); site-major, smallest unsigned dtype
+        dtype = np.min_scalar_type(max(self.totals))
+        counts = self.counts.astype(dtype)[self.codes.T]
+        left = (np.asarray(self.totals, dtype=dtype)
+                - (np.cumsum(counts, axis=0, dtype=dtype) - counts))
+        return np.ascontiguousarray(left.transpose(0, 2, 1))
 
     def rank(self, codes):
         """Ordinals of code rows; SectorError if a row is not in the basis."""
@@ -242,7 +263,7 @@ def _enumerate(alphabet, counts, totals, n_sites, dim_cap=DEFAULT_DIM_CAP):
         row, letter = np.nonzero(fits)
         codes = np.column_stack([codes[row], letter.astype(codes.dtype)])
         left = left[row] - counts[letter]
-    return SectorBasis(n_sites, totals, alphabet, counts, codes)
+    return SectorBasis(n_sites, totals, alphabet, counts, codes, ways)
 
 
 def _sector_counts(n_sites, n_total, n_x_total):
@@ -291,9 +312,16 @@ def embed(basis: SectorBasis, local, sites):
 
     local is a square dense or sparse matrix over the letters of `sites`,
     site-major in the order given: for sites (j, k, l) its index is
-    (c_j * len(alphabet) + c_k) * len(alphabet) + c_l. All basis states are mapped at once; the
-    result lists <rows|local|cols> for every nonzero entry, with
-    duplicates not summed. Raises SectorError if local leaves the basis.
+    (c_j * len(alphabet) + c_k) * len(alphabet) + c_l. All basis states
+    are mapped at once; the result lists <rows|local|cols> for every
+    nonzero entry, with duplicates not summed. Raises SectorError if
+    local leaves the basis.
+
+    Rows are ranked by update, not by SectorBasis.rank: a row's rank sums
+    one _rank_table term per site, and a move that keeps the summed counts
+    of `sites` changes only the terms of sites lo..hi, the span of
+    `sites`. Each of those is looked up again with the letters after the
+    move and the counts left after the changes at the sites before it.
     """
     n_letters = len(basis.alphabet)
     local = sp.csc_array(local)
@@ -308,12 +336,43 @@ def embed(basis: SectorBasis, local, sites):
     count = local.indptr[col_letter + 1] - start
     cols = np.repeat(np.arange(basis.dim), count)
     ptr = np.arange(len(cols)) + np.repeat(start - (np.cumsum(count) - count), count)
-    target, vals = local.indices[ptr], local.data[ptr]
-    moved = codes[cols]
+    vals = local.data[ptr]
+
+    # per nonzero of local: does it keep the summed counts of `sites`?
+    source = np.repeat(np.arange(local.shape[1]), np.diff(local.indptr))
+    target = local.indices
+    summed = np.zeros((1, basis.counts.shape[1]), dtype=basis.counts.dtype)
+    for _ in sites:
+        summed = (summed[:, None] + basis.counts).reshape(-1, summed.shape[1])
+    leaves = np.any(summed[target] != summed[source], axis=1)
+    if leaves.any() and leaves[ptr].any():
+        raise SectorError("a state leaves the sector (or its N_X block)")
+    # and the letter it reads and writes at each site
+    before, after = {}, {}
     for s in reversed(sites):
-        moved[:, s] = target % n_letters
-        target = target // n_letters
-    return basis.rank(moved), cols, vals
+        source, before[s] = np.divmod(source, n_letters)
+        target, after[s] = np.divmod(target, n_letters)
+
+    # A term's flat index in _rank_table: its site, the counts left to
+    # it, its letter. Counts changed before site s shift its index down by
+    # their offset, a change of letter at s moves it by new - old.
+    table = basis._rank_table
+    site_stride, *count_stride, _ = np.array(table.strides) // table.itemsize
+    table = table.reshape(-1)
+    letter_offset = basis.counts @ count_stride
+    shift = 0
+    old_terms = new_terms = 0
+    for s in range(min(sites), max(sites) + 1):
+        step = -shift
+        if s in after:
+            step = step + after[s] - before[s]
+            shift = shift + letter_offset[after[s]] - letter_offset[before[s]]
+        here = (basis.n_sites - 1 - s) * site_stride + codes[:, s]
+        for left, stride in zip(basis._left[s], count_stride):
+            here = here + stride * left
+        old_terms = old_terms + table[here]
+        new_terms = new_terms + table[here[cols] + step[ptr]]
+    return cols - old_terms[cols] + new_terms, cols, vals
 
 
 class SparseOperator:

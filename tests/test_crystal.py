@@ -73,6 +73,16 @@ def test_onsite_shifts_are_negated_row_sums():
     assert geo.dw_y == pytest.approx(list(-geo.t_y.sum(axis=1)))
 
 
+def test_onsite_shifts_are_exactly_mirror_symmetric():
+    geometries = [CrystalGeometry.from_uniform_hoppings(n, 0.1 * KHZ, 0.17 * KHZ)
+                  for n in range(2, 11)]
+    geometries += [CrystalGeometry.from_trap(replace(FIG3_TRAP, n_ions=n))
+                   for n in range(2, 9)]
+    for geo in geometries:
+        np.testing.assert_array_equal(geo.dw_x, geo.dw_x[::-1])
+        np.testing.assert_array_equal(geo.dw_y, geo.dw_y[::-1])
+
+
 def test_hopping_matrix_rejects_coincident_ions():
     with pytest.raises(ValueError):
         hopping_matrix(np.array([0.0, 0.0]), FIG3_TRAP)

@@ -329,7 +329,7 @@ def test_evolve_checks_the_mirror():
     h = SparseOperator(2, sp.csr_matrix(np.diag([1.0, 2.0])))
     with pytest.raises(ValueError, match="reflection"):
         evolve(h, psi0, [0.0, 1.0], mirror=swap)
-    # a rounding-level asymmetry, as onsite_shifts leaves, passes
+    # a rounding-level asymmetry passes
     h = SparseOperator(2, sp.csr_matrix(np.diag([1.0, 1.0 + 4e-16])))
     assert evolve(h, psi0, [0.0, 1.0], mirror=swap).blocks == (1, 1)
     for bad in ([1, 1], [1, 2], [0]):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+from jchsim import fock
+from jchsim.crystal import CrystalGeometry
 from jchsim.fock import (
     E1,
     E2,
@@ -15,13 +18,21 @@ from jchsim.fock import (
     embed,
     enumerate_sector,
     hop_operator,
+    product_basis,
     sector_dim,
     site_excitation,
     site_operators,
     site_states,
     site_x_count,
 )
-from jchsim.superexchange import spin_block
+from jchsim.jchv import LABEL_X, build_full, sector_basis_for
+from jchsim.params import KHZ, TrapConfig, make_drive
+from jchsim.superexchange import (
+    build_spin_hamiltonian,
+    spin_block,
+    spin_half_general,
+    spin_one_general,
+)
 
 
 def site_operator(basis, site, kind):
@@ -203,6 +214,13 @@ def test_hop_operator_hermitian_and_conserving():
     assert hop.commutator_norm(n_tot) < 1e-13
 
 
+def test_hop_operator_is_cached_read_only():
+    hop = hop_operator(2, "x")
+    assert hop_operator(2, "x") is hop
+    assert not any(part.flags.writeable
+                   for part in (hop.data, hop.indices, hop.indptr))
+
+
 def test_total_excitation_is_sector_constant():
     basis = enumerate_sector(2, 3)
     n_tot = total_excitation(basis).dense()
@@ -217,17 +235,20 @@ def test_matvec_matches_dense():
     assert op.matvec(v) == pytest.approx(op.dense() @ v)
 
 
-def random_conserving_local(alphabet, n_local, rng):
+def random_conserving_local(basis, n_local, rng):
     """Random local operator {letters: {letters': amp}} on n_local sites.
 
-    Only entries between letter tuples of equal total excitation, so the
-    operator conserves the sector.
+    Only entries between letter tuples of equal summed basis counts (N,
+    and X in an N_X block or spin S_z block), so the operator keeps the
+    basis.
     """
-    by_exc = {}
-    for letters in itertools.product(alphabet, repeat=n_local):
-        by_exc.setdefault(sum(map(site_excitation, letters)), []).append(letters)
+    by_counts = {}
+    for codes in itertools.product(range(len(basis.alphabet)), repeat=n_local):
+        key = tuple(basis.counts[list(codes)].sum(axis=0))
+        letters = tuple(basis.alphabet[c] for c in codes)
+        by_counts.setdefault(key, []).append(letters)
     op = {}
-    for group in by_exc.values():
+    for group in by_counts.values():
         for src in group:
             for dst in group:
                 if rng.random() < 0.3:
@@ -262,30 +283,127 @@ def brute_force_embed(basis, op, sites):
     return out
 
 
+SPIN_LETTERS = {1: ("up", "down"), 2: ("1", "0", "-1")}
+
+
+def sample_basis(kind, n_sites, n, rng):
+    """A whole sector of n excitations, one of its N_X blocks, or an S_z
+    block of the spin-1/2 (n = 1) or spin-1 (n = 2) product space."""
+    if kind == "sector":
+        return enumerate_sector(n_sites, n)
+    if kind == "block":
+        return enumerate_sector(n_sites, n, n_x_total=int(rng.integers(n + 1)))
+    labels = rng.choice(SPIN_LETTERS[n], n_sites)
+    return spin_block("half" if n == 1 else "one", labels)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(1, 2), (2, 2), (3, 1), (3, 3), (4, 2), (5, 1),
-                        (30, 1)]),
+@given(st.sampled_from([("sector", 1, 2), ("sector", 2, 2), ("sector", 3, 1),
+                        ("sector", 3, 3), ("sector", 4, 2), ("sector", 5, 1),
+                        ("sector", 30, 1), ("block", 2, 3), ("block", 3, 3),
+                        ("block", 4, 2), ("block", 5, 1), ("block", 20, 1),
+                        ("spin", 5, 1), ("spin", 4, 2), ("spin", 12, 1)]),
        st.integers(min_value=1, max_value=3),
        st.integers(0, 2**32 - 1))
-@example((3, 1), 3, 0)
-@example((5, 1), 3, 1)
-def test_embed_matches_brute_force(sector, n_local, seed):
-    n_sites, n_total = sector
+@example(("sector", 3, 1), 3, 0)
+@example(("sector", 5, 1), 3, 1)
+@example(("block", 5, 1), 2, 0)
+@example(("block", 3, 3), 2, 2)
+@example(("spin", 5, 1), 3, 3)
+@example(("spin", 4, 2), 3, 0)
+def test_embed_matches_brute_force(case, n_local, seed):
+    kind, n_sites, n = case
+    rng = np.random.default_rng(seed)
+    basis = sample_basis(kind, n_sites, n, rng)
     # three-site operators where the alphabet is small: 5 letters, a
     # 125 x 125 local matrix (22 letters at n_total = 3 would need 10^4)
-    n_local = min(n_local, n_sites, 3 if n_total == 1 else 2)
+    n_local = min(n_local, n_sites, 3 if len(basis.alphabet) <= 5 else 2)
     # any distinct sites in any order, adjacent or not
-    rng = np.random.default_rng(seed)
     sites = tuple(int(s) for s in rng.permutation(n_sites)[:n_local])
-    basis = enumerate_sector(n_sites, n_total)
-    op = random_conserving_local(basis.alphabet, n_local, rng)
+    op = random_conserving_local(basis, n_local, rng)
     got = SparseOperator.from_coo(
         basis.dim, *embed(basis, local_matrix(basis.alphabet, op, n_local), sites)
     ).dense()
     np.testing.assert_array_equal(got, brute_force_embed(basis, op, sites))
 
 
+def embed_by_rank(basis, local, sites):
+    """embed's entries with each moved row ranked by SectorBasis.rank,
+    sorted by (cols, rows)."""
+    local = sp.csc_array(local)
+    shape = (len(basis.alphabet),) * len(sites)
+    source = np.ravel_multi_index(tuple(basis.codes[:, s] for s in sites), shape)
+    cols, ptr = [], []
+    for c in np.unique(source):
+        here = np.flatnonzero(source == c)
+        entries = np.arange(local.indptr[c], local.indptr[c + 1])
+        cols.append(np.repeat(here, len(entries)))
+        ptr.append(np.tile(entries, len(here)))
+    cols, ptr = np.concatenate(cols), np.concatenate(ptr)
+    moved = basis.codes[cols]
+    moved[:, list(sites)] = np.column_stack(
+        np.unravel_index(local.indices[ptr], shape))
+    rows = basis.rank(moved)
+    order = np.lexsort((rows, cols))
+    return rows[order], cols[order], local.data[ptr][order]
+
+
+@pytest.mark.parametrize("n_sites,n", [(2, 1), (3, 1), (4, 1), (5, 1),
+                                       (2, 2), (3, 2)])
+@pytest.mark.parametrize("trap", [False, True])
+def test_hamiltonian_terms_match_rank(monkeypatch, n_sites, n, trap):
+    """Every term build_hjc, build_hb and build_spin_hamiltonian embed
+    lands on the rows SectorBasis.rank gives its moved code rows."""
+    if trap:
+        geo = CrystalGeometry.from_trap(TrapConfig(
+            n_ions=n_sites, nu_z=120.0 * KHZ, aspect_x=100.0 / 1.8,
+            aspect_y=100.0))
+    else:
+        geo = CrystalGeometry.from_uniform_hoppings(n_sites, 0.1 * KHZ,
+                                                    0.17 * KHZ)
+    if n == 1:
+        drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ,
+                           Delta=0.0)
+        model = spin_half_general(geo, drive)
+    else:
+        drive = make_drive(g_x=32.0 * KHZ, g_y=34.0 * KHZ, delta=0.0, Delta=0.0)
+        model = spin_one_general(geo, drive)
+    calls = []
+
+    def recorded(basis, local, sites):
+        calls.append((basis, local, sites, embed(basis, local, sites)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(fock, "embed", recorded)
+    build_full(sector_basis_for(n_sites, n, n_x_total=n_sites * n // 2),
+               geo, drive)
+    for x in range(n_sites * n + 1):
+        build_spin_hamiltonian(model, product_basis(
+            {lab: LABEL_X[lab] for lab in SPIN_LETTERS[n]}, n_sites, x))
+    # H_JC per site and H_b per pair; per S_z block, the spin terms per
+    # site and pair and the constant
+    pairs = n_sites * (n_sites - 1) // 2
+    assert len(calls) == n_sites + pairs + (n_sites * n + 1) * (n_sites + pairs + 1)
+    for basis, local, sites, (rows, cols, vals) in calls:
+        order = np.lexsort((rows, cols))
+        want = embed_by_rank(basis, local, sites)
+        for got, expected in zip((rows[order], cols[order], vals[order]), want):
+            np.testing.assert_array_equal(got, expected)
+
+
 def test_embed_rejects_operator_leaving_sector():
     basis = enumerate_sector(2, 2)
     with pytest.raises(SectorError):
         embed(basis, site_operators(2)["a_x"], (1,))
+
+
+@pytest.mark.parametrize("sites", [(0, 1), (1, 0), (0, 3), (3, 1), (2, 0)])
+def test_embed_rejects_hop_between_species(sites):
+    # a_x^dag on one site, a_y on another: N is kept, X is not (in the
+    # all-x block it finds no y phonon, so it maps the block to zero)
+    ops = site_operators(4)
+    local = np.kron(ops["a_x"].T, ops["a_y"])
+    for x in range(4):
+        basis = enumerate_sector(4, 4, n_x_total=x)
+        with pytest.raises(SectorError):
+            embed(basis, local, sites)
