@@ -367,9 +367,11 @@ def embed(basis: SectorBasis, local, sites):
         if s in after:
             step = step + after[s] - before[s]
             shift = shift + letter_offset[after[s]] - letter_offset[before[s]]
-        here = (basis.n_sites - 1 - s) * site_stride + codes[:, s]
+        # widen the uint8 codes and counts before any arithmetic: numpy 1.x
+        # would keep uint8 + scalar in uint8 and wrap past 255
+        here = (basis.n_sites - 1 - s) * site_stride + codes[:, s].astype(np.intp)
         for left, stride in zip(basis._left[s], count_stride):
-            here = here + stride * left
+            here = here + stride * left.astype(np.intp)
         old_terms = old_terms + table[here]
         new_terms = new_terms + table[here[cols] + step[ptr]]
     return cols - old_terms[cols] + new_terms, cols, vals

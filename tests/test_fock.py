@@ -391,6 +391,25 @@ def test_hamiltonian_terms_match_rank(monkeypatch, n_sites, n, trap):
             np.testing.assert_array_equal(got, expected)
 
 
+@pytest.mark.parametrize("n_x,sites", [(3, (3, 4)), (3, (0, 4)), (2, (4, 1))])
+def test_embed_indices_beyond_uint8(n_x, sites):
+    """On the N = 5 blocks (N_X = 3 is the one the bench evolves), a
+    count's stride times the counts left to a site exceeds 255 while both
+    codes and counts are uint8: hops must still land where
+    SectorBasis.rank puts the moved rows."""
+    basis = enumerate_sector(5, 5, n_x_total=n_x)
+    assert basis.codes.dtype == basis._left.dtype == np.uint8
+    assert basis._rank_table.size > 256
+    ops = site_operators(5)
+    local = sum(np.kron(ops[f"a_{p}"].T, ops[f"a_{p}"]) for p in "xy")
+    local = local + local.T
+    rows, cols, vals = embed(basis, local, sites)
+    order = np.lexsort((rows, cols))
+    for got, want in zip((rows[order], cols[order], vals[order]),
+                         embed_by_rank(basis, local, sites)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_embed_rejects_operator_leaving_sector():
     basis = enumerate_sector(2, 2)
     with pytest.raises(SectorError):
