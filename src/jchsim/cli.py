@@ -10,6 +10,7 @@ failure. JCHSIM_THREADS pins the BLAS thread count.
 import argparse
 import html
 import json
+import math
 import os
 import sys
 import time
@@ -132,6 +133,8 @@ def parse_sweep(text):
         start, stop, n = float(start), float(stop), int(n)
     except ValueError as exc:
         raise ConfigError(f"bad sweep bounds: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("sweep bounds must be finite")
     if n < 2:
         raise ConfigError("sweep needs at least 2 points")
     return key, start, stop, n

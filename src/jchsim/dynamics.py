@@ -1,17 +1,18 @@
 """Exact time evolution and full-vs-effective comparison.
 
 Evolution is unitary: dense eigendecomposition below a dimension
-threshold, one real eigh per chain-reflection parity block; above it, a
-Chebyshev expansion of exp(-i H dt) per grid interval (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 3967 (1984)) on the Gershgorin interval of
-H, each term one product of H with the complex state, cut where the
-series tail, a certified bound on the state error, falls below
-CHEBYSHEV_TOL. States are tracked through squared overlaps with dressed
-product labels (full model) or spin product labels (effective model),
-which makes the two sides directly comparable trace by trace. Both run
-in the block of the initial labels' X: N_X for the full model, total
-S_z for the effective one. Tracked labels outside it have population
-exactly 0.
+threshold, one real divide-and-conquer eigh (LAPACK syevd, through
+numpy.linalg; the program loads no SciPy linear algebra module) per
+chain-reflection parity block; above it, a Chebyshev expansion of
+exp(-i H dt) per grid interval (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)) on the Gershgorin interval of H, each term one product of H with
+the complex state, cut where the series tail, a certified bound on the
+state error, falls below CHEBYSHEV_TOL. States are tracked through
+squared overlaps with dressed product labels (full model) or spin
+product labels (effective model), which makes the two sides directly
+comparable trace by trace. Both run in the block of the initial labels'
+X: N_X for the full model, total S_z for the effective one. Tracked
+labels outside it have population exactly 0.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,7 +20,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .crystal import geometry_from_config, local_detunings
@@ -83,7 +83,9 @@ class ComparisonReport:
 
     @property
     def overall_max_deviation(self):
-        return max(self.max_abs_deviation.values()) if self.max_abs_deviation else 0.0
+        # np.max, unlike max, propagates a NaN wherever it sits
+        return (float(np.max(list(self.max_abs_deviation.values())))
+                if self.max_abs_deviation else 0.0)
 
 
 def _n_x(labels):
@@ -237,15 +239,20 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     builds is. The dense method splits H into the even and odd blocks of
     mirror, a zero-argument callable returning the chain reflection of
     h's basis (SectorBasis.mirror), None for the identity; it is called
-    only by the dense method. Each block is diagonalised and propagated
-    over the whole grid at once. The Chebyshev method keeps only the
+    only by the dense method. Each block is diagonalised by one real
+    divide-and-conquer eigh (numpy.linalg.eigh, LAPACK syevd) and
+    propagated over the whole grid at once; a LAPACK failure raises
+    numpy.linalg.LinAlgError. The Chebyshev method keeps only the
     current state and records each time point's observables as it
-    passes. Raises ValueError on a complex or non-Hermitian H, on one
-    that mixes the parity blocks, or on a bad grid.
+    passes. Raises ValueError on a complex, non-finite or non-Hermitian
+    H, on one that mixes the parity blocks, or on a bad or non-finite
+    grid.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1d grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
         raise ValueError("times must ascend from 0")
     psi0 = np.asarray(psi0, dtype=complex)
@@ -254,6 +261,9 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     if np.any(h.mat.data.imag):
         raise ValueError("Hamiltonian has an imaginary part; evolve takes "
                          "real symmetric H only")
+    # np.linalg.eigh turns an infinite entry into NaN eigenvalues silently
+    if not np.all(np.isfinite(h.mat.data)):
+        raise ValueError("Hamiltonian has a non-finite entry")
     scale = np.max(np.abs(h.mat.data)) if h.mat.nnz else 0.0
     if h.hermiticity_defect() > HERMITICITY_TOL * max(1.0, scale):
         raise ValueError("Hamiltonian fails the Hermiticity pre-check")
@@ -280,8 +290,7 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
                 continue
             # v stays real, and is applied to the real and imaginary parts
             # apart so that it is never upcast
-            w, v = scipy.linalg.eigh(h_block.toarray(order="F"),
-                                     overwrite_a=True)
+            w, v = np.linalg.eigh(h_block.toarray())
             c0 = (v.T @ (basis.T @ psi0.real)
                   + 1j * (v.T @ (basis.T @ psi0.imag)))
             coeffs = np.exp(-1j * np.outer(times, w)) * c0
@@ -341,7 +350,7 @@ def estimate_period(model, initial_labels):
     the two-site flip-flop case, half a full population cycle. None if
     the initial state is stationary. Only its S_z block is diagonalised."""
     basis = spin_block(model.manifold, initial_labels)
-    w, v = scipy.linalg.eigh(build_spin_hamiltonian(model, basis).dense())
+    w, v = np.linalg.eigh(build_spin_hamiltonian(model, basis).dense())
     letter = {s: i for i, s in enumerate(basis.alphabet)}
     idx = basis.rank(np.array([[letter[s] for s in initial_labels]]))[0]
     gap = _dominant_gap(w, np.abs(v[idx]) ** 2)

@@ -270,11 +270,19 @@ def _get(raw, key, conv, default=None, required=False):
             raise ConfigError(f"missing key: {key}")
         return default
     try:
-        return conv(raw[key])
+        value = conv(raw[key])
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"non-finite value for {key}: {raw[key]!r}")
+    return value
+
+
+def _khz(s):
+    """A *_khz value in rad/ms; _get refuses one that overflows to inf."""
+    return khz(float(s))
 
 
 def _bool(s):
@@ -322,7 +330,7 @@ def parse_config(text) -> SimConfig:
     if "nu_z_khz" in raw or not explicit_t:
         trap = TrapConfig(
             n_ions=n_ions,
-            nu_z=khz(_get(raw, "nu_z_khz", float, required=True)),
+            nu_z=_get(raw, "nu_z_khz", _khz, required=True),
             aspect_x=_get(raw, "aspect_x", float, required=True),
             aspect_y=_get(raw, "aspect_y", float, required=True),
             ion_mass_amu=_get(raw, "ion_mass_amu", float),
@@ -331,8 +339,8 @@ def parse_config(text) -> SimConfig:
     laser = None
     if any(k in raw for k in ("rabi_x_khz", "rabi_y_khz", "ld_x", "ld_y")):
         laser = LaserParams(
-            rabi_x=khz(_get(raw, "rabi_x_khz", float, required=True)),
-            rabi_y=khz(_get(raw, "rabi_y_khz", float, required=True)),
+            rabi_x=_get(raw, "rabi_x_khz", _khz, required=True),
+            rabi_y=_get(raw, "rabi_y_khz", _khz, required=True),
             ld_x=_get(raw, "ld_x", float, required=True),
             ld_y=_get(raw, "ld_y", float, required=True),
         )
@@ -346,8 +354,8 @@ def parse_config(text) -> SimConfig:
         )
 
     if "g_x_khz" in raw or "g_y_khz" in raw:
-        g_x = khz(_get(raw, "g_x_khz", float, required=True))
-        g_y = khz(_get(raw, "g_y_khz", float, required=True))
+        g_x = _get(raw, "g_x_khz", _khz, required=True)
+        g_y = _get(raw, "g_y_khz", _khz, required=True)
     elif laser is not None:
         g_x, g_y = couplings_from_laser(laser)
     elif gradient is not None and trap is not None:
@@ -359,15 +367,12 @@ def parse_config(text) -> SimConfig:
     if not 1 <= reference_ion <= n_ions:
         raise ConfigError(f"reference_ion out of range 1..{n_ions}")
 
-    delta = _get(raw, "delta_khz", float)
-    Delta = _get(raw, "Delta_khz", float)
-    omega0 = _get(raw, "omega0_khz", float)
     drive = make_drive(
         g_x,
         g_y,
-        delta=None if delta is None else khz(delta),
-        Delta=None if Delta is None else khz(Delta),
-        omega0=None if omega0 is None else khz(omega0),
+        delta=_get(raw, "delta_khz", _khz),
+        Delta=_get(raw, "Delta_khz", _khz),
+        omega0=_get(raw, "omega0_khz", _khz),
         reference_ion=reference_ion - 1,
         homogeneous=_get(raw, "homogeneous", _bool, default=False),
     )
@@ -385,8 +390,8 @@ def parse_config(text) -> SimConfig:
         drive=drive,
         run=run,
         trap=trap,
-        t_x=None if not explicit_t else khz(_get(raw, "t_x_khz", float, required=True)),
-        t_y=None if not explicit_t else khz(_get(raw, "t_y_khz", float, required=True)),
+        t_x=None if not explicit_t else _get(raw, "t_x_khz", _khz, required=True),
+        t_y=None if not explicit_t else _get(raw, "t_y_khz", _khz, required=True),
         dim_cap=_get(raw, "dim_cap", int, default=DEFAULT_DIM_CAP),
         raw=raw,
     )

@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jchsim
@@ -342,6 +346,69 @@ n_excitations = 1
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["t_final_ms = nan", "g_x_khz = inf"])
+def test_exit_code_non_finite_config(tmp_path, capsys, line):
+    key = line.split()[0]
+    text = "\n".join(ln for ln in ISO_PAIR.splitlines()
+                     if not ln.startswith(key)) + f"\n{line}\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    assert f"non-finite value for {key}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_exit_code_non_finite_sweep_bound(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ISO_PAIR)
+    out = tmp_path / "o"
+    for sweep in ("g_y_khz:nan:40:3", "g_y_khz:12:inf:3"):
+        assert main(["couplings", "--config", cfg, "--out", str(out),
+                     "--sweep", sweep]) == 2
+        assert "sweep bounds must be finite" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_exit_code_eigh_failure(tmp_path, monkeypatch, capsys):
+    # what np.linalg.eigh raises when LAPACK does not converge
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        np.linalg.eigh(np.full((3, 3), np.nan))
+
+    eigh = np.linalg.eigh
+
+    def fail_in_dynamics(a):
+        # the site and pair solvers of jchv and superexchange still run
+        if sys._getframe(1).f_globals["__name__"] != "jchsim.dynamics":
+            return eigh(a)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail_in_dynamics)
+    cfg = write_cfg(tmp_path, ISO_PAIR + "t_final_ms = 1.0\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_program_never_loads_scipy_linalg(tmp_path):
+    # scipy.linalg's LAPACK/BLAS extension modules cost about 8 MB of RSS and
+    # a tenth of start-up; tests may use it as a reference, the program not
+    cfg = write_cfg(tmp_path, ISO_PAIR + "t_final_ms = 1.0\nn_steps = 5\n")
+    code = (
+        "import sys\n"
+        "import jchsim.cli, jchsim.dynamics\n"
+        "for cmd in ('compare', 'evolve'):\n"
+        f"    assert jchsim.cli.main([cmd, '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    src = str(Path(jchsim.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_manifest_structure(tmp_path):
     cfg = write_cfg(tmp_path, ISO_PAIR)
     out = tmp_path / "o"
@@ -360,6 +427,8 @@ def test_parse_sweep_grammar():
         parse_sweep("g_y_khz:1:2:1")
     with pytest.raises(ConfigError):
         parse_sweep("g_y_khz:1:2:2.5")
+    with pytest.raises(ConfigError, match="finite"):
+        parse_sweep("g_y_khz:-inf:2:3")
 
 
 def test_thread_env_var(tmp_path, monkeypatch):
@@ -367,7 +436,5 @@ def test_thread_env_var(tmp_path, monkeypatch):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("JCHSIM_THREADS", "2")
     cfg = write_cfg(tmp_path, ISO_PAIR)
-    import os
-
     assert main(["crystal", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert os.environ["OMP_NUM_THREADS"] == "2"

@@ -109,6 +109,14 @@ def test_evolve_input_validation():
     cplx = SparseOperator(2, sp.csr_matrix(np.array([[0.0, -1j], [1j, 0.0]])))
     with pytest.raises(ValueError, match="imaginary"):
         evolve(cplx, psi0, [0.0, 1.0])
+    for grid in ([0.0, np.nan], [0.0, np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(h, psi0, grid)
+    # np.linalg.eigh returns NaN eigenvalues for an infinite entry
+    for value in (np.inf, np.nan):
+        bad = SparseOperator(2, sp.csr_matrix(np.diag([1.0, value])))
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve(bad, psi0, [0.0, 1.0])
 
 
 def test_initial_populations_are_overlaps():
@@ -153,6 +161,47 @@ def test_dense_hamiltonian_matches_expm():
                       for t in times])
     assert np.max(np.abs(res.final_state - exact[-1])) < 1e-10
     assert np.max(np.abs(res.population_matrix() - np.abs(exact.T) ** 2)) < 1e-10
+
+
+def test_dense_degenerate_parity_blocks_match_expm():
+    # exactly repeated eigenvalues inside each parity block and across them:
+    # the dense branch must not depend on how eigh picks a degenerate basis
+    dim = 7
+    reverse = np.arange(dim)[::-1].copy()
+    even, odd = dynamics._parity_bases(reverse, dim)
+    rng = np.random.default_rng(17)
+    h = np.zeros((dim, dim))
+    for basis, spectrum in ((even, [1.5, 1.5, 1.5, -2.0]),
+                            (odd, [1.5, 1.5, 3.0])):
+        q, _ = np.linalg.qr(rng.normal(size=(len(spectrum),) * 2))
+        b = basis.toarray()
+        h += b @ (q * spectrum) @ q.T @ b.T
+    h = 0.5 * (h + h.T)
+    assert np.max(np.abs(h - h[np.ix_(reverse, reverse)])) < 1e-14
+    op = SparseOperator(dim, sp.csr_matrix(h))
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    tracked = {("e", str(i)): np.eye(dim)[i] for i in range(dim)}
+    times = np.linspace(0.0, 3.0, 9)
+    res = evolve(op, psi0, times, tracked, mirror=lambda: reverse)
+    assert res.method == "dense" and res.blocks == (4, 3)
+    exact = np.array([scipy.linalg.expm(-1j * t * h) @ psi0 for t in times])
+    assert np.max(np.abs(res.final_state - exact[-1])) < 1e-10
+    assert np.max(np.abs(res.population_matrix()
+                         - np.abs(exact.T) ** 2)) < 1e-10
+    assert res.norm_drift < 1e-12 and res.energy_drift < 1e-12
+
+
+def test_overall_max_deviation_propagates_nan():
+    def report(devs):
+        return ComparisonReport(times=np.zeros(1), labels=(), full=None,
+                                effective=None, max_abs_deviation=devs,
+                                l2_deviation={})
+    assert report({}).overall_max_deviation == 0.0
+    assert report({"a": 0.1, "b": 0.3}).overall_max_deviation == 0.3
+    # Python's max keeps 0.1 when the NaN comes second
+    assert np.isnan(report({"a": 0.1, "b": np.nan}).overall_max_deviation)
+    assert np.isnan(report({"a": np.nan, "b": 0.1}).overall_max_deviation)
 
 
 def test_diagonal_hamiltonian_freezes_populations():

@@ -162,3 +162,21 @@ def test_run_config_validation():
         parse_config(CONFIG + "\nn_excitations = 3\n")
     with pytest.raises(ConfigError):
         parse_config(CONFIG + "\nt_final_ms = -1.0\n")
+
+
+@pytest.mark.parametrize("key", ["t_final_ms", "g_x_khz", "delta_khz",
+                                 "aspect_x", "t_x_khz"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_config_refuses_non_finite(key, value):
+    lines = [ln for ln in CONFIG.splitlines() if not ln.startswith(key)]
+    extra = "\nt_y_khz = 0.1\n" if key == "t_x_khz" else "\n"
+    with pytest.raises(ConfigError, match=f"non-finite value for {key}"):
+        parse_config("\n".join(lines) + f"\n{key} = {value}" + extra)
+
+
+@pytest.mark.parametrize("key", ["delta_khz", "g_y_khz", "nu_z_khz"])
+def test_parse_config_refuses_overflowed_conversion(key):
+    # 1e308 kHz is a finite float but inf in rad/ms
+    lines = [ln for ln in CONFIG.splitlines() if not ln.startswith(key)]
+    with pytest.raises(ConfigError, match=f"non-finite value for {key}"):
+        parse_config("\n".join(lines) + f"\n{key} = 1e308\n")
