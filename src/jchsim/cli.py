@@ -520,7 +520,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, DegenerateIntermediateError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -162,9 +162,8 @@ def _chebyshev_terms(x):
 
 def gershgorin_interval(h: SparseOperator):
     """(lo, hi) holding every eigenvalue of the real symmetric h."""
-    real = h.mat.real
-    diag = real.diagonal()
-    radius = np.asarray(abs(real).sum(axis=1)).ravel() - np.abs(diag)
+    diag = h.mat.diagonal()
+    radius = np.asarray(abs(h.mat).sum(axis=1)).ravel() - np.abs(diag)
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
@@ -244,9 +243,10 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     propagated over the whole grid at once; a LAPACK failure raises
     numpy.linalg.LinAlgError. The Chebyshev method keeps only the
     current state and records each time point's observables as it
-    passes. Raises ValueError on a complex, non-finite or non-Hermitian
-    H, on one that mixes the parity blocks, or on a bad or non-finite
-    grid.
+    passes. Raises ValueError on an H not stored float64, or non-finite
+    or non-Hermitian, on one that mixes the parity blocks, or on a bad or
+    non-finite grid; FloatingPointError if the last time times the
+    Gershgorin bound on |H| overflows.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -258,15 +258,20 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
         raise ValueError("psi0 is not normalized")
-    if np.any(h.mat.data.imag):
-        raise ValueError("Hamiltonian has an imaginary part; evolve takes "
-                         "real symmetric H only")
+    if h.mat.dtype != np.float64:
+        raise ValueError(f"Hamiltonian is stored {h.mat.dtype}; evolve takes "
+                         "real symmetric float64 H only, with no imaginary part")
     # np.linalg.eigh turns an infinite entry into NaN eigenvalues silently
     if not np.all(np.isfinite(h.mat.data)):
         raise ValueError("Hamiltonian has a non-finite entry")
     scale = np.max(np.abs(h.mat.data)) if h.mat.nnz else 0.0
-    if h.hermiticity_defect() > HERMITICITY_TOL * max(1.0, scale):
+    if abs(h.mat - h.mat.T).max() > HERMITICITY_TOL * max(1.0, scale):
         raise ValueError("Hamiltonian fails the Hermiticity pre-check")
+    lo, hi = gershgorin_interval(h)
+    # a product of Python floats overflows to inf, without a warning
+    if not np.isfinite(float(times[-1]) * max(abs(lo), abs(hi))):
+        raise FloatingPointError(f"the phases of H at t = {times[-1]:g} ms "
+                                 "overflow")
 
     labels = tuple(label_states or {})
     overlap_rows = np.array([label_states[lab].conj() for lab in labels],
@@ -276,8 +281,7 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     if h.dim < dense_threshold:
         method = "dense"
         even, odd = _parity_bases(None if mirror is None else mirror(), h.dim)
-        real = h.mat.real
-        h_even = real @ even
+        h_even = h.mat @ even
         cross = odd.T @ h_even
         if cross.nnz and (np.max(np.abs(cross.data))
                           > HERMITICITY_TOL * max(1.0, scale)):
@@ -285,7 +289,7 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
                              "pre-check")
         psis = np.zeros((len(times), h.dim), dtype=complex)
         for basis, h_block in ((even, even.T @ h_even),
-                               (odd, odd.T @ real @ odd)):
+                               (odd, odd.T @ h.mat @ odd)):
             if basis.shape[1] == 0:
                 continue
             # v stays real, and is applied to the real and imaginary parts
@@ -301,7 +305,8 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
         final_state = psis[-1]
     else:
         method = "chebyshev"
-        lo, hi = gershgorin_interval(h)
+        # complex H times the complex state: the fastest product
+        h_complex = SparseOperator(h.dim, h.mat.astype(complex))
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         steps = []
         psi = psi0.copy()
@@ -312,11 +317,11 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
             for _ in range(n_split):
                 # half = 0 gives x = 0: the series is J_0 = 1, no product
                 psi, n_products, tail = _chebyshev_propagate(
-                    h, psi, mid, half, half * dt / n_split)
+                    h_complex, psi, mid, half, half * dt / n_split)
                 products += n_products
                 truncation_bound += tail
             psi *= np.exp(-1j * mid * dt)
-            steps.append(_observables(h, psi[None, :], overlap_rows))
+            steps.append(_observables(h_complex, psi[None, :], overlap_rows))
             t_prev = t
         norms, pops, energies = (np.concatenate(obs) for obs in zip(*steps))
         final_state = psi
@@ -350,7 +355,7 @@ def estimate_period(model, initial_labels):
     the two-site flip-flop case, half a full population cycle. None if
     the initial state is stationary. Only its S_z block is diagonalised."""
     basis = spin_block(model.manifold, initial_labels)
-    w, v = np.linalg.eigh(build_spin_hamiltonian(model, basis).dense())
+    w, v = np.linalg.eigh(build_spin_hamiltonian(model, basis).mat.toarray())
     letter = {s: i for i, s in enumerate(basis.alphabet)}
     idx = basis.rank(np.array([[letter[s] for s in initial_labels]]))[0]
     gap = _dominant_gap(w, np.abs(v[idx]) ** 2)

@@ -378,48 +378,34 @@ def embed(basis: SectorBasis, local, sites):
 
 
 class SparseOperator:
-    """Hermitian-friendly sparse operator on a SectorBasis.
+    """A Hamiltonian on a SectorBasis: its dim and CSR matrix, mat.
 
-    Backed by a CSR matrix; built from a coordinate list with duplicate
-    accumulation, dropping entries of magnitude at most DROP_TOL.
+    evolve's Chebyshev products all go through matvec, which
+    bench/tracer.py counts.
     """
 
     def __init__(self, dim, mat):
         self.dim = dim
         self.mat = mat
 
-    @classmethod
-    def from_coo(cls, dim, rows, cols, vals):
-        mat = sp.coo_matrix(
-            (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
-        ).tocsr()
-        mat.sum_duplicates()
-        mat.data[np.abs(mat.data) <= DROP_TOL] = 0.0
-        mat.eliminate_zeros()
-        return cls(dim, mat)
-
-    def hermiticity_defect(self):
-        diff = self.mat - self.mat.getH()
-        return 0.0 if diff.nnz == 0 else np.max(np.abs(diff.data))
-
-    def dense(self):
-        return self.mat.toarray()
-
     def matvec(self, v):
         return self.mat @ v
 
-    def __add__(self, other):
-        return SparseOperator(self.dim, self.mat + other.mat)
-
-    def commutator_norm(self, other):
-        diff = self.mat @ other.mat - other.mat @ self.mat
-        return 0.0 if diff.nnz == 0 else np.max(np.abs(diff.data))
-
 
 def assemble(basis: SectorBasis, terms):
-    """SparseOperator summing embed(basis, local, sites) over (local, sites)."""
+    """SparseOperator summing embed(basis, local, sites) over (local, sites).
+
+    Its matrix is a real float64 CSR, with duplicate entries summed and
+    those of magnitude at most DROP_TOL dropped. Raises ValueError if a
+    term has an imaginary part that is not exactly 0.
+    """
     parts = [embed(basis, local, sites) for local, sites in terms]
-    if not parts:
-        return SparseOperator.from_coo(basis.dim, [], [], [])
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return SparseOperator.from_coo(basis.dim, rows, cols, vals)
+    rows, cols, vals = ([np.concatenate(p) for p in zip(*parts)] if parts
+                        else ([], [], []))
+    if np.any(np.imag(vals)):
+        raise ValueError("a term has an imaginary part; Hamiltonians are real")
+    mat = sp.coo_matrix((np.asarray(np.real(vals), dtype=float), (rows, cols)),
+                        shape=(basis.dim, basis.dim)).tocsr()  # sums duplicates
+    mat.data[np.abs(mat.data) <= DROP_TOL] = 0.0
+    mat.eliminate_zeros()
+    return SparseOperator(basis.dim, mat)

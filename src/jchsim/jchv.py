@@ -21,6 +21,7 @@ from .crystal import CrystalGeometry, local_detunings
 from .fock import (
     DEFAULT_DIM_CAP,
     SectorBasis,
+    SparseOperator,
     assemble,
     enumerate_sector,
     hop_operator,
@@ -67,7 +68,8 @@ def build_hb(basis: SectorBasis, geometry: CrystalGeometry):
 
 
 def build_full(basis, geometry, drive):
-    return build_hjc(basis, geometry, drive) + build_hb(basis, geometry)
+    hjc, hb = build_hjc(basis, geometry, drive), build_hb(basis, geometry)
+    return SparseOperator(basis.dim, hjc.mat + hb.mat)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
+from jchsim.dynamics import evolve
 from jchsim.fock import SparseOperator
 from jchsim.superexchange import SpinHalfModel, build_spin_hamiltonian, spin_block
 
@@ -44,3 +46,22 @@ def test_traced_shapes_hold():
                           E0_split=np.zeros(2), energy_offset=0.0)
     h = build_spin_hamiltonian(model, spin_block("half", ("up", "down")))
     assert isinstance(h, SparseOperator)
+
+
+def test_every_chebyshev_product_is_a_matvec(monkeypatch):
+    # the tracer's dynamics.matvecs counts SparseOperator.matvec calls
+    calls = []
+    matvec = SparseOperator.matvec
+
+    def counted(op, v):
+        calls.append(op)
+        return matvec(op, v)
+
+    monkeypatch.setattr(SparseOperator, "matvec", counted)
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(30, 30))
+    h = SparseOperator(30, sp.csr_matrix(a + a.T))
+    psi0 = np.eye(30)[0]
+    result = evolve(h, psi0, np.linspace(0.0, 1.0, 5), dense_threshold=0)
+    assert result.method == "chebyshev" and result.products > 0
+    assert len(calls) == result.products

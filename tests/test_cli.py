@@ -387,6 +387,17 @@ def test_exit_code_eigh_failure(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_exit_code_overflowing_horizon(tmp_path, capsys, command):
+    # finite, but t times the spectral bound overflows every phase
+    text = (CONFIG_DIR / "anisotropy_scan.cfg").read_text()
+    cfg = write_cfg(tmp_path, text + "t_final_ms = 1e307\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert "overflow" in capsys.readouterr().err
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+
+
 def test_program_never_loads_scipy_linalg(tmp_path):
     # scipy.linalg's LAPACK/BLAS extension modules cost about 8 MB of RSS and
     # a tenth of start-up; tests may use it as a reference, the program not

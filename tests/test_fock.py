@@ -13,7 +13,6 @@ from jchsim.fock import (
     E2,
     G,
     SectorError,
-    SparseOperator,
     assemble,
     embed,
     enumerate_sector,
@@ -25,7 +24,7 @@ from jchsim.fock import (
     site_states,
     site_x_count,
 )
-from jchsim.jchv import LABEL_X, build_full, sector_basis_for
+from jchsim.jchv import LABEL_X, build_full, build_hb, build_hjc, sector_basis_for
 from jchsim.params import KHZ, TrapConfig, make_drive
 from jchsim.superexchange import (
     build_spin_hamiltonian,
@@ -172,25 +171,70 @@ def test_sector_dim_cap():
 
 
 def test_sparse_operator_duplicate_entries_sum():
-    op = SparseOperator.from_coo(2, [0, 0], [1, 1], [1.0, 2.0])
-    assert op.dense()[0, 1] == pytest.approx(3.0)
+    # two terms on the same entries sum into one; a sum of 0 is dropped
+    basis = enumerate_sector(1, 2)
+    jc_x = site_operators(2)["jc_x"]
+    op = assemble(basis, [(jc_x, (0,)), (2.0 * jc_x, (0,))])
+    i_g20 = basis.index[((G, 2, 0),)]
+    i_e10 = basis.index[((E1, 1, 0),)]
+    assert op.mat[i_e10, i_g20] == pytest.approx(3.0 * math.sqrt(2.0))
+    assert op.mat.nnz == site_operator(basis, 0, "jc_x").mat.nnz
+    assert assemble(basis, [(jc_x, (0,)), (-jc_x, (0,))]).mat.nnz == 0
+
+
+def test_assemble_without_terms_is_zero():
+    basis = enumerate_sector(2, 1)
+    op = assemble(basis, [])
+    assert op.dim == op.mat.shape[0] == op.mat.shape[1] == basis.dim
+    assert op.mat.dtype == np.float64 and op.mat.nnz == 0
+
+
+def test_assemble_refuses_imaginary_term():
+    basis = enumerate_sector(2, 1)
+    jc_x = site_operators(1)["jc_x"]
+    # a complex term whose imaginary part is exactly 0 is kept, as real
+    op = assemble(basis, [(jc_x.astype(complex), (0,))])
+    assert op.mat.dtype == np.float64
+    np.testing.assert_array_equal(op.mat.toarray(),
+                                  site_operator(basis, 0, "jc_x").mat.toarray())
+    with pytest.raises(ValueError, match="imaginary"):
+        assemble(basis, [(jc_x, (0,)), (1e-300j * jc_x, (1,))])
+
+
+@pytest.mark.parametrize("n_sites,n", [(2, 1), (3, 1), (2, 2)])
+def test_every_builder_stores_real_float64(n_sites, n):
+    geo = CrystalGeometry.from_uniform_hoppings(n_sites, 0.1 * KHZ, 0.17 * KHZ)
+    drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
+    basis = sector_basis_for(n_sites, n, n_x_total=n_sites * n // 2)
+    ops = [build_hjc(basis, geo, drive), build_hb(basis, geo),
+           build_full(basis, geo, drive)]
+    model = (spin_half_general if n == 1 else spin_one_general)(geo, drive)
+    letters = SPIN_LETTERS[n]
+    labels = tuple(letters[j % 2] for j in range(n_sites))
+    # the spin models' XX + YY terms are complex with imaginary part 0; on
+    # an S_z block and on the whole product space
+    for spins in (spin_block(model.manifold, labels),
+                  product_basis(dict.fromkeys(letters, 0), n_sites, 0)):
+        ops.append(build_spin_hamiltonian(model, spins))
+    for op in ops:
+        assert op.mat.dtype == np.float64 and op.mat.nnz > 0
 
 
 def test_jc_x_matrix_elements():
     basis = enumerate_sector(1, 2)
     op = site_operator(basis, 0, "jc_x")
-    dense = op.dense()
+    dense = op.mat.toarray()
     i_g20 = basis.index[((G, 2, 0),)]
     i_e10 = basis.index[((E1, 1, 0),)]
     # annihilating one x phonon into e1 carries sqrt(2)
     assert dense[i_e10, i_g20] == pytest.approx(math.sqrt(2.0))
     assert dense[i_g20, i_e10] == pytest.approx(math.sqrt(2.0))
-    assert op.hermiticity_defect() == 0.0
+    assert abs(op.mat - op.mat.T).max() == 0.0
 
 
 def test_jc_y_swaps_species():
     basis = enumerate_sector(1, 1)
-    op = site_operator(basis, 0, "jc_y").dense()
+    op = site_operator(basis, 0, "jc_y").mat.toarray()
     i_g01 = basis.index[((G, 0, 1),)]
     i_e2 = basis.index[((E2, 0, 0),)]
     assert op[i_e2, i_g01] == pytest.approx(1.0)
@@ -200,7 +244,7 @@ def test_jc_y_swaps_species():
 
 def test_number_operators_are_diagonal_counts():
     basis = enumerate_sector(2, 2)
-    n_x = site_operator(basis, 0, "num_x").dense()
+    n_x = site_operator(basis, 0, "num_x").mat.toarray()
     assert np.allclose(n_x, np.diag(np.diag(n_x)))
     for state, idx in basis.index.items():
         assert n_x[idx, idx] == state[0][1]
@@ -210,8 +254,8 @@ def test_hop_operator_hermitian_and_conserving():
     basis = enumerate_sector(3, 3)
     hop = assemble(basis, [(hop_operator(basis.n_total, "x"), (0, 2))])
     n_tot = total_excitation(basis)
-    assert hop.hermiticity_defect() < 1e-14
-    assert hop.commutator_norm(n_tot) < 1e-13
+    assert abs(hop.mat - hop.mat.T).max() < 1e-14
+    assert abs(hop.mat @ n_tot.mat - n_tot.mat @ hop.mat).max() < 1e-13
 
 
 def test_hop_operator_is_cached_read_only():
@@ -223,7 +267,7 @@ def test_hop_operator_is_cached_read_only():
 
 def test_total_excitation_is_sector_constant():
     basis = enumerate_sector(2, 3)
-    n_tot = total_excitation(basis).dense()
+    n_tot = total_excitation(basis).mat.toarray()
     assert np.allclose(n_tot, 3.0 * np.eye(basis.dim))
 
 
@@ -232,7 +276,7 @@ def test_matvec_matches_dense():
     op = assemble(basis, [(hop_operator(basis.n_total, "y"), (0, 1))])
     rng = np.random.default_rng(7)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    assert op.matvec(v) == pytest.approx(op.dense() @ v)
+    assert op.matvec(v) == pytest.approx(op.mat.toarray() @ v)
 
 
 def random_conserving_local(basis, n_local, rng):
@@ -321,9 +365,9 @@ def test_embed_matches_brute_force(case, n_local, seed):
     # any distinct sites in any order, adjacent or not
     sites = tuple(int(s) for s in rng.permutation(n_sites)[:n_local])
     op = random_conserving_local(basis, n_local, rng)
-    got = SparseOperator.from_coo(
-        basis.dim, *embed(basis, local_matrix(basis.alphabet, op, n_local), sites)
-    ).dense()
+    rows, cols, vals = embed(basis, local_matrix(basis.alphabet, op, n_local),
+                             sites)
+    got = sp.coo_array((vals, (rows, cols)), shape=(basis.dim,) * 2).toarray()
     np.testing.assert_array_equal(got, brute_force_embed(basis, op, sites))
 
 

@@ -123,8 +123,8 @@ def test_full_hamiltonian_conserves_excitation():
     ops = site_operators(basis.n_total)
     n_tot = assemble(basis, [(ops["num_x"] + ops["num_y"] + ops["proj_e1"]
                               + ops["proj_e2"], (j,)) for j in range(2)])
-    assert h.hermiticity_defect() < 1e-13
-    assert h.commutator_norm(n_tot) < 1e-13
+    assert abs(h.mat - h.mat.T).max() < 1e-13
+    assert abs(h.mat @ n_tot.mat - n_tot.mat @ h.mat).max() < 1e-13
 
 
 @settings(max_examples=12, deadline=None)
@@ -146,9 +146,9 @@ def test_full_hamiltonian_conserves_x_excitation(sector, trap, homogeneous, seed
     ops = site_operators(basis.n_total)
     n_x = assemble(basis, [(ops["num_x"] + ops["proj_e1"], (j,))
                            for j in range(n_sites)])
-    assert h.commutator_norm(n_x) == 0.0
+    assert abs(h.mat @ n_x.mat - n_x.mat @ h.mat).max() == 0.0
     # N_X is not a multiple of the identity here, so the check has teeth
-    assert np.ptp(n_x.mat.diagonal().real) > 0
+    assert np.ptp(n_x.mat.diagonal()) > 0
 
 
 def test_joint_offset_shifts_by_identity():
@@ -157,15 +157,15 @@ def test_joint_offset_shifts_by_identity():
     d0 = make_drive(g_x=10.0 * KHZ, g_y=12.0 * KHZ, delta=-1.0 * KHZ)
     d1 = DriveParams(g_x=d0.g_x, g_y=d0.g_y, delta=d0.delta,
                      Delta=d0.Delta + shift, omega0=d0.omega0 + shift)
-    h0 = build_hjc(basis, GEO2, d0).dense()
-    h1 = build_hjc(basis, GEO2, d1).dense()
+    h0 = build_hjc(basis, GEO2, d0).mat.toarray()
+    h1 = build_hjc(basis, GEO2, d1).mat.toarray()
     assert np.max(np.abs(h1 - h0 - shift * basis.n_total * np.eye(basis.dim))) \
         < 1e-10
 
 
 def test_hb_only_couples_equal_species():
     basis = enumerate_sector(2, 1)
-    h_b = build_hb(basis, GEO2).dense()
+    h_b = build_hb(basis, GEO2).mat.toarray()
     i_xx = basis.index[((0, 1, 0), (0, 0, 0))]
     j_xx = basis.index[((0, 0, 0), (0, 1, 0))]
     i_yy = basis.index[((0, 0, 1), (0, 0, 0))]

@@ -184,12 +184,11 @@ def test_pair_matrix_consistency_with_spin_hamiltonian():
         model = builder(geo, drive)
         letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
         basis = product_basis(dict.fromkeys(letters, 0), 2, 0)
-        h = build_spin_hamiltonian(model, basis).dense()
+        h = build_spin_hamiltonian(model, basis).mat.toarray()
         idx = basis.rank(np.array([[letters.index(s) for s in lab]
                                    for lab in pair.labels]))
-        diff = np.max(np.abs(h[np.ix_(idx, idx)].real - pair.matrix))
+        diff = np.max(np.abs(h[np.ix_(idx, idx)] - pair.matrix))
         assert diff < 1e-12 * max(1.0, np.max(np.abs(pair.matrix)))
-        assert np.max(np.abs(h.imag)) == 0.0
 
 
 def test_extraction_residuals_tiny():
@@ -348,14 +347,14 @@ def test_spin_hamiltonian_matches_explicit_kron(manifold):
     h = build_spin_hamiltonian(model, product_basis(dict.fromkeys(letters, 0),
                                                     n, 0))
     assert h.dim == d**n
-    assert np.max(np.abs(h.dense() - expect)) < 1e-13 * scale
+    assert np.max(np.abs(h.mat.toarray() - expect)) < 1e-13 * scale
     # each S_z block is the kron matrix on the block's rows, and the blocks
     # together hold every entry of it
     blocks = np.zeros_like(expect)
     for n_x in range(n * (d - 1) + 1):
         block = product_basis({s: LABEL_X[s] for s in letters}, n, n_x)
         rows = block.codes @ d ** np.arange(n - 1, -1, -1)
-        got = build_spin_hamiltonian(model, block).dense()
+        got = build_spin_hamiltonian(model, block).mat.toarray()
         assert np.max(np.abs(got - expect[np.ix_(rows, rows)])) < 1e-13 * scale
         blocks[np.ix_(rows, rows)] = got
     assert np.max(np.abs(blocks - expect)) < 1e-13 * scale
