@@ -254,44 +254,40 @@ _COUPLING_HEADER = ("j", "k", "Kxy_or_Jxy_khz", "Kz_or_Jz_khz", "W_khz",
                     "B_or_H_j_khz", "E0_split_khz")
 
 
-def _half_rows(model):
+# the model table behind each pair column (K/J to v_m1) and each site
+# column (D_j to E0_split) of _COUPLING_HEADER; None is a column of zeros
+_COUPLING_COLUMNS = {
+    "half": (("K_xy", "K_z", None, None, None, None),
+             (None, "H_field", "E0_split")),
+    "one": (("J_xy", "J_z", "W", "V", "v_p1", "v_m1"),
+            ("D_field", "B_field", None)),
+}
+
+
+def _coupling_rows(model):
+    """One row per pair j < k, then one per site, in kHz; a pair row's
+    site columns and a site row's pair columns are 0."""
     from .params import KHZ
 
-    n = model.n_sites
-    rows = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            rows.append((j + 1, k + 1, model.K_xy[j, k] / KHZ,
-                         model.K_z[j, k] / KHZ, 0.0, 0.0, 0.0, 0.0, 0.0,
-                         0.0, 0.0))
-    for j in range(n):
-        rows.append((j + 1, j + 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                     model.H_field[j] / KHZ, model.E0_split[j] / KHZ))
-    return rows
+    pair_cols, site_cols = _COUPLING_COLUMNS[model.manifold]
 
-
-def _one_rows(model):
-    from .params import KHZ
+    def cells(names, index):
+        return tuple(0.0 if name is None else getattr(model, name)[index] / KHZ
+                     for name in names)
 
     n = model.n_sites
-    rows = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            rows.append((j + 1, k + 1, model.J_xy[j, k] / KHZ,
-                         model.J_z[j, k] / KHZ, model.W[j, k] / KHZ,
-                         model.V[j, k] / KHZ, model.v_p1[j, k] / KHZ,
-                         model.v_m1[j, k] / KHZ, 0.0, 0.0, 0.0))
-    for j in range(n):
-        rows.append((j + 1, j + 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                     model.D_field[j] / KHZ, model.B_field[j] / KHZ, 0.0))
-    return rows
+    no_pair, no_site = (0.0,) * len(pair_cols), (0.0,) * len(site_cols)
+    return ([(j + 1, k + 1) + cells(pair_cols, (j, k)) + no_site
+             for j in range(n) for k in range(j + 1, n)]
+            + [(j + 1, j + 1) + no_pair + cells(site_cols, j)
+               for j in range(n)])
 
 
 def cmd_couplings(cfg, args, out_dir):
     import numpy as np
 
     from .crystal import geometry_from_config
-    from .params import KHZ
+    from .params import KHZ, ConfigError
     from .superexchange import (
         pair_effective_matrix,
         spin_half_analytic,
@@ -306,6 +302,10 @@ def cmd_couplings(cfg, args, out_dir):
         key, start, stop, n = parse_sweep(args.sweep)
         values = np.linspace(start, stop, n)
         variants = [config_variant(cfg.raw, **{key: float(v)}) for v in values]
+        for v, vcfg in zip(values, variants):
+            if vcfg.n_ions < 2:
+                raise ConfigError(f"sweep point {key} = {v:g} leaves "
+                                  "fewer than 2 ions")
 
     geo = geometry_from_config(cfg)
     half = spin_half_general(geo, cfg.drive)
@@ -313,8 +313,8 @@ def cmd_couplings(cfg, args, out_dir):
 
     half_path = os.path.join(out_dir, "couplings_spin_half.csv")
     one_path = os.path.join(out_dir, "couplings_spin_one.csv")
-    _write_csv(half_path, _COUPLING_HEADER, _half_rows(half))
-    _write_csv(one_path, _COUPLING_HEADER, _one_rows(one))
+    _write_csv(half_path, _COUPLING_HEADER, _coupling_rows(half))
+    _write_csv(one_path, _COUPLING_HEADER, _coupling_rows(one))
     outputs = [half_path, one_path]
 
     residuals = {
@@ -326,8 +326,9 @@ def cmd_couplings(cfg, args, out_dir):
         # no relative residual against a closed form that is 0
         return abs(num / closed_form - 1.0) if closed_form != 0.0 else None
 
-    # closed forms hold at delta = 0 (spin-1 additionally at g_x = g_y)
-    if cfg.drive.delta == 0.0:
+    # closed forms of the first pair hold at delta = 0 (spin-1 additionally
+    # at g_x = g_y)
+    if cfg.drive.delta == 0.0 and geo.n_ions > 1:
         kxy_a, kz_a, _ = spin_half_analytic(
             cfg.drive.g_x, cfg.drive.g_y, geo.t_x, geo.t_y
         )
@@ -372,6 +373,19 @@ def _time_series_rows(times, labels, populations):
     return cols, rows
 
 
+def _run_residuals(result):
+    """The manifest record of one EvolutionResult."""
+    return {
+        "norm_drift": result.norm_drift,
+        "energy_drift": result.energy_drift,
+        "block_dim": len(result.final_state),
+        "method": result.method,
+        "blocks": result.blocks,
+        "products": result.products,
+        "truncation_bound": result.truncation_bound,
+    }
+
+
 def cmd_evolve(cfg, args, out_dir):
     """Exact full-model evolution in the conserved N_X block."""
     from .dynamics import evolve_full_model
@@ -391,16 +405,7 @@ def cmd_evolve(cfg, args, out_dir):
         write_line_svg(svg, times, series, "t (ms)", "population",
                        title="full-model dynamics")
         outputs.append(svg)
-    return outputs, {
-        "norm_drift": res.norm_drift,
-        "energy_drift": res.energy_drift,
-        "sector_dim": run.sector_dim,
-        "block_dim": run.block_dim,
-        "method": res.method,
-        "blocks": res.blocks,
-        "products": res.products,
-        "truncation_bound": res.truncation_bound,
-    }
+    return outputs, {**_run_residuals(res), "sector_dim": run.sector_dim}
 
 
 def cmd_compare(cfg, args, out_dir):
@@ -443,23 +448,11 @@ def cmd_compare(cfg, args, out_dir):
         write_line_svg(svg, rep.times, series, "t (ms)", "population",
                        title="full vs effective", dashed=dashed)
         outputs.append(svg)
-    return outputs, {
-        "overall_max_deviation": rep.overall_max_deviation,
-        "full_norm_drift": rep.full.norm_drift,
-        "effective_norm_drift": rep.effective.norm_drift,
-        "full_energy_drift": rep.full.energy_drift,
-        "effective_energy_drift": rep.effective.energy_drift,
-        "full_block_dim": rep.parameters["block_dim"],
-        "full_method": rep.full.method,
-        "effective_block_dim": len(rep.effective.final_state),
-        "effective_method": rep.effective.method,
-        "full_blocks": rep.full.blocks,
-        "effective_blocks": rep.effective.blocks,
-        "full_products": rep.full.products,
-        "full_truncation_bound": rep.full.truncation_bound,
-        "effective_products": rep.effective.products,
-        "effective_truncation_bound": rep.effective.truncation_bound,
-    }
+    residuals = {"overall_max_deviation": rep.overall_max_deviation}
+    for side, res in (("full", rep.full), ("effective", rep.effective)):
+        residuals.update((f"{side}_{key}", val)
+                         for key, val in _run_residuals(res).items())
+    return outputs, residuals
 
 
 _COMMANDS = {
@@ -482,7 +475,9 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="key-value config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--sweep", default=None, metavar="KEY:START:STOP:N")
+        if name in ("spectrum", "couplings"):
+            p.add_argument("--sweep", default=None,
+                           metavar="KEY:START:STOP:N")
         p.add_argument("--svg", action="store_true", help="also draw SVG")
     return parser
 

@@ -45,6 +45,9 @@ CHEBYSHEV_TOL = 1e-12  # truncation bound per expansion
 # largest half-width x time of one expansion: a longer grid interval is
 # split, so the series' order, and its coefficient arrays, stay small
 CHEBYSHEV_MAX_X = 1000.0
+# an expansion of argument x takes at least x products, so a run needs at
+# least half-width x horizon of them; more than this is refused up front
+CHEBYSHEV_MAX_PRODUCTS = 1e9
 HERMITICITY_TOL = 1e-10
 N_PERIODS = 2.0  # default horizon, in transfer periods
 TRACK_CAP = 512  # track every product label while there are at most this many
@@ -246,7 +249,8 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     passes. Raises ValueError on an H not stored float64, or non-finite
     or non-Hermitian, on one that mixes the parity blocks, or on a bad or
     non-finite grid; FloatingPointError if the last time times the
-    Gershgorin bound on |H| overflows.
+    Gershgorin bound on |H| overflows, or if the Chebyshev method would
+    need more than CHEBYSHEV_MAX_PRODUCTS products.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -308,6 +312,11 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
         # complex H times the complex state: the fastest product
         h_complex = SparseOperator(h.dim, h.mat.astype(complex))
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        if half * times[-1] > CHEBYSHEV_MAX_PRODUCTS:
+            raise FloatingPointError(
+                f"propagating to t = {times[-1]:g} ms takes at least "
+                f"{half * times[-1]:.3g} products of H, above the limit of "
+                f"{CHEBYSHEV_MAX_PRODUCTS:.0e}")
         steps = []
         psi = psi0.copy()
         t_prev = 0.0
@@ -423,25 +432,21 @@ class FullRun:
     result: EvolutionResult
 
 
-def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
-                      tracked=None):
+def evolve_full_model(cfg: SimConfig):
     """Evolve the dressed initial product state in its conserved N_X block.
 
     Checks that every initial label lives in the n_excitations manifold,
-    builds that manifold's effective model, defaults the time grid to its
-    transfer periods, and tracks dressed product labels as observables.
+    builds that manifold's effective model, takes the time grid from
+    default_times, and tracks dressed product labels as observables.
     The total-excitation sector is narrowed to the block with the initial
     labels' X (cfg.dim_cap bounds that block); a tracked label with
     another X never gains population, so its trace is exactly 0.
     """
     n_per_site = cfg.run.n_excitations
-    if initial_labels is None:
-        initial_labels = cfg.run.initial_state
-    if initial_labels is None:
+    if cfg.run.initial_state is None:
         raise SectorError("no initial state given (config key initial_state)")
-    labels0 = tuple(initial_labels)
-    # tracked labels too: one from another manifold would read as a zero trace
-    for lab in labels0 + tuple(s for t in tracked or () for s in t):
+    labels0 = tuple(cfg.run.initial_state)
+    for lab in labels0:
         if lab not in MANIFOLD_LABELS[n_per_site]:
             raise SectorError(f"label {lab!r} does not live in the "
                               f"{n_per_site}-excitation manifold")
@@ -450,11 +455,9 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
 
     build_model = spin_half_general if n_per_site == 1 else spin_one_general
     model = build_model(geometry, drive)
-    if times is None:
-        times = default_times(model, labels0, n_steps=cfg.run.n_steps,
-                              t_final=cfg.run.t_final_ms)
-    if tracked is None:
-        tracked = _tracked_labels(model.manifold, geometry.n_ions, labels0)
+    times = default_times(model, labels0, n_steps=cfg.run.n_steps,
+                          t_final=cfg.run.t_final_ms)
+    tracked = _tracked_labels(model.manifold, geometry.n_ions, labels0)
 
     basis = sector_basis_for(geometry.n_ions, n_per_site, dim_cap=cfg.dim_cap,
                              n_x_total=_n_x(labels0))
@@ -464,14 +467,13 @@ def evolve_full_model(cfg: SimConfig, initial_labels=None, times=None,
         h_full, basis,
         lambda lab: dressed_product_state(lab, drive, basis, det_x, det_y),
         labels0, tracked, times)
-    return FullRun(model=model, initial_labels=labels0, tracked=tuple(tracked),
+    return FullRun(model=model, initial_labels=labels0, tracked=tracked,
                    sector_dim=sector_dim(geometry.n_ions,
                                          geometry.n_ions * n_per_site),
                    block_dim=basis.dim, result=result)
 
 
-def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
-                              tracked=None):
+def compare_full_vs_effective(cfg: SimConfig):
     """Run matched full-model and effective-spin evolutions.
 
     The full model evolves as in evolve_full_model; the effective model
@@ -479,7 +481,7 @@ def compare_full_vs_effective(cfg: SimConfig, initial_labels=None, times=None,
     block (spin_block), on the same time grid and tracked labels.
     """
     drive = cfg.drive
-    run = evolve_full_model(cfg, initial_labels, times, tracked)
+    run = evolve_full_model(cfg)
     res_full = run.result
     times = res_full.times
 

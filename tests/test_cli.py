@@ -13,8 +13,7 @@ import pytest
 import jchsim
 from jchsim.cli import (
     _COUPLING_HEADER,
-    _half_rows,
-    _one_rows,
+    _coupling_rows,
     _write_csv,
     main,
     parse_sweep,
@@ -160,6 +159,37 @@ def test_couplings_sweep_bad_point_writes_nothing(tmp_path, capsys):
     assert list(out.glob("*")) == []
 
 
+def test_couplings_one_ion(tmp_path):
+    # one ion has no pair: no couplings, so no closed form to compare with
+    cfg = write_cfg(tmp_path, ISO_PAIR.replace("n_ions = 2", "n_ions = 1")
+                    .replace("initial_state = up,down\n", ""))
+    out = tmp_path / "o"
+    assert main(["couplings", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "couplings_spin_half.csv")
+    assert [r[:2] for r in rows] == [[1.0, 1.0]]
+    residuals = json.loads((out / "couplings_manifest.json").read_text())[
+        "residuals"]
+    assert not any(key.startswith("analytic_") for key in residuals)
+
+
+def test_couplings_sweep_to_one_ion_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["couplings", "--config", str(CONFIG_DIR / "crystal21.cfg"),
+                 "--out", str(out), "--sweep", "n_ions:1:3:3"]) == 2
+    assert "fewer than 2 ions" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command", ["crystal", "evolve", "compare"])
+def test_sweep_refused_where_unread(tmp_path, command):
+    cfg = write_cfg(tmp_path, ISO_PAIR)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+              "--sweep", "g_y_khz:12:40:3"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def refuse_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -206,9 +236,9 @@ def test_couplings_homogeneous_switch(tmp_path):
     drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ,
                        homogeneous=True)
     _write_csv(tmp_path / names[0], _COUPLING_HEADER,
-               _half_rows(spin_half_general(geo, drive)))
+               _coupling_rows(spin_half_general(geo, drive)))
     _write_csv(tmp_path / names[1], _COUPLING_HEADER,
-               _one_rows(spin_one_general(geo, drive)))
+               _coupling_rows(spin_one_general(geo, drive)))
     tables = {}
     for flag in ("true", "false"):
         cfg = write_cfg(tmp_path, TRAP4 + f"homogeneous = {flag}\n",

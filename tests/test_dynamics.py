@@ -131,6 +131,15 @@ def test_evolve_refuses_overflowing_horizon(dense_threshold):
                   dense_threshold=10**9).norm_drift < 1e-12
 
 
+def test_evolve_refuses_unbounded_chebyshev_work():
+    # finite phases, but about 1e305 products: refused before the first one
+    h = SparseOperator(2, sp.csr_matrix(np.diag([1.0, 20.0])))
+    with mock.patch.object(dynamics, "_chebyshev_propagate") as propagate:
+        with pytest.raises(FloatingPointError, match="products"):
+            evolve(h, np.array([1.0, 0.0]), [0.0, 1e306], dense_threshold=1)
+    propagate.assert_not_called()
+
+
 def test_initial_populations_are_overlaps():
     basis = sector_basis_for(2, 1)
     psi0 = bare_state(("up", "down"), DRIVE, basis)
@@ -462,9 +471,8 @@ def test_compare_zero_hopping_is_trivial():
 
 
 def test_compare_three_ion_window():
-    cfg = parse_config(THREE_ION_CFG)
-    times = np.linspace(0.0, 5.0, 60)
-    report = compare_full_vs_effective(cfg, times=times)
+    cfg = parse_config(THREE_ION_CFG + "t_final_ms = 5.0\nn_steps = 60\n")
+    report = compare_full_vs_effective(cfg)
     assert report.overall_max_deviation < 0.1
     assert report.parameters["sector_dim"] == 262
     assert report.parameters["block_dim"] == 93
@@ -494,11 +502,10 @@ def test_tracked_labels_cap():
 
 
 def test_compare_rejects_wrong_manifold_labels():
-    cfg = parse_config(THREE_ION_CFG)
+    cfg = parse_config(THREE_ION_CFG.replace("initial_state = up,down,up",
+                                             "initial_state = 1,0,-1"))
     with pytest.raises(SectorError):
-        compare_full_vs_effective(cfg, initial_labels=("1", "0", "-1"))
-    with pytest.raises(SectorError):
-        compare_full_vs_effective(cfg, tracked=[("1", "1", "1")])
+        compare_full_vs_effective(cfg)
 
 
 def loop_dominant_gap(w, weights):
@@ -532,27 +539,32 @@ def test_dominant_gap_matches_loop(energies, weights):
     assert _dominant_gap(w, weights) == loop_dominant_gap(w, weights)
 
 
-def run_config(n_ions, n, trap, labels, homogeneous=None):
+def run_config(n_ions, n, trap, labels, homogeneous=None, t_final_ms=None,
+               n_steps=400):
     """Trap crystal or uniform chain; homogeneous defaults to the uniform
-    chain's flag and to off for the trap."""
+    chain's flag and to off for the trap, t_final_ms to the default
+    horizon."""
     geometry = ("nu_z_khz = 120.0\naspect_x = 55.555555555555556\n"
                 "aspect_y = 100.0\n" if trap else
                 "t_x_khz = 0.1\nt_y_khz = 0.17\n")
     if homogeneous is None:
         homogeneous = not trap
+    horizon = "" if t_final_ms is None else f"t_final_ms = {t_final_ms}\n"
     return parse_config(f"n_ions = {n_ions}\n{geometry}g_x_khz = 19.0\n"
                         f"g_y_khz = 20.0\ndelta_khz = -0.22\n"
                         f"homogeneous = {str(homogeneous).lower()}\n"
-                        f"n_excitations = {n}\ninitial_state = {labels}\n")
+                        f"n_excitations = {n}\ninitial_state = {labels}\n"
+                        f"{horizon}n_steps = {n_steps}\n")
 
 
 @pytest.mark.parametrize("trap", [False, True])
 @pytest.mark.parametrize("n_ions,n,labels", [(3, 1, "up,down,up"),
                                              (2, 2, "1,-1")])
 def test_block_run_matches_full_sector(n_ions, n, labels, trap):
-    cfg = run_config(n_ions, n, trap, labels)
-    times = np.linspace(0.0, 200.0, 30)
-    run = evolve_full_model(cfg, times=times)
+    cfg = run_config(n_ions, n, trap, labels, t_final_ms=200.0, n_steps=30)
+    run = evolve_full_model(cfg)
+    times = run.result.times
+    assert np.array_equal(times, np.linspace(0.0, 200.0, 30))
     assert run.sector_dim == sector_basis_for(n_ions, n).dim
     assert run.block_dim < run.sector_dim
 
@@ -595,8 +607,9 @@ def test_hamiltonians_are_reflection_symmetric(size, trap, homogeneous, data):
 
 
 def test_compare_n4_parity_blocks():
-    cfg = run_config(4, 1, False, "up,down,up,down")
-    report = compare_full_vs_effective(cfg, times=np.linspace(0.0, 1.0, 3))
+    cfg = run_config(4, 1, False, "up,down,up,down", t_final_ms=1.0,
+                     n_steps=3)
+    report = compare_full_vs_effective(cfg)
     # 834 N_X = 2 states, 14 their own reflection; 6 S_z = 0 spin states
     assert report.full.blocks == (424, 410)
     assert report.effective.blocks == (4, 2)
@@ -616,9 +629,9 @@ def one_hot(basis, labels):
 @pytest.mark.parametrize("n_ions,n,labels", [(3, 1, "up,down,up"),
                                              (2, 2, "1,-1")])
 def test_effective_block_run_matches_whole_space(n_ions, n, labels, trap):
-    cfg = run_config(n_ions, n, trap, labels)
-    times = np.linspace(0.0, 200.0, 30)
-    report = compare_full_vs_effective(cfg, times=times)
+    cfg = run_config(n_ions, n, trap, labels, t_final_ms=200.0, n_steps=30)
+    report = compare_full_vs_effective(cfg)
+    times = report.times
     eff = report.effective
     initial = tuple(labels.split(","))
     manifold = report.parameters["manifold"]
