@@ -203,14 +203,14 @@ def cmd_spectrum(cfg, args, out_dir):
     import numpy as np
 
     from .jchv import particle_hole_gaps, single_site_spectra
-    from .params import KHZ, make_drive
+    from .params import KHZ, ConfigError, make_drive
 
     g_x, g_y = cfg.drive.g_x, cfg.drive.g_y
+    if g_x == 0.0:  # the default span and the *_over_gx columns scale with it
+        raise ConfigError("spectrum needs g_x_khz > 0")
     if args.sweep:
         key, start, stop, n = parse_sweep(args.sweep)
         if key != "delta_khz":
-            from .params import ConfigError
-
             raise ConfigError("spectrum sweeps only delta_khz")
     else:
         span = 4.0 * g_x / KHZ

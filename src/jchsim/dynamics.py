@@ -16,14 +16,12 @@ labels outside it have population exactly 0.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
 
 from .crystal import geometry_from_config, local_detunings
-from .fock import SectorBasis, SectorError, SparseOperator, sector_dim
+from .fock import SectorBasis, SectorError, SparseOperator, sector_dim, site_states
 from .jchv import (
     LABEL_X,
     MANIFOLD_LABELS,
@@ -109,8 +107,9 @@ def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
         raise SectorError(
             f"{len(labels)} labels for {n_sites} sites"
         )
-    excitations = {lab: n for n, labs in MANIFOLD_LABELS.items() for lab in labs}
-    total = sum(excitations[lab] for lab in labels)
+    place = {lab: (n, r) for n, labs in MANIFOLD_LABELS.items()
+             for r, lab in enumerate(labs)}
+    total = sum(place[lab][0] for lab in labels)
     if total != basis.n_total:
         raise SectorError(
             f"labels carry {total} excitations, sector holds {basis.n_total}"
@@ -120,20 +119,12 @@ def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
         raise SectorError(
             f"labels carry X = {n_x}, block holds X = {basis.n_x_total}"
         )
-    return basis.product_vector([
-        _site_vectors(excitations[lab], float(det_x[j]), float(det_y[j]),
-                      drive)[lab]
-        for j, lab in enumerate(labels)])
-
-
-@lru_cache(maxsize=256)
-def _site_vectors(n, det_x, det_y, drive):
-    """site_manifold_states' dressed vectors of one site, read-only: a run
-    builds every tracked label's state from the same sites, so each site
-    is solved once."""
-    _, vectors = site_manifold_states(n, det_x, det_y, drive)
-    return MappingProxyType({lab: MappingProxyType(vec)
-                             for lab, vec in vectors.items()})
+    sites = []
+    for j, lab in enumerate(labels):
+        n, r = place[lab]
+        _, vectors = site_manifold_states(n, det_x[j], det_y[j], drive)
+        sites.append(zip(site_states(n), vectors[r]))
+    return basis.product_vector(sites)
 
 
 def bessel_j(x):
@@ -488,7 +479,7 @@ def compare_full_vs_effective(cfg: SimConfig):
     basis = spin_block(run.model.manifold, run.initial_labels)
     res_eff = _evolve_labels(
         build_spin_hamiltonian(run.model, basis), basis,
-        lambda lab: basis.product_vector([{s: 1.0} for s in lab]),
+        lambda lab: basis.product_vector([[(s, 1.0)] for s in lab]),
         run.initial_labels, run.tracked, times)
 
     max_dev = {}

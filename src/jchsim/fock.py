@@ -239,10 +239,12 @@ class SectorBasis:
         return self.rank(self.codes[:, ::-1])
 
     def product_vector(self, site_amplitudes):
-        """Dense prod_j (sum_s amp_j[s] |s>_j) from one {letter: amp} per site."""
+        """Dense prod_j (sum_s amp_j(s) |s>_j) from one iterable of (letter,
+        amp) pairs per site; a letter with amp 0 may lie outside the basis."""
         letter = {s: i for i, s in enumerate(self.alphabet)}
-        codes = itertools.product(*([letter[s] for s in a] for a in site_amplitudes))
-        amps = itertools.product(*(list(a.values()) for a in site_amplitudes))
+        sites = [[(letter[s], a) for s, a in pairs if a] for pairs in site_amplitudes]
+        codes = itertools.product(*([c for c, _ in site] for site in sites))
+        amps = itertools.product(*([a for _, a in site] for site in sites))
         psi = np.zeros(self.dim, dtype=complex)
         psi[self.rank(np.array(list(codes)))] = np.array(list(amps)).prod(axis=1)
         return psi

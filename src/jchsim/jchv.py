@@ -6,14 +6,15 @@ The on-site part is
                    + g_x (a_x |e1><g| + h.c.) + g_y (a_y |e2><g| + h.c.) ],
 
 and the hopping part H_b couples pairs with the crystal's t_{j,k}^beta.
-Closed forms for the one- and two-excitation site manifolds are provided
-alongside the numeric construction so each can check the other.
+Closed-form energies of the one- and two-excitation site manifolds are
+provided alongside the numeric dressed states so each can check the other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .fock import (
     DEFAULT_DIM_CAP,
     SectorBasis,
     SparseOperator,
+    _read_only,
     assemble,
     enumerate_sector,
     hop_operator,
@@ -78,65 +80,25 @@ def build_full(basis, geometry, drive):
 
 @dataclass(frozen=True)
 class PolaritonSpectrum1:
-    """One excitation per site: two JC doublets and their mixing angles."""
+    """One excitation per site: the two JC doublets."""
 
     E_minus_x: float
     E_plus_x: float
     E_minus_y: float
     E_plus_y: float
-    theta_x: float
-    theta_y: float
-
-    def up_state(self):
-        """|up> = cos(theta_x)|g,1,0> - sin(theta_x)|e1,0,0>."""
-        return {
-            (0, 1, 0): math.cos(self.theta_x),
-            (1, 0, 0): -math.sin(self.theta_x),
-        }
-
-    def down_state(self):
-        """|down> = cos(theta_y)|g,0,1> - sin(theta_y)|e2,0,0>."""
-        return {
-            (0, 0, 1): math.cos(self.theta_y),
-            (2, 0, 0): -math.sin(self.theta_y),
-        }
 
 
 @dataclass(frozen=True)
 class PolaritonSpectrum2:
-    """Two excitations per site: the three lowest dressed states."""
+    """Two excitations per site: the three lowest dressed energies."""
 
     E_1: float
     E_0: float
     E_m1: float
-    theta2_x: float
-    theta2_y: float
-    phi: float
-    zeta: float
-
-    def state(self, m):
-        """Coefficient dict of |1>, |0> or |-1> over bare site states."""
-        if m == 1:
-            return {
-                (0, 2, 0): math.cos(self.theta2_x),
-                (1, 1, 0): -math.sin(self.theta2_x),
-            }
-        if m == 0:
-            return {
-                (0, 1, 1): math.cos(self.phi),
-                (1, 0, 1): -math.sin(self.phi) * math.sin(self.zeta),
-                (2, 1, 0): -math.sin(self.phi) * math.cos(self.zeta),
-            }
-        if m == -1:
-            return {
-                (0, 0, 2): math.cos(self.theta2_y),
-                (2, 0, 1): -math.sin(self.theta2_y),
-            }
-        raise ValueError(f"spin-1 label must be 1, 0 or -1, got {m}")
 
 
 def single_site_spectra(drive: DriveParams):
-    """Closed-form polariton energies and mixing angles for n = 1 and n = 2."""
+    """Closed-form polariton energies for n = 1 and n = 2."""
     d, delta = drive.Delta, drive.delta
     g_x, g_y = drive.g_x, drive.g_y
 
@@ -146,30 +108,13 @@ def single_site_spectra(drive: DriveParams):
 
     e_mx, e_px = e_pm(g_x)
     e_my, e_py = e_pm(g_y)
-    s1 = PolaritonSpectrum1(
-        E_minus_x=e_mx,
-        E_plus_x=e_px,
-        E_minus_y=e_my,
-        E_plus_y=e_py,
-        theta_x=math.atan2(2.0 * g_x, delta + math.sqrt(delta**2 + 4.0 * g_x**2)),
-        theta_y=math.atan2(2.0 * g_y, delta + math.sqrt(delta**2 + 4.0 * g_y**2)),
-    )
-
+    s1 = PolaritonSpectrum1(E_minus_x=e_mx, E_plus_x=e_px,
+                            E_minus_y=e_my, E_plus_y=e_py)
     gxy = math.sqrt(g_x**2 + g_y**2)
     s2 = PolaritonSpectrum2(
         E_1=2.0 * d + delta / 2.0 - math.sqrt(2.0 * g_x**2 + delta**2 / 4.0),
         E_0=2.0 * d + delta / 2.0 - math.sqrt(gxy**2 + delta**2 / 4.0),
         E_m1=2.0 * d + delta / 2.0 - math.sqrt(2.0 * g_y**2 + delta**2 / 4.0),
-        theta2_x=math.atan2(
-            math.sqrt(2.0) * g_x,
-            delta / 2.0 + math.sqrt(2.0 * g_x**2 + delta**2 / 4.0),
-        ),
-        theta2_y=math.atan2(
-            math.sqrt(2.0) * g_y,
-            delta / 2.0 + math.sqrt(2.0 * g_y**2 + delta**2 / 4.0),
-        ),
-        phi=math.atan2(gxy, delta / 2.0 + math.sqrt(gxy**2 + delta**2 / 4.0)),
-        zeta=math.atan2(g_x, g_y),
     )
     return s1, s2
 
@@ -191,15 +136,12 @@ def site_sector_hamiltonian(n, det_x, det_y, drive: DriveParams):
     det_x/det_y are this site's local detunings; basis order matches
     site_states(n).
     """
-    h = site_hamiltonian(site_sector_operators(n), det_x, det_y, drive)
-    return h, site_states(n)
+    return site_hamiltonian(site_sector_operators(n), det_x, det_y, drive)
 
 
 def site_sector_eigh(n, det_x, det_y, drive):
     """All eigenpairs of the one-site sector Hamiltonian."""
-    h, states = site_sector_hamiltonian(n, det_x, det_y, drive)
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs, states
+    return np.linalg.eigh(site_sector_hamiltonian(n, det_x, det_y, drive))
 
 
 MANIFOLD_LABELS = {1: ("up", "down"), 2: ("1", "0", "-1")}
@@ -210,31 +152,36 @@ LABEL_X = {lab: n - r for n, labs in MANIFOLD_LABELS.items()
            for r, lab in enumerate(labs)}
 
 
+@lru_cache(maxsize=4096)
 def site_manifold_states(n, det_x, det_y, drive):
-    """Lowest dressed states per conserved (X, Y) block of a site sector.
+    """Lowest dressed states per conserved (X, Y) block of a site sector:
+    the one definition of a dressed site.
 
     Labels: n=1 -> up/down, n=2 -> 1/0/-1. Each block ground state is
     nondegenerate for g > 0, so this stays well-defined where the full
     sector spectrum is degenerate (g_x = g_y). Phases follow the
     convention of a positive coefficient on the purely phononic component.
 
-    Returns (energies, vectors) as dicts over labels; vectors are
-    coefficient dicts over bare site states.
+    Returns read-only (energies, vectors) in MANIFOLD_LABELS[n] order,
+    vectors[r] over site_states(n); cached, and bounded as the key is
+    continuous: the pair engine and every tracked label read each site.
     """
     if n not in MANIFOLD_LABELS:
         raise ValueError("manifold closed only for n = 1 or 2 excitations per site")
-    h, states = site_sector_hamiltonian(n, det_x, det_y, drive)
-    x_count = [site_x_count(s) for s in states]
-    energies, vectors = {}, {}
-    for label in MANIFOLD_LABELS[n]:
-        idx = [i for i, x in enumerate(x_count) if x == LABEL_X[label]]
+    h = site_sector_hamiltonian(n, det_x, det_y, drive)
+    x_count = np.array([site_x_count(s) for s in site_states(n)])
+    labels = MANIFOLD_LABELS[n]
+    energies = np.empty(len(labels))
+    vectors = np.zeros((len(labels), len(x_count)))
+    for r, label in enumerate(labels):
+        idx = np.flatnonzero(x_count == LABEL_X[label])
         vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
         vec = vecs[:, 0]
         if vec[0] < 0:  # the phononic component sorts first
             vec = -vec
-        energies[label] = vals[0]
-        vectors[label] = {states[i]: vec[m] for m, i in enumerate(idx)}
-    return energies, vectors
+        energies[r] = vals[0]
+        vectors[r, idx] = vec
+    return _read_only(energies), _read_only(vectors)
 
 
 def sector_basis_for(n_sites, n_per_site, dim_cap=DEFAULT_DIM_CAP, n_x_total=None):

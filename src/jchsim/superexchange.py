@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .crystal import CrystalGeometry, local_detunings
-from .fock import assemble, product_basis, site_sector_operators, site_states
+from .fock import assemble, product_basis, site_sector_operators
 from .jchv import (
     LABEL_X,
     MANIFOLD_LABELS,
@@ -70,20 +70,13 @@ class _SiteData:
 
 
 def _site_data(n, det_x, det_y, drive):
-    labels = MANIFOLD_LABELS[n]
-    energies, vectors = site_manifold_states(n, det_x, det_y, drive)
-    states_n = site_states(n)
-    index_n = {s: i for i, s in enumerate(states_n)}
-    man_v = np.zeros((len(labels), len(states_n)))
-    for r, label in enumerate(labels):
-        for s, coeff in vectors[label].items():
-            man_v[r, index_n[s]] = coeff
-    upper_e, upper_v, _ = site_sector_eigh(n + 1, det_x, det_y, drive)
-    lower_e, lower_v, _ = site_sector_eigh(n - 1, det_x, det_y, drive)
+    manifold_e, man_v = site_manifold_states(n, det_x, det_y, drive)
+    upper_e, upper_v = site_sector_eigh(n + 1, det_x, det_y, drive)
+    lower_e, lower_v = site_sector_eigh(n - 1, det_x, det_y, drive)
     up = site_sector_operators(n + 1)  # a_x/a_y: sector n+1 -> n
     dn = site_sector_operators(n)  # a_x/a_y: sector n -> n-1
     return _SiteData(
-        manifold_e=np.array([energies[l] for l in labels]),
+        manifold_e=manifold_e,
         upper_e=upper_e,
         lower_e=lower_e,
         drop_x=man_v @ up["a_x"] @ upper_v,

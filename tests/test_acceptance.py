@@ -100,11 +100,11 @@ def test_criterion_2_closed_form_spectra():
         big_delta = rng.uniform(-20.0, 20.0) * KHZ
         drive = make_drive(g_x=g_x, g_y=g_y, delta=delta, Delta=big_delta)
         s1, s2 = single_site_spectra(drive)
-        w1, _, _ = site_sector_eigh(1, big_delta, big_delta, drive)
+        w1, _ = site_sector_eigh(1, big_delta, big_delta, drive)
         closed1 = np.sort([s1.E_minus_x, s1.E_plus_x,
                            s1.E_minus_y, s1.E_plus_y])
         worst = max(worst, np.max(np.abs(np.sort(w1) - closed1)) / g_x)
-        w2, _, _ = site_sector_eigh(2, big_delta, big_delta, drive)
+        w2, _ = site_sector_eigh(2, big_delta, big_delta, drive)
         closed2 = np.sort([s2.E_1, s2.E_0, s2.E_m1])
         worst = max(worst, np.max(np.abs(np.sort(w2)[:3] - closed2)) / g_x)
     detail = f"100 draws, worst |dE|/g_x = {worst:.3e} (tol 1e-12)"

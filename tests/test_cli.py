@@ -104,6 +104,16 @@ def test_spectrum_isotropic_point(tmp_path):
         2.0 - math.sqrt(2.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "delta_khz:-5:5:11"]])
+def test_spectrum_refuses_zero_g_x(tmp_path, capsys, sweep):
+    # every delta would be 0 by default, and each *_over_gx column inf
+    cfg = write_cfg(tmp_path, ISO_PAIR.replace("g_x_khz = 20.0", "g_x_khz = 0.0"))
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)] + sweep) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
 def test_couplings_isotropic_lambda_is_one(tmp_path):
     cfg = write_cfg(tmp_path, ISO_PAIR)
     out = tmp_path / "o"

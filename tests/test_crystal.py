@@ -55,6 +55,16 @@ def test_positions_property(n):
     assert np.all(np.diff(u) > 0)
 
 
+@pytest.mark.parametrize("n", [115, 140, 200])
+def test_long_crystal_meets_rounding_floor(n):
+    # from 115 ions max |g| cannot reach 1e-12 in double precision; the
+    # solve stops at its rounding floor, a few 1e-12
+    u = equilibrium_positions(n)
+    assert np.max(np.abs(force_residual(u))) < 1e-11
+    assert np.array_equal(u, -u[::-1])
+    assert np.all(np.diff(u) > 0)
+
+
 def test_hoppings_reference_trap():
     # frozen: the N=3 separation obeys |u|^3 = 5/4 exactly, so the
     # nearest-neighbour hoppings are (omega_z^2 / 2 omega_beta) * 4/5

@@ -157,8 +157,8 @@ def test_flip_flop_rabi_formula():
     model = rabi_model(k)
     basis = spin_block("half", ("up", "down"))
     h = build_spin_hamiltonian(model, basis)
-    psi0 = basis.product_vector([{"up": 1.0}, {"down": 1.0}])
-    target = basis.product_vector([{"down": 1.0}, {"up": 1.0}])
+    psi0 = basis.product_vector([[("up", 1.0)], [("down", 1.0)]])
+    target = basis.product_vector([[("down", 1.0)], [("up", 1.0)]])
     times = np.linspace(0.0, 20.0, 201)
     res = evolve(h, psi0, times, {("down", "up"): target})
     expected = np.sin(2.0 * k * KHZ * times) ** 2
@@ -622,7 +622,7 @@ def whole_space_basis(manifold, n_sites):
 
 
 def one_hot(basis, labels):
-    return basis.product_vector([{s: 1.0} for s in labels])
+    return basis.product_vector([[(s, 1.0)] for s in labels])
 
 
 @pytest.mark.parametrize("trap", [False, True])

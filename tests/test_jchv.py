@@ -10,6 +10,7 @@ from jchsim.fock import (
     assemble,
     enumerate_sector,
     site_operators,
+    site_states,
 )
 from jchsim.jchv import (
     MANIFOLD_LABELS,
@@ -41,24 +42,25 @@ def test_one_excitation_closed_forms_match_numerics():
     for _ in range(30):
         drive = random_drive(rng)
         s1, s2 = single_site_spectra(drive)
-        w1, _, _ = site_sector_eigh(1, drive.Delta, drive.Delta, drive)
+        w1, _ = site_sector_eigh(1, drive.Delta, drive.Delta, drive)
         expect1 = sorted([s1.E_minus_x, s1.E_plus_x, s1.E_minus_y,
                           s1.E_plus_y])
         assert np.max(np.abs(np.sort(w1) - expect1)) / drive.g_x < 1e-12
-        w2, _, _ = site_sector_eigh(2, drive.Delta, drive.Delta, drive)
+        w2, _ = site_sector_eigh(2, drive.Delta, drive.Delta, drive)
         # the three two-excitation ground states sit below the rest
         lows = np.sort([s2.E_1, s2.E_0, s2.E_m1])
         assert np.max(np.abs(np.sort(w2)[:3] - lows)) / drive.g_x < 1e-12
 
 
-def test_dressing_angle_at_zero_detuning():
+def test_up_state_at_zero_detuning():
     drive = make_drive(g_x=10.0 * KHZ, g_y=10.0 * KHZ, delta=0.0)
-    s1, _ = single_site_spectra(drive)
-    assert s1.theta_x == pytest.approx(math.pi / 4.0)
-    up = s1.up_state()
-    # equal-weight (|g,1,0> - |e1,0,0>)/sqrt(2)
-    assert up[(0, 1, 0)] == pytest.approx(1.0 / math.sqrt(2.0))
-    assert up[(1, 0, 0)] == pytest.approx(-1.0 / math.sqrt(2.0))
+    _, vectors = site_manifold_states(1, drive.Delta, drive.Delta, drive)
+    # equal-weight (|g,1,0> - |e1,0,0>)/sqrt(2), nothing else
+    expect = dict.fromkeys(site_states(1), 0.0)
+    expect[(0, 1, 0)] = 1.0 / math.sqrt(2.0)
+    expect[(1, 0, 0)] = -1.0 / math.sqrt(2.0)
+    up = vectors[MANIFOLD_LABELS[1].index("up")]
+    assert np.max(np.abs(up - list(expect.values()))) < 1e-14
 
 
 def test_manifold_states_orthonormal_and_sign_fixed():
@@ -67,30 +69,33 @@ def test_manifold_states_orthonormal_and_sign_fixed():
         drive = random_drive(rng)
         energies, vectors = site_manifold_states(n, drive.Delta, drive.Delta,
                                                  drive)
-        labels = MANIFOLD_LABELS[n]
-        vecs = []
-        for lab in labels:
-            coeffs = vectors[lab]
-            keys = sorted(coeffs)
-            v = np.array([coeffs[k] for k in keys])
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-            vecs.append(coeffs)
-        # distinct labels occupy disjoint species blocks except via "0"
-        for lab in labels:
-            first_key = min(vecs[labels.index(lab)])
-            assert vecs[labels.index(lab)][first_key] > 0.0
+        d = len(MANIFOLD_LABELS[n])
+        assert energies.shape == (d,)
+        assert vectors.shape == (d, len(site_states(n)))
+        assert np.max(np.abs(vectors @ vectors.T - np.eye(d))) < 1e-12
+        # each label's first nonzero coefficient, its purely phononic
+        # component, is positive
+        for vec in vectors:
+            assert vec[np.flatnonzero(vec)[0]] > 0.0
+
+
+def test_manifold_states_cached_read_only():
+    drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ)
+    energies, vectors = site_manifold_states(2, drive.Delta, drive.Delta, drive)
+    again = site_manifold_states(2, drive.Delta, drive.Delta, drive)
+    assert again[0] is energies and again[1] is vectors
+    for arr in (energies, vectors):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_manifold_energies_match_closed_forms():
     drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ)
     s1, s2 = single_site_spectra(drive)
     e1, _ = site_manifold_states(1, drive.Delta, drive.Delta, drive)
-    assert e1["up"] == pytest.approx(s1.E_minus_x, abs=1e-10)
-    assert e1["down"] == pytest.approx(s1.E_minus_y, abs=1e-10)
+    assert e1 == pytest.approx([s1.E_minus_x, s1.E_minus_y], abs=1e-10)
     e2, _ = site_manifold_states(2, drive.Delta, drive.Delta, drive)
-    assert e2["1"] == pytest.approx(s2.E_1, abs=1e-10)
-    assert e2["0"] == pytest.approx(s2.E_0, abs=1e-10)
-    assert e2["-1"] == pytest.approx(s2.E_m1, abs=1e-10)
+    assert e2 == pytest.approx([s2.E_1, s2.E_0, s2.E_m1], abs=1e-10)
 
 
 def test_isotropic_gaps_closed_form():

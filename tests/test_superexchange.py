@@ -11,7 +11,6 @@ from jchsim.fock import (
     SectorError,
     product_basis,
     site_sector_operators,
-    site_states,
 )
 from jchsim.jchv import (
     LABEL_X,
@@ -371,15 +370,12 @@ def reference_second_order(j, k, geometry, drive, manifold):
     det_x, det_y = local_detunings(geometry, drive)
 
     def site(s):
-        energies, vectors = site_manifold_states(n, det_x[s], det_y[s], drive)
-        states = site_states(n)
-        man_v = np.array([[vectors[lab].get(st, 0.0) for st in states]
-                          for lab in MANIFOLD_LABELS[n]])
-        upper_e, upper_v, _ = site_sector_eigh(n + 1, det_x[s], det_y[s], drive)
-        lower_e, lower_v, _ = site_sector_eigh(n - 1, det_x[s], det_y[s], drive)
+        energies, man_v = site_manifold_states(n, det_x[s], det_y[s], drive)
+        upper_e, upper_v = site_sector_eigh(n + 1, det_x[s], det_y[s], drive)
+        lower_e, lower_v = site_sector_eigh(n - 1, det_x[s], det_y[s], drive)
         up, dn = site_sector_operators(n + 1), site_sector_operators(n)
         return {
-            "e": np.array([energies[lab] for lab in MANIFOLD_LABELS[n]]),
+            "e": energies,
             "upper_e": upper_e, "lower_e": lower_e,
             "drop": {b: man_v @ up[f"a_{b}"] @ upper_v for b in "xy"},
             "lift": {b: lower_v.T @ dn[f"a_{b}"] @ man_v.T for b in "xy"},
@@ -447,9 +443,9 @@ def test_pair_entries_match_model_tables():
               "D_field": np.zeros(4)}
     det_x, det_y = local_detunings(geo, drive)
     for s in range(4):
-        e, _ = site_manifold_states(2, det_x[s], det_y[s], drive)
-        fields["B_field"][s] = 0.5 * (e["1"] - e["-1"])
-        fields["D_field"][s] = 0.5 * (e["1"] + e["-1"] - 2.0 * e["0"])
+        e1, e0, em1 = site_manifold_states(2, det_x[s], det_y[s], drive)[0]
+        fields["B_field"][s] = 0.5 * (e1 - em1)
+        fields["D_field"][s] = 0.5 * (e1 + em1 - 2.0 * e0)
     for j in range(4):
         for k in range(j + 1, 4):
             for manifold in ("half", "one"):
