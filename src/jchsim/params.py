@@ -17,16 +17,6 @@ from .fock import DEFAULT_DIM_CAP
 KHZ = 2.0 * math.pi  # rad/ms per linear kHz
 
 
-def khz(f):
-    """Linear kHz -> internal angular frequency (rad/ms)."""
-    return KHZ * f
-
-
-def to_khz(w):
-    """Internal angular frequency (rad/ms) -> linear kHz."""
-    return w / KHZ
-
-
 class ConfigError(ValueError):
     """Invalid or incomplete configuration."""
 
@@ -35,13 +25,13 @@ class ConfigError(ValueError):
 class TrapConfig:
     """Linear Paul trap: axial frequency and radial aspect ratios.
 
-    nu_z is stored internally (angular, rad/ms); aspect_x = omega_x/omega_z
-    and aspect_y = omega_y/omega_z are dimensionless and must exceed 1 so
-    the crystal stays linear.
+    omega_z is angular (rad/ms); aspect_x = omega_x/omega_z and
+    aspect_y = omega_y/omega_z are dimensionless and must exceed 1 so the
+    crystal stays linear.
     """
 
     n_ions: int
-    nu_z: float
+    omega_z: float
     aspect_x: float
     aspect_y: float
     ion_mass_amu: float | None = None
@@ -49,7 +39,7 @@ class TrapConfig:
     def __post_init__(self):
         if self.n_ions < 1:
             raise ConfigError("n_ions must be a positive integer")
-        if self.nu_z <= 0:
+        if self.omega_z <= 0:
             raise ConfigError("non-positive frequency: nu_z")
         if self.aspect_x <= 1 or self.aspect_y <= 1:
             raise ConfigError("aspect ratio <= 1: radial confinement must dominate")
@@ -57,16 +47,12 @@ class TrapConfig:
             raise ConfigError("ion_mass_amu must be positive")
 
     @property
-    def omega_z(self):
-        return self.nu_z
-
-    @property
     def omega_x(self):
-        return self.aspect_x * self.nu_z
+        return self.aspect_x * self.omega_z
 
     @property
     def omega_y(self):
-        return self.aspect_y * self.nu_z
+        return self.aspect_y * self.omega_z
 
 
 @dataclass(frozen=True)
@@ -93,6 +79,11 @@ class DriveParams:
             1.0, abs(self.omega0), abs(self.Delta)
         ):
             raise ConfigError("inconsistent detunings: delta != omega0 - Delta")
+        # finite config keys can still overflow in a product (g = eta * Omega)
+        # or a sum (omega0 = Delta + delta)
+        for name in ("g_x", "g_y", "delta", "Delta", "omega0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"non-finite drive parameter: {name}")
 
 
 def make_drive(g_x, g_y, delta=None, Delta=None, omega0=None, reference_ion=0,
@@ -116,57 +107,6 @@ def make_drive(g_x, g_y, delta=None, Delta=None, omega0=None, reference_ion=0,
     else:
         raise ConfigError("missing key: need delta (or two of delta/Delta/omega0)")
     return DriveParams(g_x, g_y, delta, Delta, omega0, reference_ion, homogeneous)
-
-
-@dataclass(frozen=True)
-class LaserParams:
-    """Red-sideband drive: Rabi frequencies (angular) and Lamb-Dicke factors."""
-
-    rabi_x: float
-    rabi_y: float
-    ld_x: float
-    ld_y: float
-
-    def __post_init__(self):
-        if self.ld_x <= 0 or self.ld_y <= 0:
-            raise ConfigError("Lamb-Dicke parameters must be positive")
-        if max(self.ld_x, self.ld_y) > 0.3:
-            warnings.warn(
-                "Lamb-Dicke parameter above 0.3: expansion accuracy degrades",
-                stacklevel=2,
-            )
-
-
-@dataclass(frozen=True)
-class GradientParams:
-    """Oscillating magnetic-field quadrupole drive.
-
-    b is the gradient magnitude, mu1/mu2 the dipole matrix elements of the
-    g-e1 and g-e2 transitions.
-    """
-
-    b: float
-    mu1: float
-    mu2: float
-
-
-def couplings_from_laser(p: LaserParams):
-    """g_beta = eta_beta * Omega_beta for both phonon species."""
-    return p.ld_x * p.rabi_x, p.ld_y * p.rabi_y
-
-
-def couplings_from_gradient(p: GradientParams, trap: TrapConfig):
-    """g_x = -b mu1 / sqrt(2 m omega_x), g_y likewise with mu2, omega_y.
-
-    Sign is preserved. Inputs are taken in a consistent unit system; only
-    the scaling structure (linear in b, omega^-1/2) is contractual.
-    """
-    if trap.ion_mass_amu is None:
-        raise ConfigError("missing key: ion_mass_amu (needed for gradient couplings)")
-    m = trap.ion_mass_amu
-    g_x = -p.b * p.mu1 / math.sqrt(2.0 * m * trap.omega_x)
-    g_y = -p.b * p.mu2 / math.sqrt(2.0 * m * trap.omega_y)
-    return g_x, g_y
 
 
 @dataclass(frozen=True)
@@ -282,7 +222,7 @@ def _get(raw, key, conv, default=None, required=False):
 
 def _khz(s):
     """A *_khz value in rad/ms; _get refuses one that overflows to inf."""
-    return khz(float(s))
+    return KHZ * float(s)
 
 
 def _bool(s):
@@ -314,8 +254,9 @@ def parse_config(text) -> SimConfig:
 
     All *_khz entries are converted to internal angular units. Couplings
     may be given directly (g_x_khz/g_y_khz) or derived from laser
-    parameters (rabi_*_khz with ld_*). Hoppings normally come from the
-    trap geometry; t_x_khz/t_y_khz override them on a uniform lattice.
+    parameters (rabi_*_khz with ld_*) or a field gradient (gradient_* with
+    ion_mass_amu). Hoppings normally come from the trap geometry;
+    t_x_khz/t_y_khz override them on a uniform lattice.
     """
     raw = _parse_kv(text)
     n_ions = _get(raw, "n_ions", int, required=True)
@@ -330,37 +271,46 @@ def parse_config(text) -> SimConfig:
     if "nu_z_khz" in raw or not explicit_t:
         trap = TrapConfig(
             n_ions=n_ions,
-            nu_z=_get(raw, "nu_z_khz", _khz, required=True),
+            omega_z=_get(raw, "nu_z_khz", _khz, required=True),
             aspect_x=_get(raw, "aspect_x", float, required=True),
             aspect_y=_get(raw, "aspect_y", float, required=True),
             ion_mass_amu=_get(raw, "ion_mass_amu", float),
         )
 
-    laser = None
+    g = None  # (g_x, g_y); g_*_khz outrank the laser keys, which outrank the gradient
     if any(k in raw for k in ("rabi_x_khz", "rabi_y_khz", "ld_x", "ld_y")):
-        laser = LaserParams(
-            rabi_x=_get(raw, "rabi_x_khz", _khz, required=True),
-            rabi_y=_get(raw, "rabi_y_khz", _khz, required=True),
-            ld_x=_get(raw, "ld_x", float, required=True),
-            ld_y=_get(raw, "ld_y", float, required=True),
-        )
+        rabi_x = _get(raw, "rabi_x_khz", _khz, required=True)
+        rabi_y = _get(raw, "rabi_y_khz", _khz, required=True)
+        ld_x = _get(raw, "ld_x", float, required=True)
+        ld_y = _get(raw, "ld_y", float, required=True)
+        if ld_x <= 0 or ld_y <= 0:
+            raise ConfigError("Lamb-Dicke parameters must be positive")
+        if max(ld_x, ld_y) > 0.3:
+            warnings.warn(
+                "Lamb-Dicke parameter above 0.3: expansion accuracy degrades",
+                stacklevel=2,
+            )
+        g = ld_x * rabi_x, ld_y * rabi_y  # g = eta * Omega
 
     gradient = None
     if any(k in raw for k in ("gradient_b", "gradient_mu1", "gradient_mu2")):
-        gradient = GradientParams(
-            b=_get(raw, "gradient_b", float, required=True),
-            mu1=_get(raw, "gradient_mu1", float, required=True),
-            mu2=_get(raw, "gradient_mu2", float, required=True),
-        )
+        gradient = [_get(raw, k, float, required=True)
+                    for k in ("gradient_b", "gradient_mu1", "gradient_mu2")]
 
     if "g_x_khz" in raw or "g_y_khz" in raw:
-        g_x = _get(raw, "g_x_khz", _khz, required=True)
-        g_y = _get(raw, "g_y_khz", _khz, required=True)
-    elif laser is not None:
-        g_x, g_y = couplings_from_laser(laser)
-    elif gradient is not None and trap is not None:
-        g_x, g_y = couplings_from_gradient(gradient, trap)
-    else:
+        g = (_get(raw, "g_x_khz", _khz, required=True),
+             _get(raw, "g_y_khz", _khz, required=True))
+    elif g is None and gradient is not None and trap is not None:
+        if trap.ion_mass_amu is None:
+            raise ConfigError("missing key: ion_mass_amu (needed for gradient couplings)")
+        # g = |b mu| / sqrt(2 m omega): flipping |e> -> -|e> flips the sign of
+        # g and commutes with H_b, so the sign is a gauge. Inputs are taken in
+        # one consistent unit system; only the scaling (linear in b,
+        # omega^-1/2) is contractual.
+        b, mu1, mu2 = gradient
+        g = (abs(b * mu1) / math.sqrt(2.0 * trap.ion_mass_amu * trap.omega_x),
+             abs(b * mu2) / math.sqrt(2.0 * trap.ion_mass_amu * trap.omega_y))
+    elif g is None:
         raise ConfigError("missing key: g_x_khz/g_y_khz (or laser/gradient parameters)")
 
     reference_ion = _get(raw, "reference_ion", int, default=1)
@@ -368,8 +318,7 @@ def parse_config(text) -> SimConfig:
         raise ConfigError(f"reference_ion out of range 1..{n_ions}")
 
     drive = make_drive(
-        g_x,
-        g_y,
+        *g,
         delta=_get(raw, "delta_khz", _khz),
         Delta=_get(raw, "Delta_khz", _khz),
         omega0=_get(raw, "omega0_khz", _khz),

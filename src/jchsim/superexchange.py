@@ -137,6 +137,8 @@ def _second_order(pair, site_j: _SiteData, site_k: _SiteData, t_x, t_y, tol_deg)
     # resonant but decoupled: zero numerator kills these rows anyway
     inv = np.where(close, 0.0, 1.0 / np.where(close, 1.0, dvec))
     a = (num * inv).T @ num
+    if not (np.isfinite(a).all() and np.isfinite(e_pair).all()):
+        raise FloatingPointError(f"pair {pair}: non-finite second-order matrix")
     return e_pair, 0.5 * (a + a.T)
 
 

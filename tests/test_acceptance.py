@@ -74,7 +74,7 @@ def spin_one_reports():
 
 def test_criterion_1_trap_hoppings():
     t0 = time.perf_counter()
-    trap = TrapConfig(n_ions=3, nu_z=120.0 * KHZ, aspect_x=100.0 / 1.8,
+    trap = TrapConfig(n_ions=3, omega_z=120.0 * KHZ, aspect_x=100.0 / 1.8,
                       aspect_y=100.0)
     geo = CrystalGeometry.from_trap(trap)
     got = np.array([geo.t_x[0, 1], geo.t_y[0, 1],

@@ -238,6 +238,38 @@ delta_khz = -0.22
 """
 
 
+def couplings_csv_bytes(tmp_path, text, name):
+    cfg = write_cfg(tmp_path, text, name + ".cfg")
+    out = tmp_path / name
+    assert main(["couplings", "--config", cfg, "--out", str(out)]) == 0
+    return [(out / f).read_bytes()
+            for f in ("couplings_spin_half.csv", "couplings_spin_one.csv")]
+
+
+def test_couplings_from_laser_keys(tmp_path):
+    # eta = 1/8 is a power of two, so g = eta * Omega is exactly 19 and 20 kHz
+    laser = TRAP4.replace("g_x_khz = 19.0\ng_y_khz = 20.0\n",
+                          "rabi_x_khz = 152\nrabi_y_khz = 160\n"
+                          "ld_x = 0.125\nld_y = 0.125\n")
+    assert laser != TRAP4
+    assert (couplings_csv_bytes(tmp_path, laser, "laser")
+            == couplings_csv_bytes(tmp_path, TRAP4, "explicit"))
+
+
+def test_couplings_from_gradient_keys_either_sign(tmp_path):
+    # g = |b mu| / sqrt(2 m omega) is about 19 kHz here; the sign of b mu is a
+    # gauge, so both signs give the same tables
+    tables = []
+    for b in ("1e5", "-1e5"):
+        text = TRAP4.replace("g_x_khz = 19.0\ng_y_khz = 20.0\n",
+                             f"gradient_b = {b}\ngradient_mu1 = 2.2\n"
+                             "gradient_mu2 = 3.0\nion_mass_amu = 40\n")
+        tables.append(couplings_csv_bytes(tmp_path, text, "b" + b))
+    assert tables[0] == tables[1]
+    header, rows = read_csv(tmp_path / "b1e5" / "couplings_spin_half.csv")
+    assert rows[0][header.index("Kxy_or_Jxy_khz")] < 0.0
+
+
 def test_couplings_homogeneous_switch(tmp_path):
     # the config key reaches the detunings through the drive alone
     names = ("couplings_spin_half.csv", "couplings_spin_one.csv")
@@ -406,6 +438,40 @@ def test_exit_code_non_finite_sweep_bound(tmp_path, capsys):
                      "--sweep", sweep]) == 2
         assert "sweep bounds must be finite" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["couplings", "evolve", "compare"])
+@pytest.mark.parametrize("old, new", [
+    ("t_x_khz = 0.1\nt_y_khz = 0.1", "t_x_khz = 1e307\nt_y_khz = 1e307"),
+    ("delta_khz = 0.0", "delta_khz = 0.0\nDelta_khz = 2e307"),
+], ids=["hopping", "detuning"])
+def test_exit_code_non_finite_pair_matrix(tmp_path, capsys, command, old, new):
+    # finite keys whose second-order matrix overflows: before any output
+    cfg = write_cfg(tmp_path, ISO_PAIR.replace(old, new))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert ("numerical failure: pair (0, 1): non-finite"
+            in capsys.readouterr().err)
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["spectrum", "couplings"])
+@pytest.mark.parametrize("keys, member", [
+    ("rabi_x_khz = 1e10\nrabi_y_khz = 160\nld_x = 1e300\nld_y = 0.125\n"
+     "delta_khz = 0.0\n", "g_x"),
+    ("g_x_khz = 20.0\ng_y_khz = 20.0\ndelta_khz = 1.5e307\n"
+     "Delta_khz = 1.5e307\n", "omega0"),
+], ids=["laser_product", "detuning_sum"])
+@pytest.mark.filterwarnings("ignore:Lamb-Dicke parameter above 0.3")
+def test_exit_code_non_finite_drive(tmp_path, capsys, command, keys, member):
+    # every key is finite, but g = eta * Omega or omega0 = Delta + delta is not
+    cfg = write_cfg(tmp_path, "n_ions = 2\nt_x_khz = 0.1\nt_y_khz = 0.1\n" + keys)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert (f"config error: non-finite drive parameter: {member}"
+            in capsys.readouterr().err)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_exit_code_eigh_failure(tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from jchsim.params import KHZ, TrapConfig, make_drive, parse_config
 U2 = 0.25 ** (1.0 / 3.0)
 U3 = 1.25 ** (1.0 / 3.0)
 
-FIG3_TRAP = TrapConfig(n_ions=3, nu_z=120.0 * KHZ, aspect_x=100.0 / 1.8,
+FIG3_TRAP = TrapConfig(n_ions=3, omega_z=120.0 * KHZ, aspect_x=100.0 / 1.8,
                        aspect_y=100.0)
 
 

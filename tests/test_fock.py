@@ -400,7 +400,7 @@ def test_hamiltonian_terms_match_rank(monkeypatch, n_sites, n, trap):
     lands on the rows SectorBasis.rank gives its moved code rows."""
     if trap:
         geo = CrystalGeometry.from_trap(TrapConfig(
-            n_ions=n_sites, nu_z=120.0 * KHZ, aspect_x=100.0 / 1.8,
+            n_ions=n_sites, omega_z=120.0 * KHZ, aspect_x=100.0 / 1.8,
             aspect_y=100.0))
     else:
         geo = CrystalGeometry.from_uniform_hoppings(n_sites, 0.1 * KHZ,

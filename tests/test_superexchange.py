@@ -162,6 +162,23 @@ def test_degenerate_intermediate_raises():
                               manifold="half")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("manifold", ["half", "one"])
+@pytest.mark.parametrize("t_khz, Delta_khz", [(1e307, 0.0), (0.1, 2e307)],
+                         ids=["hopping", "detuning"])
+def test_non_finite_pair_matrix_raises(manifold, t_khz, Delta_khz):
+    # every input is finite, but the second-order sum or the pair energies
+    # overflow: the pair fails instead of feeding inf/nan to the tables
+    drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=0.0,
+                       Delta=Delta_khz * KHZ)
+    geo = uniform_pair(t_khz, t_khz)
+    with pytest.raises(FloatingPointError, match=r"pair \(0, 1\): non-finite"):
+        pair_effective_matrix(0, 1, geo, drive, manifold=manifold)
+    build = spin_half_general if manifold == "half" else spin_one_general
+    with pytest.raises(FloatingPointError, match=r"pair \(0, 1\): non-finite"):
+        build(geo, drive)
+
+
 def test_benign_zero_coupled_crossing_passes():
     # at g_y = sqrt(3) g_x, delta = 0 an intermediate crosses the manifold
     # energy with exactly vanishing coupling; must not raise
