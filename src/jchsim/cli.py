@@ -3,8 +3,8 @@
 Every subcommand reads a flat key-value config, writes deterministic CSV
 (12 significant digits, fixed row order) plus a JSON run manifest, and
 optionally a native SVG line chart (CSV is authoritative, SVG is a
-courtesy). Exit codes: 0 success, 2 configuration error, 3 numerical
-failure. JCHSIM_THREADS pins the BLAS thread count.
+courtesy). Exit codes: 0 success, 2 configuration or output error, 3
+numerical failure. JCHSIM_THREADS pins the BLAS thread count.
 """
 
 import argparse
@@ -272,7 +272,7 @@ def _coupling_rows(model):
     pair_cols, site_cols = _COUPLING_COLUMNS[model.manifold]
 
     def cells(names, index):
-        return tuple(0.0 if name is None else getattr(model, name)[index] / KHZ
+        return tuple(0.0 if name is None else model.tables[name][index] / KHZ
                      for name in names)
 
     n = model.n_sites
@@ -322,9 +322,10 @@ def cmd_couplings(cfg, args, out_dir):
         "spin_one": one.residuals,
     }
 
-    def rel(num, closed_form):
+    def rel(model, name, closed_form):
         # no relative residual against a closed form that is 0
-        return abs(num / closed_form - 1.0) if closed_form != 0.0 else None
+        num, ref = model.tables[name][0, 1], closed_form[0, 1]
+        return abs(num / ref - 1.0) if ref != 0.0 else None
 
     # closed forms of the first pair hold at delta = 0 (spin-1 additionally
     # at g_x = g_y)
@@ -332,14 +333,14 @@ def cmd_couplings(cfg, args, out_dir):
         kxy_a, kz_a, _ = spin_half_analytic(
             cfg.drive.g_x, cfg.drive.g_y, geo.t_x, geo.t_y
         )
-        residuals["analytic_K_xy_rel"] = rel(half.K_xy[0, 1], kxy_a[0, 1])
-        residuals["analytic_K_z_rel"] = rel(half.K_z[0, 1], kz_a[0, 1])
+        residuals["analytic_K_xy_rel"] = rel(half, "K_xy", kxy_a)
+        residuals["analytic_K_z_rel"] = rel(half, "K_z", kz_a)
         if cfg.drive.g_x == cfg.drive.g_y:
             jxy_a, jz_a, _ = spin_one_isotropic_analytic(
                 cfg.drive.g_x, geo.t_x, geo.t_y
             )
-            residuals["analytic_J_xy_rel"] = rel(one.J_xy[0, 1], jxy_a[0, 1])
-            residuals["analytic_J_z_rel"] = rel(one.J_z[0, 1], jz_a[0, 1])
+            residuals["analytic_J_xy_rel"] = rel(one, "J_xy", jxy_a)
+            residuals["analytic_J_z_rel"] = rel(one, "J_z", jz_a)
 
     if args.sweep:
         def one_point(v, vcfg):
@@ -510,28 +511,29 @@ def main(argv=None):
         os.makedirs(args.out, exist_ok=True)
         t0 = time.perf_counter()
         outputs, residuals = _COMMANDS[args.command](cfg, args, args.out)
-        wall = time.perf_counter() - t0
+        manifest = {
+            "command": args.command,
+            "config_path": os.path.abspath(args.config),
+            "config": dict(cfg.raw),
+            "outputs": [os.path.abspath(p) for p in outputs],
+            "wall_time_s": time.perf_counter() - t0,
+            "version": __version__,
+            "residuals": residuals,
+        }
+        manifest_path = os.path.join(args.out, f"{args.command}_manifest.json")
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except (ConfigError, SectorError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the output directory or a file in it
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, DegenerateIntermediateError,
             np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-
-    manifest = {
-        "command": args.command,
-        "config_path": os.path.abspath(args.config),
-        "config": dict(cfg.raw),
-        "outputs": [os.path.abspath(p) for p in outputs],
-        "wall_time_s": wall,
-        "version": __version__,
-        "residuals": residuals,
-    }
-    manifest_path = os.path.join(args.out, f"{args.command}_manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return 0
 
 

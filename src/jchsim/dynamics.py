@@ -32,6 +32,7 @@ from .jchv import (
 )
 from .params import DriveParams, SimConfig
 from .superexchange import (
+    SpinModel,
     build_spin_hamiltonian,
     spin_block,
     spin_half_general,
@@ -415,7 +416,7 @@ class FullRun:
     """Exact full-model evolution of a config's run, with the effective
     model of the same manifold (it sizes the default time grid)."""
 
-    model: object  # SpinHalfModel or SpinOneModel
+    model: SpinModel
     initial_labels: tuple
     tracked: tuple
     sector_dim: int  # the total-excitation sector, counted, not allocated

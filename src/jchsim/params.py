@@ -300,7 +300,9 @@ def parse_config(text) -> SimConfig:
     if "g_x_khz" in raw or "g_y_khz" in raw:
         g = (_get(raw, "g_x_khz", _khz, required=True),
              _get(raw, "g_y_khz", _khz, required=True))
-    elif g is None and gradient is not None and trap is not None:
+    elif g is None and gradient is not None:
+        if trap is None:
+            raise ConfigError("gradient couplings need nu_z_khz, aspect_x and aspect_y")
         if trap.ion_mass_amu is None:
             raise ConfigError("missing key: ion_mass_amu (needed for gradient couplings)")
         # g = |b mu| / sqrt(2 m omega): flipping |e> -> -|e> flips the sign of

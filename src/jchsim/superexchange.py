@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -220,41 +219,21 @@ def _all_pairs(n, geometry, drive, extract):
 
 
 @dataclass(frozen=True)
-class SpinHalfModel:
-    """XXZ coupling tables: K matrices, second-order fields, zeroth-order split."""
+class SpinModel:
+    """Coupling tables of the spin-1/2 ('half') or spin-1 ('one') model.
 
-    manifold: ClassVar[str] = "half"
-    K_xy: np.ndarray  # N x N symmetric, zero diagonal
-    K_z: np.ndarray
-    H_field: np.ndarray  # length N, second-order part only
-    E0_split: np.ndarray  # per-site (E_up - E_down)/2 zeroth-order splitting
+    tables maps each coupling name of MODEL_TERMS[manifold] to an N x N
+    pair table (symmetric, zero diagonal) or a length-N site field.
+    """
+
+    manifold: str
+    tables: dict
     energy_offset: float  # spin-independent constant, kept for spectrum fidelity
     residuals: dict = field(default_factory=dict)
 
     @property
     def n_sites(self):
-        return len(self.H_field)
-
-
-@dataclass(frozen=True)
-class SpinOneModel:
-    """Heisenberg-like spin-1 coupling tables including cubic/quartic terms."""
-
-    manifold: ClassVar[str] = "one"
-    J_xy: np.ndarray
-    J_z: np.ndarray
-    W: np.ndarray
-    V: np.ndarray
-    v_p1: np.ndarray
-    v_m1: np.ndarray
-    D_field: np.ndarray  # includes zeroth-order (E_1 + E_-1 - 2 E_0)/2
-    B_field: np.ndarray  # includes zeroth-order (E_1 - E_-1)/2
-    energy_offset: float
-    residuals: dict = field(default_factory=dict)
-
-    @property
-    def n_sites(self):
-        return len(self.D_field)
+        return len(next(iter(self.tables.values())))
 
 
 def _extract_half(m2):
@@ -278,16 +257,13 @@ def _extract_half(m2):
 
 def spin_half_general(geometry: CrystalGeometry, drive: DriveParams):
     """Numeric spin-1/2 model from the pair engine, all pairs."""
-    energies, tables, residuals = _all_pairs(1, geometry, drive, _extract_half)
+    energies, pairs, residuals = _all_pairs(1, geometry, drive, _extract_half)
     e_up, e_down = energies.T
-    return SpinHalfModel(
-        K_xy=tables["K_xy"],
-        K_z=tables["K_z"],
-        H_field=tables["H_field"].sum(axis=1),
-        E0_split=0.5 * (e_up - e_down),
-        energy_offset=np.sum(0.5 * (e_up + e_down)) + tables["const"].sum(),
-        residuals=residuals,
-    )
+    tables = {name: pairs[name] for name, _ in MODEL_TERMS["half"][1]}
+    tables["H_field"] = pairs["H_field"].sum(axis=1)  # second-order part only
+    tables["E0_split"] = 0.5 * (e_up - e_down)  # zeroth-order (E_up - E_down)/2
+    offset = np.sum(0.5 * (e_up + e_down)) + pairs["const"].sum()
+    return SpinModel("half", tables, offset, residuals)
 
 
 # spin-1 product order (m_j, m_k), j-major: (1,1),(1,0),(1,-1),(0,1),...
@@ -344,20 +320,13 @@ def _extract_one(m2):
 
 def spin_one_general(geometry: CrystalGeometry, drive: DriveParams):
     """Numeric spin-1 model from the pair engine, all pairs."""
-    energies, tables, residuals = _all_pairs(2, geometry, drive, _extract_one)
+    energies, pairs, residuals = _all_pairs(2, geometry, drive, _extract_one)
     e1, e0, em1 = energies.T
-    return SpinOneModel(
-        J_xy=tables["J_xy"],
-        J_z=tables["J_z"],
-        W=tables["W"],
-        V=tables["V"],
-        v_p1=tables["v_p1"],
-        v_m1=tables["v_m1"],
-        D_field=0.5 * (e1 + em1 - 2.0 * e0) + tables["D_field"].sum(axis=1),
-        B_field=0.5 * (e1 - em1) + tables["B_field"].sum(axis=1),
-        energy_offset=np.sum(e0) + tables["const"].sum(),
-        residuals=residuals,
-    )
+    tables = {name: pairs[name] for name, _ in MODEL_TERMS["one"][1]}
+    tables["D_field"] = 0.5 * (e1 + em1 - 2.0 * e0) + pairs["D_field"].sum(axis=1)
+    tables["B_field"] = 0.5 * (e1 - em1) + pairs["B_field"].sum(axis=1)
+    offset = np.sum(e0) + pairs["const"].sum()
+    return SpinModel("one", tables, offset, residuals)
 
 
 _EXTRACT = {"half": _extract_half, "one": _extract_one}
@@ -400,18 +369,37 @@ def spin_one_isotropic_analytic(g, t_x, t_y):
 # spin Hamiltonians on a conserved S_z block of the 2^N / 3^N product space
 
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-# spin-1 in the (|1>, |0>, |-1>) basis
+# spin-1 in the (|1>, |0>, |-1>) basis; S_- is S_PLUS.T
 S_PLUS = math.sqrt(2.0) * np.array(
     [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
 )
-S_MINUS = S_PLUS.T
 S_Z1 = np.diag([1.0, 0.0, -1.0])
-S_X1 = 0.5 * (S_PLUS + S_MINUS)
-S_Y1 = 0.5j * (S_MINUS - S_PLUS)
+_SZ2 = S_Z1 @ S_Z1
+_A_P = np.kron(S_Z1 @ S_PLUS, S_PLUS.T @ S_Z1)
+_A_M = np.kron(S_Z1 @ S_PLUS.T, S_PLUS @ S_Z1)
+
+# MODEL_TERMS[manifold] = (site terms, pair terms): (table name, operator)
+# in summation order; XX + YY is written with the real ladder operators
+MODEL_TERMS = {
+    "half": (
+        (("H_field", SIGMA_Z), ("E0_split", SIGMA_Z)),
+        (("K_xy", 2.0 * (np.kron(SIGMA_PLUS, SIGMA_PLUS.T)
+                         + np.kron(SIGMA_PLUS.T, SIGMA_PLUS))),
+         ("K_z", np.kron(SIGMA_Z, SIGMA_Z))),
+    ),
+    "one": (
+        (("D_field", _SZ2), ("B_field", S_Z1)),
+        (("J_xy", 0.5 * (np.kron(S_PLUS, S_PLUS.T) + np.kron(S_PLUS.T, S_PLUS))),
+         ("J_z", np.kron(S_Z1, S_Z1)),
+         ("W", np.kron(S_Z1, _SZ2) + np.kron(_SZ2, S_Z1)),
+         ("V", np.kron(_SZ2, _SZ2)),
+         ("v_p1", _A_P + _A_P.T),
+         ("v_m1", _A_M + _A_M.T)),
+    ),
+}
 
 
 def spin_block(manifold, labels):
@@ -430,26 +418,11 @@ def build_spin_hamiltonian(model, basis):
     just its dynamics. basis is a product basis of the model's labels:
     a spin_block, or the whole product space (all x counts 0).
     """
-    if isinstance(model, SpinHalfModel):
-        site = [(model.H_field + model.E0_split, SIGMA_Z)]
-        pair = [(model.K_xy, np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)),
-                (model.K_z, np.kron(SIGMA_Z, SIGMA_Z))]
-    elif isinstance(model, SpinOneModel):
-        sz2 = S_Z1 @ S_Z1
-        a_p = np.kron(S_Z1 @ S_PLUS, S_MINUS @ S_Z1)
-        a_m = np.kron(S_Z1 @ S_MINUS, S_PLUS @ S_Z1)
-        site = [(model.D_field, sz2), (model.B_field, S_Z1)]
-        pair = [(model.J_xy, np.kron(S_X1, S_X1) + np.kron(S_Y1, S_Y1)),
-                (model.J_z, np.kron(S_Z1, S_Z1)),
-                (model.W, np.kron(S_Z1, sz2) + np.kron(sz2, S_Z1)),
-                (model.V, np.kron(sz2, sz2)),
-                (model.v_p1, a_p + a_p.conj().T),
-                (model.v_m1, a_m + a_m.conj().T)]
-    else:
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
-    n = model.n_sites
-    terms = [(sum(c[j] * op for c, op in site), (j,)) for j in range(n)]
-    terms += [(sum(c[j, k] * op for c, op in pair), (j, k))
+    site, pair = MODEL_TERMS[model.manifold]
+    tables, n = model.tables, model.n_sites
+    terms = [(sum(tables[name][j] * op for name, op in site), (j,))
+             for j in range(n)]
+    terms += [(sum(tables[name][j, k] * op for name, op in pair), (j, k))
               for j in range(n) for k in range(j + 1, n)]
     terms.append((model.energy_offset * np.eye(len(basis.alphabet)), (0,)))
     return assemble(basis, terms)

@@ -124,13 +124,13 @@ def test_criterion_3_spin_half_oracle():
         t_y = ratio * min(g_x, g_y) * rng.uniform(0.3, 1.0)
         drive = make_drive(g_x=g_x, g_y=g_y, delta=0.0, homogeneous=True)
         geo = CrystalGeometry.from_uniform_hoppings(2, t_x, t_y)
-        model = spin_half_general(geo, drive)
+        tables = spin_half_general(geo, drive).tables
         kxy_a, kz_a, h_a = spin_half_analytic(g_x, g_y, geo.t_x, geo.t_y)
         worst = max(
             worst,
-            abs(model.K_xy[0, 1] / kxy_a[0, 1] - 1.0),
-            abs(model.K_z[0, 1] / kz_a[0, 1] - 1.0),
-            abs(model.H_field[0] / h_a[0] - 1.0),
+            abs(tables["K_xy"][0, 1] / kxy_a[0, 1] - 1.0),
+            abs(tables["K_z"][0, 1] / kz_a[0, 1] - 1.0),
+            abs(tables["H_field"][0] / h_a[0] - 1.0),
         )
     detail = f"50 draws at delta=0, worst rel dev {worst:.3e} (tol 1e-8)"
     _report(3, "spin-1/2 engine vs closed form", worst < 1e-8, detail, t0,
@@ -143,13 +143,13 @@ def test_criterion_4_spin_one_closed_forms():
     t_x, t_y = 0.1 * KHZ, 0.17 * KHZ
     drive = make_drive(g_x=g, g_y=g, delta=0.0, homogeneous=True)
     geo = CrystalGeometry.from_uniform_hoppings(2, t_x, t_y)
-    model = spin_one_general(geo, drive)
+    tables = spin_one_general(geo, drive).tables
     targets = {
-        "J_xy": (model.J_xy[0, 1],
+        "J_xy": (tables["J_xy"][0, 1],
                  -123.0 * math.sqrt(2.0) / 7.0 * t_x * t_y / g),
-        "J_z": (model.J_z[0, 1],
+        "J_z": (tables["J_z"][0, 1],
                 -123.0 / (7.0 * math.sqrt(2.0)) * (t_x**2 + t_y**2) / g),
-        "B": (model.B_field[0],
+        "B": (tables["B_field"][0],
               -53.0 / (2.0 * math.sqrt(2.0)) * (t_x**2 - t_y**2) / g),
     }
     worst = max(abs(num / ana - 1.0) for num, ana in targets.values())

@@ -396,6 +396,18 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_exit_code_unwritable_out(tmp_path, capsys, sub):
+    # --out names a regular file, or a directory below one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["crystal", "--config", str(CONFIG_DIR / "three_ion_xxz.cfg"),
+               "--out", str(blocker / sub)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error: ")
+
+
 def test_evolve_rejects_labels_outside_manifold(tmp_path, capsys):
     # spin-1/2 labels on a two-excitation run, default horizon
     cfg = write_cfg(tmp_path, ISO_PAIR.replace("n_excitations = 1",

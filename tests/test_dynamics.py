@@ -36,8 +36,7 @@ from jchsim.jchv import (
 from jchsim.params import KHZ, make_drive, parse_config
 from jchsim.crystal import CrystalGeometry, geometry_from_config, local_detunings
 from jchsim.superexchange import (
-    SpinHalfModel,
-    SpinOneModel,
+    SpinModel,
     build_spin_hamiltonian,
     spin_block,
     spin_half_general,
@@ -61,9 +60,9 @@ initial_state = up,down,up
 
 def rabi_model(k_xy_khz):
     k = np.array([[0.0, k_xy_khz * KHZ], [k_xy_khz * KHZ, 0.0]])
-    return SpinHalfModel(K_xy=k, K_z=np.zeros((2, 2)),
-                         H_field=np.zeros(2), E0_split=np.zeros(2),
-                         energy_offset=0.0)
+    return SpinModel("half", {"K_xy": k, "K_z": np.zeros((2, 2)),
+                              "H_field": np.zeros(2), "E0_split": np.zeros(2)},
+                     energy_offset=0.0)
 
 
 def bare_state(labels, drive, basis):
@@ -673,12 +672,13 @@ def random_model(manifold, n_sites, rng):
         return rng.normal(size=n_sites)
 
     if manifold == "half":
-        return SpinHalfModel(K_xy=couplings(), K_z=couplings(), H_field=field(),
-                             E0_split=field(), energy_offset=rng.normal())
-    return SpinOneModel(J_xy=couplings(), J_z=couplings(), W=couplings(),
-                        V=couplings(), v_p1=couplings(), v_m1=couplings(),
-                        D_field=field(), B_field=field(),
-                        energy_offset=rng.normal())
+        tables = {"K_xy": couplings(), "K_z": couplings(), "H_field": field(),
+                  "E0_split": field()}
+    else:
+        tables = {name: couplings() for name in ("J_xy", "J_z", "W", "V",
+                                                 "v_p1", "v_m1")}
+        tables.update(D_field=field(), B_field=field())
+    return SpinModel(manifold, tables, energy_offset=rng.normal())
 
 
 @settings(max_examples=40, deadline=None)

@@ -211,8 +211,7 @@ def test_every_builder_stores_real_float64(n_sites, n):
     model = (spin_half_general if n == 1 else spin_one_general)(geo, drive)
     letters = SPIN_LETTERS[n]
     labels = tuple(letters[j % 2] for j in range(n_sites))
-    # the spin models' XX + YY terms are complex with imaginary part 0; on
-    # an S_z block and on the whole product space
+    # the spin models, on an S_z block and on the whole product space
     for spins in (spin_block(model.manifold, labels),
                   product_basis(dict.fromkeys(letters, 0), n_sites, 0)):
         ops.append(build_spin_hamiltonian(model, spins))

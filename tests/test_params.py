@@ -93,6 +93,14 @@ def test_gradient_couplings_need_mass():
     assert cfg.drive.g_y == pytest.approx(1.0 / math.sqrt(2.0 * 40.0 * cfg.trap.omega_y))
 
 
+def test_gradient_couplings_need_trap():
+    # explicit hoppings build no trap, so there is no omega for the gradient
+    with pytest.raises(ConfigError, match="gradient couplings need nu_z_khz, "
+                                          "aspect_x and aspect_y"):
+        parse_config("n_ions = 2\nt_x_khz = 0.1\nt_y_khz = 0.17\n" + GRADIENT
+                     + "ion_mass_amu = 40\ndelta_khz = 0\n")
+
+
 @pytest.mark.parametrize("b", [-3.0, 3.0])
 def test_gradient_couplings_sign_is_a_gauge(b):
     cfg = parse_config(TRAP + f"gradient_b = {b}\ngradient_mu1 = 1.0\n"

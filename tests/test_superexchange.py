@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jchsim.cli import _COUPLING_COLUMNS
 from jchsim.crystal import CrystalGeometry, local_detunings
 from jchsim.fock import (
     SectorError,
@@ -21,17 +22,12 @@ from jchsim.jchv import (
 )
 from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive
 from jchsim.superexchange import (
+    MODEL_TERMS,
     DegenerateIntermediateError,
-    SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
-    S_MINUS,
     S_PLUS,
-    S_X1,
-    S_Y1,
     S_Z1,
-    SpinHalfModel,
-    SpinOneModel,
+    SpinModel,
     build_spin_hamiltonian,
     pair_effective_matrix,
     spin_half_analytic,
@@ -40,6 +36,14 @@ from jchsim.superexchange import (
     spin_block,
     spin_one_isotropic_analytic,
 )
+
+
+# the complex Pauli and spin-1 matrices of the explicit kron oracle
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+S_MINUS = S_PLUS.T
+S_X1 = 0.5 * (S_PLUS + S_MINUS)
+S_Y1 = 0.5j * (S_MINUS - S_PLUS)
 
 
 def uniform_pair(t_x_khz, t_y_khz):
@@ -53,10 +57,10 @@ def test_frozen_isotropic_xxz_constants():
     g = 34.0 * KHZ
     t_x, t_y = 1e-3 * KHZ, 1.7e-3 * KHZ
     drive = make_drive(g_x=g, g_y=g, delta=0.0, homogeneous=True)
-    model = spin_half_general(uniform_pair(1e-3, 1.7e-3), drive)
-    assert model.K_xy[0, 1] == pytest.approx(-9.0 * t_x * t_y / (16.0 * g),
-                                             rel=1e-12)
-    assert model.K_z[0, 1] == pytest.approx(
+    tables = spin_half_general(uniform_pair(1e-3, 1.7e-3), drive).tables
+    assert tables["K_xy"][0, 1] == pytest.approx(-9.0 * t_x * t_y / (16.0 * g),
+                                                 rel=1e-12)
+    assert tables["K_z"][0, 1] == pytest.approx(
         -9.0 * (t_x**2 + t_y**2) / (32.0 * g), rel=1e-12)
     kxy_a, kz_a, _ = spin_half_analytic(g, g, t_x, t_y)
     assert kxy_a == pytest.approx(-9.0 * t_x * t_y / (16.0 * g), rel=1e-14)
@@ -75,12 +79,12 @@ def test_engine_matches_analytic_anisotropic():
         drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ, delta=0.0,
                            homogeneous=True)
         geo = uniform_pair(t_x, t_y)
-        model = spin_half_general(geo, drive)
+        tables = spin_half_general(geo, drive).tables
         kxy_a, kz_a, h_a = spin_half_analytic(g_x * KHZ, g_y * KHZ,
                                               geo.t_x, geo.t_y)
-        assert model.K_xy[0, 1] == pytest.approx(kxy_a[0, 1], rel=1e-10)
-        assert model.K_z[0, 1] == pytest.approx(kz_a[0, 1], rel=1e-10)
-        assert model.H_field[0] == pytest.approx(h_a[0], rel=1e-10)
+        assert tables["K_xy"][0, 1] == pytest.approx(kxy_a[0, 1], rel=1e-10)
+        assert tables["K_z"][0, 1] == pytest.approx(kz_a[0, 1], rel=1e-10)
+        assert tables["H_field"][0] == pytest.approx(h_a[0], rel=1e-10)
 
 
 def test_spin_one_isotropic_closed_forms():
@@ -88,16 +92,16 @@ def test_spin_one_isotropic_closed_forms():
     t_x, t_y = 0.1 * KHZ, 0.17 * KHZ
     drive = make_drive(g_x=g, g_y=g, delta=0.0, homogeneous=True)
     geo = uniform_pair(0.1, 0.17)
-    model = spin_one_general(geo, drive)
+    tables = spin_one_general(geo, drive).tables
     jxy_a, jz_a, b_a = spin_one_isotropic_analytic(g, geo.t_x, geo.t_y)
-    assert model.J_xy[0, 1] == pytest.approx(jxy_a[0, 1], rel=1e-6)
-    assert model.J_z[0, 1] == pytest.approx(jz_a[0, 1], rel=1e-6)
-    assert model.B_field[0] == pytest.approx(b_a.sum(axis=1)[0], rel=1e-6)
+    assert tables["J_xy"][0, 1] == pytest.approx(jxy_a[0, 1], rel=1e-6)
+    assert tables["J_z"][0, 1] == pytest.approx(jz_a[0, 1], rel=1e-6)
+    assert tables["B_field"][0] == pytest.approx(b_a.sum(axis=1)[0], rel=1e-6)
     # the cubic/quartic channels close at the isotropic point
-    scale = abs(model.J_xy[0, 1])
-    for extra in (model.W, model.V, model.v_p1, model.v_m1):
-        assert abs(extra[0, 1]) < 1e-10 * scale
-    assert abs(model.D_field[0]) < 1e-10 * scale
+    scale = abs(tables["J_xy"][0, 1])
+    for name in ("W", "V", "v_p1", "v_m1"):
+        assert abs(tables[name][0, 1]) < 1e-10 * scale
+    assert abs(tables["D_field"][0]) < 1e-10 * scale
 
 
 def test_no_direct_double_flip_coupling():
@@ -128,30 +132,30 @@ def test_species_swap_symmetry():
     g_x, g_y = 14.0, 22.0
     d1 = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ, delta=0.0, homogeneous=True)
     d2 = make_drive(g_x=g_y * KHZ, g_y=g_x * KHZ, delta=0.0, homogeneous=True)
-    m1 = spin_half_general(uniform_pair(t_x, t_y), d1)
-    m2 = spin_half_general(uniform_pair(t_y, t_x), d2)
-    assert m2.K_xy[0, 1] == pytest.approx(m1.K_xy[0, 1], rel=1e-12)
-    assert m2.K_z[0, 1] == pytest.approx(m1.K_z[0, 1], rel=1e-12)
-    assert m2.H_field[0] == pytest.approx(-m1.H_field[0], rel=1e-12)
-    o1 = spin_one_general(uniform_pair(t_x, t_y), d1)
-    o2 = spin_one_general(uniform_pair(t_y, t_x), d2)
-    assert o2.J_xy[0, 1] == pytest.approx(o1.J_xy[0, 1], rel=1e-12)
-    assert o2.J_z[0, 1] == pytest.approx(o1.J_z[0, 1], rel=1e-12)
-    assert o2.W[0, 1] == pytest.approx(-o1.W[0, 1], rel=1e-10)
-    assert o2.V[0, 1] == pytest.approx(o1.V[0, 1], rel=1e-10)
-    assert o2.v_p1[0, 1] == pytest.approx(o1.v_m1[0, 1], rel=1e-10)
-    assert o2.B_field[0] == pytest.approx(-o1.B_field[0], rel=1e-12)
-    assert o2.D_field[0] == pytest.approx(o1.D_field[0], rel=1e-10)
+    m1 = spin_half_general(uniform_pair(t_x, t_y), d1).tables
+    m2 = spin_half_general(uniform_pair(t_y, t_x), d2).tables
+    assert m2["K_xy"][0, 1] == pytest.approx(m1["K_xy"][0, 1], rel=1e-12)
+    assert m2["K_z"][0, 1] == pytest.approx(m1["K_z"][0, 1], rel=1e-12)
+    assert m2["H_field"][0] == pytest.approx(-m1["H_field"][0], rel=1e-12)
+    o1 = spin_one_general(uniform_pair(t_x, t_y), d1).tables
+    o2 = spin_one_general(uniform_pair(t_y, t_x), d2).tables
+    assert o2["J_xy"][0, 1] == pytest.approx(o1["J_xy"][0, 1], rel=1e-12)
+    assert o2["J_z"][0, 1] == pytest.approx(o1["J_z"][0, 1], rel=1e-12)
+    assert o2["W"][0, 1] == pytest.approx(-o1["W"][0, 1], rel=1e-10)
+    assert o2["V"][0, 1] == pytest.approx(o1["V"][0, 1], rel=1e-10)
+    assert o2["v_p1"][0, 1] == pytest.approx(o1["v_m1"][0, 1], rel=1e-10)
+    assert o2["B_field"][0] == pytest.approx(-o1["B_field"][0], rel=1e-12)
+    assert o2["D_field"][0] == pytest.approx(o1["D_field"][0], rel=1e-10)
 
 
 def test_zero_hopping_gives_free_spins():
     drive = make_drive(g_x=20.0 * KHZ, g_y=21.0 * KHZ, delta=0.0,
                        homogeneous=True)
-    model = spin_half_general(uniform_pair(0.0, 0.0), drive)
-    assert np.all(model.K_xy == 0.0)
-    assert np.all(model.K_z == 0.0)
-    assert np.all(model.H_field == 0.0)
-    assert model.E0_split[0] != 0.0  # zeroth-order splitting survives
+    tables = spin_half_general(uniform_pair(0.0, 0.0), drive).tables
+    assert np.all(tables["K_xy"] == 0.0)
+    assert np.all(tables["K_z"] == 0.0)
+    assert np.all(tables["H_field"] == 0.0)
+    assert tables["E0_split"][0] != 0.0  # zeroth-order splitting survives
 
 
 def test_degenerate_intermediate_raises():
@@ -213,8 +217,8 @@ def test_extraction_residuals_tiny():
     geo = CrystalGeometry.from_uniform_hoppings(3, 0.05 * KHZ, 0.08 * KHZ)
     for builder in (spin_half_general, spin_one_general):
         model = builder(geo, drive)
-        scale = max(np.max(np.abs(model.K_xy if hasattr(model, "K_xy")
-                                  else model.J_xy)), 1e-30)
+        xy = "K_xy" if model.manifold == "half" else "J_xy"
+        scale = max(np.max(np.abs(model.tables[xy])), 1e-30)
         assert model.residuals["extraction"] < 1e-10 * scale
         assert model.residuals["hermiticity"] < 1e-12 * scale
 
@@ -255,14 +259,14 @@ def test_transition_elements_feed_back_consistently():
                        homogeneous=True)
     geo = uniform_pair(0.05, 0.07)
     pair = pair_effective_matrix(0, 1, geo, drive, manifold="one")
-    model = spin_one_general(geo, drive)
+    tables = spin_one_general(geo, drive).tables
     m2 = pair.second_order
     lab = pair.labels
     t_1 = m2[lab.index(("1", "0")), lab.index(("0", "1"))]
     t_m1 = m2[lab.index(("-1", "0")), lab.index(("0", "-1"))]
-    assert model.J_xy[0, 1] + 2.0 * model.v_p1[0, 1] == pytest.approx(
+    assert tables["J_xy"][0, 1] + 2.0 * tables["v_p1"][0, 1] == pytest.approx(
         t_1, rel=1e-12)
-    assert model.J_xy[0, 1] + 2.0 * model.v_m1[0, 1] == pytest.approx(
+    assert tables["J_xy"][0, 1] + 2.0 * tables["v_m1"][0, 1] == pytest.approx(
         t_m1, rel=1e-12)
 
 
@@ -272,8 +276,9 @@ def test_inhomogeneous_detunings_break_field_uniformity():
     drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
     hom = spin_half_general(trap_geo, replace(drive, homogeneous=True))
     inh = spin_half_general(trap_geo, drive)
-    assert hom.E0_split[0] == pytest.approx(hom.E0_split[1])
-    assert inh.E0_split[0] != pytest.approx(inh.E0_split[1])
+    hom_split, inh_split = hom.tables["E0_split"], inh.tables["E0_split"]
+    assert hom_split[0] == pytest.approx(hom_split[1])
+    assert inh_split[0] != pytest.approx(inh_split[1])
 
 
 @settings(max_examples=20, deadline=None)
@@ -293,11 +298,10 @@ def test_pair_matrix_properties(g_x, g_y, d_over_g, tx_frac, ty_frac):
     assert np.all(np.isfinite(m2))
     # K_xy is exactly bilinear in (t_x, t_y): the flip-flop element has no
     # t_x^2 or t_y^2 piece, so doubling t_x alone doubles it
-    model = spin_half_general(geo, drive)
+    k_xy = spin_half_general(geo, drive).tables["K_xy"]
     geo2 = uniform_pair(2.0 * tx_frac * g_lo, ty_frac * g_lo)
-    model2 = spin_half_general(geo2, drive)
-    assert model2.K_xy[0, 1] == pytest.approx(2.0 * model.K_xy[0, 1],
-                                              rel=1e-10, abs=1e-18)
+    k_xy2 = spin_half_general(geo2, drive).tables["K_xy"]
+    assert k_xy2[0, 1] == pytest.approx(2.0 * k_xy[0, 1], rel=1e-10, abs=1e-18)
 
 
 def kron_at(ops, n_sites, d):
@@ -321,43 +325,42 @@ def test_spin_hamiltonian_matches_explicit_kron(manifold):
 
     offset = rng.normal()
     if manifold == "half":
-        model = SpinHalfModel(K_xy=couplings(), K_z=couplings(),
-                              H_field=rng.normal(size=n),
-                              E0_split=rng.normal(size=n),
-                              energy_offset=offset)
+        t = {"K_xy": couplings(), "K_z": couplings(),
+             "H_field": rng.normal(size=n), "E0_split": rng.normal(size=n)}
+        model = SpinModel("half", t, energy_offset=offset)
         d = 2
         expect = offset * np.eye(d**n, dtype=complex)
         for j in range(n):
-            expect += ((model.H_field[j] + model.E0_split[j])
+            expect += ((t["H_field"][j] + t["E0_split"][j])
                        * kron_at({j: SIGMA_Z}, n, d))
             for k in range(j + 1, n):
-                expect += model.K_xy[j, k] * (
+                expect += t["K_xy"][j, k] * (
                     kron_at({j: SIGMA_X, k: SIGMA_X}, n, d)
                     + kron_at({j: SIGMA_Y, k: SIGMA_Y}, n, d))
-                expect += model.K_z[j, k] * kron_at({j: SIGMA_Z, k: SIGMA_Z}, n, d)
+                expect += t["K_z"][j, k] * kron_at({j: SIGMA_Z, k: SIGMA_Z}, n, d)
     else:
-        model = SpinOneModel(J_xy=couplings(), J_z=couplings(), W=couplings(),
-                             V=couplings(), v_p1=couplings(), v_m1=couplings(),
-                             D_field=rng.normal(size=n),
-                             B_field=rng.normal(size=n), energy_offset=offset)
+        t = {name: couplings() for name in ("J_xy", "J_z", "W", "V", "v_p1",
+                                            "v_m1")}
+        t.update(D_field=rng.normal(size=n), B_field=rng.normal(size=n))
+        model = SpinModel("one", t, energy_offset=offset)
         d = 3
         sz2 = S_Z1 @ S_Z1
         expect = offset * np.eye(d**n, dtype=complex)
         for j in range(n):
-            expect += model.D_field[j] * kron_at({j: sz2}, n, d)
-            expect += model.B_field[j] * kron_at({j: S_Z1}, n, d)
+            expect += t["D_field"][j] * kron_at({j: sz2}, n, d)
+            expect += t["B_field"][j] * kron_at({j: S_Z1}, n, d)
             for k in range(j + 1, n):
                 def pair(a, b):
                     return kron_at({j: a, k: b}, n, d)
 
                 a_p = pair(S_Z1 @ S_PLUS, S_MINUS @ S_Z1)
                 a_m = pair(S_Z1 @ S_MINUS, S_PLUS @ S_Z1)
-                expect += model.J_xy[j, k] * (pair(S_X1, S_X1) + pair(S_Y1, S_Y1))
-                expect += model.J_z[j, k] * pair(S_Z1, S_Z1)
-                expect += model.W[j, k] * (pair(S_Z1, sz2) + pair(sz2, S_Z1))
-                expect += model.V[j, k] * pair(sz2, sz2)
-                expect += model.v_p1[j, k] * (a_p + a_p.conj().T)
-                expect += model.v_m1[j, k] * (a_m + a_m.conj().T)
+                expect += t["J_xy"][j, k] * (pair(S_X1, S_X1) + pair(S_Y1, S_Y1))
+                expect += t["J_z"][j, k] * pair(S_Z1, S_Z1)
+                expect += t["W"][j, k] * (pair(S_Z1, sz2) + pair(sz2, S_Z1))
+                expect += t["V"][j, k] * pair(sz2, sz2)
+                expect += t["v_p1"][j, k] * (a_p + a_p.conj().T)
+                expect += t["v_m1"][j, k] * (a_m + a_m.conj().T)
     letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
     scale = np.max(np.abs(expect))
     h = build_spin_hamiltonian(model, product_basis(dict.fromkeys(letters, 0),
@@ -452,9 +455,9 @@ def test_pair_entries_match_model_tables():
     drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
     half = spin_half_general(geo, drive)
     one = spin_one_general(geo, drive)
-    tables = {"K_xy": half.K_xy, "K_z": half.K_z, "J_xy": one.J_xy,
-              "J_z": one.J_z, "W": one.W, "V": one.V, "v_p1": one.v_p1,
-              "v_m1": one.v_m1}
+    tables = {**{name: half.tables[name] for name in ("K_xy", "K_z")},
+              **{name: one.tables[name] for name in ("J_xy", "J_z", "W", "V",
+                                                     "v_p1", "v_m1")}}
     # site fields: zeroth order plus each partner's second-order share
     fields = {"H_field": np.zeros(4), "B_field": np.zeros(4),
               "D_field": np.zeros(4)}
@@ -475,6 +478,24 @@ def test_pair_entries_match_model_tables():
                     elif name in fields:
                         fields[name][j] += for_j
                         fields[name][k] += for_k
-    assert fields["H_field"] == pytest.approx(half.H_field, rel=1e-12)
-    assert fields["B_field"] == pytest.approx(one.B_field, rel=1e-12)
-    assert fields["D_field"] == pytest.approx(one.D_field, rel=1e-12)
+    assert fields["H_field"] == pytest.approx(half.tables["H_field"], rel=1e-12)
+    assert fields["B_field"] == pytest.approx(one.tables["B_field"], rel=1e-12)
+    assert fields["D_field"] == pytest.approx(one.tables["D_field"], rel=1e-12)
+
+
+@pytest.mark.parametrize("manifold, builder", [("half", spin_half_general),
+                                               ("one", spin_one_general)])
+def test_coupling_names_agree_across_modules(manifold, builder):
+    site, pair = MODEL_TERMS[manifold]
+    names = {name for name, _ in site + pair}
+    geo = CrystalGeometry.from_uniform_hoppings(3, 0.05 * KHZ, 0.08 * KHZ)
+    drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
+    assert set(builder(geo, drive).tables) == names
+    # every CSV column reads a table of the model
+    for columns in _COUPLING_COLUMNS[manifold]:
+        assert {name for name in columns if name is not None} <= names
+    d = len(MANIFOLD_LABELS[MANIFOLD_N[manifold]])
+    for terms, dim in ((site, d), (pair, d * d)):
+        for name, op in terms:
+            assert op.dtype == np.float64 and op.shape == (dim, dim), name
+            np.testing.assert_array_equal(op, op.T)
