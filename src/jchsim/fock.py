@@ -399,14 +399,17 @@ def assemble(basis: SectorBasis, terms):
 
     Its matrix is a real float64 CSR, with duplicate entries summed and
     those of magnitude at most DROP_TOL dropped. Raises ValueError if a
-    term has an imaginary part that is not exactly 0.
+    term is not float64 (complex included): Hamiltonians are real.
     """
-    parts = [embed(basis, local, sites) for local, sites in terms]
+    parts = []
+    for local, sites in terms:
+        if local.dtype != np.float64:
+            raise ValueError(f"term on sites {tuple(sites)} has dtype "
+                             f"{local.dtype}, not float64; Hamiltonians are real")
+        parts.append(embed(basis, local, sites))
     rows, cols, vals = ([np.concatenate(p) for p in zip(*parts)] if parts
-                        else ([], [], []))
-    if np.any(np.imag(vals)):
-        raise ValueError("a term has an imaginary part; Hamiltonians are real")
-    mat = sp.coo_matrix((np.asarray(np.real(vals), dtype=float), (rows, cols)),
+                        else ([], [], np.zeros(0)))
+    mat = sp.coo_matrix((vals, (rows, cols)),
                         shape=(basis.dim, basis.dim)).tocsr()  # sums duplicates
     mat.data[np.abs(mat.data) <= DROP_TOL] = 0.0
     mat.eliminate_zeros()

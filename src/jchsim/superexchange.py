@@ -8,7 +8,9 @@ The generic numeric engine builds, for each site pair (j, k), the matrix
 
 over product states of the site-local dressed manifold (n excitations per
 site), where the intermediates chi run over exact product eigenstates with
-(n+1, n-1) and (n-1, n+1) excitation splits. Spin-1/2 (n=1) and spin-1
+(n+1, n-1) and (n-1, n+1) excitation splits. The engine works on a stack
+of pairs: a model build runs it once per site j, on all partners k > j
+together, and a single pair is a stack of one. Spin-1/2 (n=1) and spin-1
 (n=2) coupling tables are then extracted by matching the matrix against
 the XXZ and Heisenberg-like operator patterns, alongside the closed-form
 coupling formulas valid at delta = 0, which serve as mutual oracles.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,90 +57,147 @@ class DegenerateIntermediateError(RuntimeError):
 
 @dataclass(frozen=True)
 class _SiteData:
-    """Dressed manifold of one site plus full eigenpairs of its adjacent sectors."""
+    """Dressed manifolds of stacked sites plus eigenpairs of their adjacent sectors.
 
-    manifold_e: np.ndarray  # (d,) zeroth-order manifold energies
-    upper_e: np.ndarray  # sector n+1 eigenvalues
-    lower_e: np.ndarray  # sector n-1 eigenvalues
-    # <r| a_beta |A>: manifold row, upper-eigenstate column
+    Every array has a leading site axis; indexing the record indexes that
+    axis of each array. The ladder matrix elements are stored spread over
+    a pair's intermediates (A, B) and product labels (r_j, r_k), as they
+    enter the numerators of a partner k, so that a row's numerators are
+    products of contiguous blocks.
+    """
+
+    manifold_e: np.ndarray  # (S, d) zeroth-order manifold energies
+    upper_e: np.ndarray  # (S, u) sector n+1 eigenvalues
+    lower_e: np.ndarray  # (S, l) sector n-1 eigenvalues
+    # [A, B, r_j, r_k] = <r_k| a_beta |A>: (S, u, l, d, d), k the upper site
     drop_x: np.ndarray
     drop_y: np.ndarray
-    # <B| a_beta |r>: lower-eigenstate row, manifold column
+    # [B, r_j, r_k] = <B| a_beta |r_k>: (S, l, d, d), k the lower site
     lift_x: np.ndarray
     lift_y: np.ndarray
 
+    def __getitem__(self, idx):
+        return _SiteData(*(getattr(self, f.name)[idx] for f in fields(self)))
+
 
 def _site_data(n, det_x, det_y, drive):
+    """One site's energies and ladder matrix elements.
+
+    Returns the manifold, upper and lower energies, <r| a_beta |A> as
+    (d, u) and <B| a_beta |r> as (l, d) arrays for beta = x, y.
+    """
     manifold_e, man_v = site_manifold_states(n, det_x, det_y, drive)
     upper_e, upper_v = site_sector_eigh(n + 1, det_x, det_y, drive)
     lower_e, lower_v = site_sector_eigh(n - 1, det_x, det_y, drive)
     up = site_sector_operators(n + 1)  # a_x/a_y: sector n+1 -> n
     dn = site_sector_operators(n)  # a_x/a_y: sector n -> n-1
+    return (manifold_e, upper_e, lower_e,
+            man_v @ up["a_x"] @ upper_v, man_v @ up["a_y"] @ upper_v,
+            lower_v.T @ dn["a_x"] @ man_v.T, lower_v.T @ dn["a_y"] @ man_v.T)
+
+
+def _site_table(n, geometry, drive, ions):
+    """_SiteData of the given ions, stacked in that order, computed once per build."""
+    det_x, det_y = local_detunings(geometry, drive)
+    manifold_e, upper_e, lower_e, drop_x, drop_y, lift_x, lift_y = map(np.stack, zip(
+        *(_site_data(n, det_x[j], det_y[j], drive) for j in ions)))
+    n_sites, d, u = drop_x.shape
+    n_lower = lift_x.shape[1]
+
+    def spread(a, shape):
+        return np.ascontiguousarray(np.broadcast_to(a, shape))
+
     return _SiteData(
-        manifold_e=manifold_e,
-        upper_e=upper_e,
-        lower_e=lower_e,
-        drop_x=man_v @ up["a_x"] @ upper_v,
-        drop_y=man_v @ up["a_y"] @ upper_v,
-        lift_x=lower_v.T @ dn["a_x"] @ man_v.T,
-        lift_y=lower_v.T @ dn["a_y"] @ man_v.T,
+        manifold_e, upper_e, lower_e,
+        *(spread(np.swapaxes(v, 1, 2)[:, :, None, None, :], (n_sites, u, n_lower, d, d))
+          for v in (drop_x, drop_y)),
+        *(spread(v[:, :, None, :], (n_sites, n_lower, d, d)) for v in (lift_x, lift_y)),
     )
 
 
-def _site_table(n, geometry, drive):
-    """_SiteData of every site, computed once per model build."""
-    det_x, det_y = local_detunings(geometry, drive)
-    return [_site_data(n, det_x[j], det_y[j], drive)
-            for j in range(geometry.n_ions)]
+def _hops(factors_x, factors_y, t_x, t_y, out):
+    """Numerators t_x a_x b_x + t_y a_y b_y of P pairs, written into out.
 
-
-def _hops(up: _SiteData, down: _SiteData, t_x, t_y):
-    """Intermediates with one excitation moved from site `down` to site `up`.
-
-    chi = |A_up, B_down>, reached by a_up^dag a_down, in row-major (A, B)
-    order. Returns the numerators <r_up r_down|H_b|chi> as an array
-    [chi, r_up, r_down] and the intermediate energies E_A + E_B.
+    factors_beta = (a, b) are the ladder factors of the two sites, laid out
+    like out, (P, u, l, d, d), or broadcast to it; t_x and t_y are the P
+    pair hoppings.
     """
-    num = (t_x * np.einsum("ra,bs->abrs", up.drop_x, down.lift_x)
-           + t_y * np.einsum("ra,bs->abrs", up.drop_y, down.lift_y))
-    d = len(up.manifold_e)
-    energies = (up.upper_e[:, None] + down.lower_e[None, :]).ravel()
-    return num.reshape(-1, d, d), energies
+    per_pair = (slice(None),) + (None,) * 4
+    np.multiply(*factors_x, out=out)
+    out *= t_x[per_pair]
+    y_part = np.multiply(*factors_y)
+    y_part *= t_y[per_pair]
+    out += y_part
 
 
 def _degeneracy_tol(drive):
     return DEGENERACY_TOL_FACTOR * max(drive.g_x, drive.g_y, 1e-30)
 
 
-def _second_order(pair, site_j: _SiteData, site_k: _SiteData, t_x, t_y, tol_deg):
-    """Zeroth-order pair energies and the symmetrized second-order matrix.
+def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pairs):
+    """Zeroth-order energies and symmetrized second-order matrices of P pairs (j, k).
 
+    site_j is one site, partners the stack of its P partners k, t_x and
+    t_y their P hoppings and pairs the P labels (j, k) that errors name.
     Rows run over product labels (r_j, r'_k), j-major. Both intermediate
     splits, (n+1 at j, n-1 at k) then the reverse, are stacked and summed
-    in one weighted contraction.
+    in one weighted contraction per pair, batched over the stack. Errors
+    name the stack's first failing pair; a pair with a coupled resonant
+    intermediate fails as degenerate before it is checked for finiteness.
     """
-    d = len(site_j.manifold_e)
-    e_pair = (site_j.manifold_e[:, None] + site_k.manifold_e[None, :]).ravel()
-    num_jk, e_jk = _hops(site_j, site_k, t_x, t_y)
-    num_kj, e_kj = _hops(site_k, site_j, t_x, t_y)
-    num = np.concatenate([num_jk, num_kj.transpose(0, 2, 1)]).reshape(-1, d * d)
-    e_chi = np.concatenate([e_jk, e_kj])
-    dvec = e_pair[None, :] - e_chi[:, None]
-    close = np.abs(dvec) < tol_deg
-    tol_num = 1e-10 * (abs(t_x) + abs(t_y)) * math.sqrt(d)  # sqrt(n + 1)
-    coupled = close & (np.abs(num) > tol_num)
-    if np.any(coupled):
-        chi, where = divmod(int(np.argmax(coupled)), d * d)
-        raise DegenerateIntermediateError(
-            pair, float(np.abs(dvec[chi, where])),
-            float(e_pair[where]), float(e_chi[chi]),
-        )
-    # resonant but decoupled: zero numerator kills these rows anyway
-    inv = np.where(close, 0.0, 1.0 / np.where(close, 1.0, dvec))
-    a = (num * inv).T @ num
-    if not (np.isfinite(a).all() and np.isfinite(e_pair).all()):
-        raise FloatingPointError(f"pair {pair}: non-finite second-order matrix")
-    return e_pair, 0.5 * (a + a.T)
+    n_pairs, d = partners.manifold_e.shape
+    e_pair = (site_j.manifold_e[:, None]
+              + partners.manifold_e[:, None, :]).reshape(n_pairs, d * d)
+
+    def as_row(factor):  # site j's factor, its label moved to the r_j slot
+        return np.ascontiguousarray(np.swapaxes(factor, -1, -2))
+
+    # intermediates chi = |A_up, B_down>, reached by a_up^dag a_down, in
+    # row-major (A, B) order: first an excitation moved from k to j, then
+    # from j to k
+    num = np.empty((n_pairs, 2, site_j.upper_e.size, site_j.lower_e.size, d, d))
+    _hops((as_row(site_j.drop_x), partners.lift_x[:, None]),
+          (as_row(site_j.drop_y), partners.lift_y[:, None]), t_x, t_y, num[:, 0])
+    _hops((partners.drop_x, as_row(site_j.lift_x)),
+          (partners.drop_y, as_row(site_j.lift_y)), t_x, t_y, num[:, 1])
+    e_chi = np.concatenate(
+        [site_j.upper_e[:, None] + partners.lower_e[:, None, :],
+         partners.upper_e[:, :, None] + site_j.lower_e[None, :]],
+        axis=1).reshape(n_pairs, -1)
+    num = num.reshape(n_pairs, -1, d * d)
+    # the denominators, inverted in place below; with num the only
+    # stack-sized arrays alive from here on
+    inv = np.empty_like(num)
+    np.copyto(inv, e_pair[:, None, :])
+    inv -= e_chi[:, :, None]
+    close = (inv < tol_deg) & (inv > -tol_deg)  # |inv| < tol_deg, no float temporary
+    any_close = close.any()
+    degenerate = n_pairs
+    if any_close:
+        tol_num = 1e-10 * (np.abs(t_x) + np.abs(t_y)) * math.sqrt(d)  # sqrt(n + 1)
+        coupled = close & (np.abs(num) > tol_num[:, None, None])
+        hit = coupled.any(axis=(1, 2))
+        if hit.any():
+            degenerate = int(np.argmax(hit))
+            chi, where = divmod(int(np.argmax(coupled[degenerate])), d * d)
+            error = DegenerateIntermediateError(
+                pairs[degenerate], float(np.abs(inv[degenerate, chi, where])),
+                float(e_pair[degenerate, where]), float(e_chi[degenerate, chi]),
+            )
+        inv[close] = 1.0
+    np.divide(1.0, inv, out=inv)
+    if any_close:  # resonant but decoupled: zero numerator kills these rows anyway
+        inv[close] = 0.0
+    inv *= num
+    a = np.matmul(inv.swapaxes(1, 2), num)
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(e_pair).all(axis=1)
+    non_finite = int(np.argmin(finite)) if not finite.all() else n_pairs
+    if non_finite < degenerate:
+        raise FloatingPointError(
+            f"pair {pairs[non_finite]}: non-finite second-order matrix")
+    if degenerate < n_pairs:
+        raise error
+    return e_pair, 0.5 * (a + a.swapaxes(1, 2))
 
 
 @dataclass(frozen=True)
@@ -160,18 +219,17 @@ def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
 
     manifold 'half' uses the one-excitation dressed doublet per site,
     'one' the two-excitation triplet. Raises DegenerateIntermediateError
-    when a coupled intermediate is resonant with the manifold. Its
-    couplings are bit-identical to the model tables' [j, k] entries.
+    when a coupled intermediate is resonant with the manifold. It runs
+    the model tables' engine on a stack of one pair, so its couplings
+    equal their [j, k] and [k, j] entries bit for bit.
     """
     if j == k:
         raise ValueError("pair requires distinct sites")
     n = MANIFOLD_N[manifold]
-    det_x, det_y = local_detunings(geometry, drive)
+    sites = _site_table(n, geometry, drive, (j, k))
     e_pair, m2 = _second_order(
-        (j, k),
-        _site_data(n, det_x[j], det_y[j], drive),
-        _site_data(n, det_x[k], det_y[k], drive),
-        geometry.t_x[j, k], geometry.t_y[j, k], _degeneracy_tol(drive),
+        sites[0], sites[1:], geometry.t_x[j, [k]], geometry.t_y[j, [k]],
+        _degeneracy_tol(drive), [(j, k)],
     )
     labels = MANIFOLD_LABELS[n]
     return PairEffectiveMatrix(
@@ -179,39 +237,42 @@ def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
         k=k,
         manifold=manifold,
         labels=tuple((r, rp) for r in labels for rp in labels),
-        matrix=np.diag(e_pair) + m2,
-        second_order=m2,
-        couplings=_EXTRACT[manifold](m2)[0],
+        matrix=np.diag(e_pair[0]) + m2[0],
+        second_order=m2[0],
+        couplings={name: (for_j[0], for_k[0]) for name, (for_j, for_k)
+                   in _EXTRACT[manifold](m2)[0].items()},
     )
 
 
 def _all_pairs(n, geometry, drive, extract):
     """Second-order coefficients of every pair j < k from one site table.
 
-    extract maps a pair's second-order matrix to ({name: (for_j, for_k)},
-    residual). Table name holds for_j at [j, k] and for_k at [k, j], so a
-    pair coupling is a symmetric table, a site term sums along rows and a
-    pair constant (given as (const, 0)) sums over the whole table.
-    Returns the (N, d) zeroth-order manifold energies, the tables and
-    the residuals dict of the models.
+    Each row j runs the engine once, on the stack of its partners k > j.
+    extract maps a stack of second-order matrices to ({name: (for_j,
+    for_k)} of per-pair arrays, largest residual). Table name holds for_j
+    at [j, k] and for_k at [k, j], so a pair coupling is a symmetric
+    table, a site term sums along rows and a pair constant (given as
+    (const, 0)) sums over the whole table. Returns the (N, d) zeroth-order
+    manifold energies, the tables and the residuals dict of the models.
     """
-    sites = _site_table(n, geometry, drive)
-    n_ions = len(sites)
+    n_ions = geometry.n_ions
+    sites = _site_table(n, geometry, drive, range(n_ions))
     tables = defaultdict(lambda: np.zeros((n_ions, n_ions)))
     tol_deg = _degeneracy_tol(drive)
     max_residual = max_asym = 0.0
-    for j in range(n_ions):
-        for k in range(j + 1, n_ions):
-            _, m2 = _second_order((j, k), sites[j], sites[k], geometry.t_x[j, k],
-                                  geometry.t_y[j, k], tol_deg)
-            coeffs, residual = extract(m2)
-            for name, (for_j, for_k) in coeffs.items():
-                tables[name][j, k] = for_j
-                tables[name][k, j] = for_k
-            max_residual = max(max_residual, residual)
-            max_asym = max(max_asym, float(np.max(np.abs(m2 - m2.T))))
-    energies = np.array([s.manifold_e for s in sites])
-    return energies, tables, {"extraction": max_residual, "hermiticity": max_asym}
+    for j in range(n_ions - 1):
+        ks = slice(j + 1, None)
+        _, m2 = _second_order(sites[j], sites[ks], geometry.t_x[j, ks],
+                              geometry.t_y[j, ks], tol_deg,
+                              [(j, k) for k in range(j + 1, n_ions)])
+        coeffs, residual = extract(m2)
+        for name, (for_j, for_k) in coeffs.items():
+            tables[name][j, ks] = for_j
+            tables[name][ks, j] = for_k
+        max_residual = max(max_residual, residual)
+        max_asym = max(max_asym, float(np.max(np.abs(m2 - m2.swapaxes(1, 2)))))
+    return sites.manifold_e, tables, {"extraction": max_residual,
+                                      "hermiticity": max_asym}
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +298,25 @@ class SpinModel:
 
 
 def _extract_half(m2):
-    """XXZ coefficients from a 4x4 second-order pair matrix; the ansatz is exact here."""
-    diag = np.diag(m2)
-    k_xy = 0.5 * m2[1, 2]  # <up,down|H|down,up> = 2 K_xy
-    const = 0.25 * diag.sum()
-    k_z = 0.25 * (diag[0] - diag[1] - diag[2] + diag[3])
-    h_j = 0.25 * (diag[0] + diag[1] - diag[2] - diag[3])
-    h_k = 0.25 * (diag[0] - diag[1] + diag[2] - diag[3])
-    recon = np.diag(diag).astype(float)
-    recon[1, 2] = recon[2, 1] = 2.0 * k_xy
+    """XXZ coefficients from a stack of 4x4 second-order pair matrices.
+
+    The ansatz is exact here. Returns per-pair coefficient arrays and the
+    stack's largest residual.
+    """
+    diag = np.diagonal(m2, axis1=-2, axis2=-1)
+    k_xy = 0.5 * m2[..., 1, 2]  # <up,down|H|down,up> = 2 K_xy
+    const = 0.25 * diag.sum(axis=-1)
+    k_z = 0.25 * (diag[..., 0] - diag[..., 1] - diag[..., 2] + diag[..., 3])
+    h_j = 0.25 * (diag[..., 0] + diag[..., 1] - diag[..., 2] - diag[..., 3])
+    h_k = 0.25 * (diag[..., 0] - diag[..., 1] + diag[..., 2] - diag[..., 3])
+    recon = diag[..., None] * np.eye(4)
+    recon[..., 1, 2] = recon[..., 2, 1] = 2.0 * k_xy
     residual = float(np.max(np.abs(m2 - recon)))
     return {
         "K_xy": (k_xy, k_xy),
         "K_z": (k_z, k_z),
         "H_field": (h_j, h_k),
-        "const": (const, 0.0),
+        "const": (const, np.zeros_like(const)),
     }, residual
 
 
@@ -279,19 +344,20 @@ _MONOMIALS_INV = np.linalg.inv(_MONOMIALS)
 
 
 def _extract_one(m2):
-    """Spin-1 coefficients from a 9x9 second-order pair matrix by pattern matching.
+    """Spin-1 coefficients from stacked 9x9 second-order pair matrices by pattern matching.
 
     The diagonal is solved exactly in the monomial basis m_j^p m_k^q; the
     j<->k antisymmetric part of the mixed cubic term falls outside the
     site-symmetric ansatz and is reported as a residual, as is any
     difference between the two transition elements feeding T^(0).
+    Returns per-pair coefficient arrays and the stack's largest residual.
     """
-    coeff = _MONOMIALS_INV @ np.diag(m2)
-    c = {(p, q): coeff[3 * p + q] for p in range(3) for q in range(3)}
-    t_1 = m2[1, 3]  # (1,0) <-> (0,1)
-    t_m1 = m2[7, 5]  # (-1,0) <-> (0,-1)
-    t_0a = m2[2, 4]  # (1,-1) <-> (0,0)
-    t_0b = m2[6, 4]  # (-1,1) <-> (0,0)
+    coeff = np.matmul(_MONOMIALS_INV, np.diagonal(m2, axis1=-2, axis2=-1)[..., None])
+    c = {(p, q): coeff[..., 3 * p + q, 0] for p in range(3) for q in range(3)}
+    t_1 = m2[..., 1, 3]  # (1,0) <-> (0,1)
+    t_m1 = m2[..., 7, 5]  # (-1,0) <-> (0,-1)
+    t_0a = m2[..., 2, 4]  # (1,-1) <-> (0,0)
+    t_0b = m2[..., 6, 4]  # (-1,1) <-> (0,0)
     t_0 = 0.5 * (t_0a + t_0b)
     v_p1 = 0.5 * (t_1 - t_0)
     v_m1 = 0.5 * (t_m1 - t_0)
@@ -299,12 +365,11 @@ def _extract_one(m2):
     w_asym = 0.5 * (c[1, 2] - c[2, 1])
 
     # reconstruct the ansatz matrix to expose anything outside the pattern
-    recon = np.diag(_MONOMIALS @ coeff)
+    recon = np.matmul(_MONOMIALS, coeff) * np.eye(9)
     for a, b, v in ((1, 3, t_1), (7, 5, t_m1), (2, 4, t_0), (6, 4, t_0)):
-        recon[a, b] = recon[b, a] = v
-    residual = float(
-        max(np.max(np.abs(m2 - recon)), abs(w_asym), 0.5 * abs(t_0a - t_0b))
-    )
+        recon[..., a, b] = recon[..., b, a] = v
+    residual = float(max(np.max(np.abs(m2 - recon)), np.max(np.abs(w_asym)),
+                         np.max(0.5 * np.abs(t_0a - t_0b))))
     return {
         "J_xy": (t_0, t_0),
         "v_p1": (v_p1, v_p1),
@@ -314,7 +379,7 @@ def _extract_one(m2):
         "V": (c[2, 2], c[2, 2]),
         "B_field": (c[1, 0], c[0, 1]),
         "D_field": (c[2, 0], c[0, 2]),
-        "const": (c[0, 0], 0.0),
+        "const": (c[0, 0], np.zeros_like(c[0, 0])),
     }, residual
 
 

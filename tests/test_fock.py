@@ -192,13 +192,13 @@ def test_assemble_without_terms_is_zero():
 def test_assemble_refuses_imaginary_term():
     basis = enumerate_sector(2, 1)
     jc_x = site_operators(1)["jc_x"]
-    # a complex term whose imaginary part is exactly 0 is kept, as real
-    op = assemble(basis, [(jc_x.astype(complex), (0,))])
-    assert op.mat.dtype == np.float64
-    np.testing.assert_array_equal(op.mat.toarray(),
-                                  site_operator(basis, 0, "jc_x").mat.toarray())
-    with pytest.raises(ValueError, match="imaginary"):
-        assemble(basis, [(jc_x, (0,)), (1e-300j * jc_x, (1,))])
+    assert assemble(basis, [(jc_x, (0,))]).mat.dtype == np.float64
+    # complex is refused even with an imaginary part of exactly 0, and so
+    # is any other dtype, dense or sparse, wherever it stands in the list
+    for bad in (jc_x.astype(complex), 1e-300j * jc_x, jc_x.astype(np.float32),
+                sp.csr_array(jc_x.astype(complex))):
+        with pytest.raises(ValueError, match=rf"sites \(1,\) has dtype {bad.dtype}"):
+            assemble(basis, [(jc_x, (0,)), (bad, (1,))])
 
 
 @pytest.mark.parametrize("n_sites,n", [(2, 1), (3, 1), (2, 2)])

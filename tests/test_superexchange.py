@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jchsim import superexchange
 from jchsim.cli import _COUPLING_COLUMNS
 from jchsim.crystal import CrystalGeometry, local_detunings
 from jchsim.fock import (
@@ -499,3 +500,109 @@ def test_coupling_names_agree_across_modules(manifold, builder):
         for name, op in terms:
             assert op.dtype == np.float64 and op.shape == (dim, dim), name
             np.testing.assert_array_equal(op, op.T)
+
+
+DRIVE_TRAP = dict(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
+BUILDERS = {"half": spin_half_general, "one": spin_one_general}
+
+
+@pytest.mark.parametrize("manifold", ["half", "one"])
+def test_row_stacks_equal_single_pairs(manifold):
+    # the rows of a seven-ion crystal stack 6 down to 1 partners; each
+    # table entry is the one-pair engine's coupling bit for bit, [j, k]
+    # read as for_j and [k, j] as for_k
+    geo = trap_crystal(7)
+    drive = make_drive(**DRIVE_TRAP)
+    _, tables, _ = superexchange._all_pairs(
+        MANIFOLD_N[manifold], geo, drive, superexchange._EXTRACT[manifold])
+    model = BUILDERS[manifold](geo, drive)
+    for name, _ in MODEL_TERMS[manifold][1]:
+        np.testing.assert_array_equal(model.tables[name], tables[name])
+    for j, k in itertools.combinations(range(7), 2):
+        pair = pair_effective_matrix(j, k, geo, drive, manifold=manifold)
+        assert set(pair.couplings) == set(tables)
+        for name, (for_j, for_k) in pair.couplings.items():
+            assert tables[name][j, k] == for_j, (name, j, k)
+            assert tables[name][k, j] == for_k, (name, j, k)
+        ref = reference_second_order(j, k, geo, drive, manifold)
+        scale = np.max(np.abs(pair.second_order))
+        assert np.max(np.abs(pair.second_order - ref)) <= 1e-13 * scale
+
+
+def hopping_chain(t_khz, dw_khz=()):
+    """Geometry with the given symmetric hopping table (t_y = 0.6 t_x) and
+    on-site shifts, for chains whose pairs fail where a test puts them."""
+    t = np.asarray(t_khz, dtype=float) * KHZ
+    dw = np.zeros(len(t))
+    for site, shift in dw_khz:
+        dw[site] = shift * KHZ
+    return CrystalGeometry(u=np.arange(len(t), dtype=float), t_x=t,
+                           t_y=0.6 * t, dw_x=dw, dw_y=dw.copy())
+
+
+def hoppings(n_ions, pairs, t_khz=0.1, rest_khz=0.0):
+    t = np.full((n_ions, n_ions), rest_khz)
+    np.fill_diagonal(t, 0.0)
+    for j, k in pairs:
+        t[j, k] = t[k, j] = t_khz
+    return t
+
+
+FAR_DETUNED = dict(g_x=34.0 * KHZ, g_y=34.0 * KHZ, delta=34e6 * KHZ)
+FAILING_CHAINS = {
+    # a coupled resonance on every pair that hops: (1, 3), (1, 4), (2, 4)
+    # and (3, 4), so row 1 holds two offending pairs
+    "resonant": (hopping_chain(hoppings(5, [(1, 3), (1, 4), (2, 4), (3, 4)])),
+                 FAR_DETUNED, DegenerateIntermediateError, (1, 3)),
+    # second-order sums overflow on (1, 2), (1, 3) and (2, 3)
+    "overflow": (hopping_chain(hoppings(4, [(1, 2), (1, 3), (2, 3)], 1e307, 0.1)),
+                 DRIVE_TRAP, FloatingPointError, (1, 2)),
+    # site 2's energies overflow, so (0, 2) fails as non-finite before the
+    # resonant (0, 3); with site 3's instead, resonant (0, 2) comes first
+    "overflow_then_resonant": (
+        hopping_chain(hoppings(4, [(0, 1)], 0.0, 0.1), [(2, 2e307)]),
+        FAR_DETUNED, FloatingPointError, (0, 2)),
+    "resonant_then_overflow": (
+        hopping_chain(hoppings(4, [(0, 1)], 0.0, 0.1), [(3, 2e307)]),
+        FAR_DETUNED, DegenerateIntermediateError, (0, 2)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("manifold", ["half", "one"])
+@pytest.mark.parametrize("chain", FAILING_CHAINS)
+def test_model_build_names_first_failing_pair(chain, manifold):
+    # the row stacks fail on the pair a j-major loop of single pairs
+    # meets first, with the same message
+    geo, drive, error, first = FAILING_CHAINS[chain]
+    drive = make_drive(**drive)
+    loop = []
+    for j, k in itertools.combinations(range(geo.n_ions), 2):
+        try:
+            pair_effective_matrix(j, k, geo, drive, manifold=manifold)
+        except (DegenerateIntermediateError, FloatingPointError) as exc:
+            loop.append(exc)
+    assert len(loop) > 1
+    assert type(loop[0]) is error and str(loop[0]).startswith(f"pair {first}:")
+    with pytest.raises(error) as info:
+        BUILDERS[manifold](geo, drive)
+    assert str(info.value) == str(loop[0])
+    if error is DegenerateIntermediateError:
+        assert info.value.pair == first and info.value.gap == loop[0].gap
+
+
+@pytest.mark.parametrize("manifold", ["half", "one"])
+def test_model_build_runs_one_contraction_per_row(monkeypatch, manifold):
+    # N - 1 stacked contractions, one per row j over its partners k > j,
+    # not one per pair
+    engine = superexchange._second_order
+    stacks = []
+
+    def counted(site_j, partners, *args):
+        stacks.append(len(partners.manifold_e))
+        return engine(site_j, partners, *args)
+
+    monkeypatch.setattr(superexchange, "_second_order", counted)
+    n_ions = 7
+    BUILDERS[manifold](trap_crystal(n_ions), make_drive(**DRIVE_TRAP))
+    assert stacks == list(range(n_ions - 1, 0, -1))
