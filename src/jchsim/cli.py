@@ -16,17 +16,17 @@ import sys
 import time
 
 
-def _fmt(v):
-    if isinstance(v, (int,)) or type(v).__name__ in ("int64", "int32", "intp"):
-        return str(int(v))
-    return f"{float(v):.11e}"
-
-
 def _write_csv(path, header, rows):
+    """Integer cells (Python or numpy) as integers, others as %.11e floats,
+    by one % format per row."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join("%d" if type(v).__name__ in _INTS else "%.11e"
+                              for v in row) % tuple(row) + "\n")
+
+
+_INTS = ("int", "bool", "int64", "int32")
 
 
 def _label_col(labels):
@@ -289,7 +289,7 @@ def cmd_couplings(cfg, args, out_dir):
     from .crystal import geometry_from_config
     from .params import KHZ, ConfigError
     from .superexchange import (
-        pair_effective_matrix,
+        pair_stack,
         spin_half_analytic,
         spin_half_general,
         spin_one_general,
@@ -302,10 +302,10 @@ def cmd_couplings(cfg, args, out_dir):
         key, start, stop, n = parse_sweep(args.sweep)
         values = np.linspace(start, stop, n)
         variants = [config_variant(cfg.raw, **{key: float(v)}) for v in values]
-        for v, vcfg in zip(values, variants):
+        points = [f"sweep point {key} = {v:g}" for v in values]
+        for point, vcfg in zip(points, variants):
             if vcfg.n_ions < 2:
-                raise ConfigError(f"sweep point {key} = {v:g} leaves "
-                                  "fewer than 2 ions")
+                raise ConfigError(f"{point} leaves fewer than 2 ions")
 
     geo = geometry_from_config(cfg)
     half = spin_half_general(geo, cfg.drive)
@@ -343,14 +343,11 @@ def cmd_couplings(cfg, args, out_dir):
             residuals["analytic_J_z_rel"] = rel(one, "J_z", jz_a)
 
     if args.sweep:
-        def one_point(v, vcfg):
-            pair = pair_effective_matrix(0, 1, geometry_from_config(vcfg),
-                                         vcfg.drive)
-            kxy, kz = pair.couplings["K_xy"][0], pair.couplings["K_z"][0]
-            lam = kz / kxy if kxy != 0.0 else float("nan")
-            return (float(v), kxy / KHZ, kz / KHZ, lam)
-
-        sweep_rows = [one_point(v, vcfg) for v, vcfg in zip(values, variants)]
+        _, _, pair = pair_stack(0, 1, [geometry_from_config(vcfg) for vcfg in variants],
+                                [vcfg.drive for vcfg in variants], points=points)
+        sweep_rows = [(v, kxy / KHZ, kz / KHZ, kz / kxy if kxy else math.nan)
+                      for v, kxy, kz in zip(values.tolist(), pair["K_xy"][0].tolist(),
+                                            pair["K_z"][0].tolist())]
         sweep_path = os.path.join(out_dir, "couplings_sweep.csv")
         _write_csv(sweep_path, (key, "K_xy_khz", "K_z_khz", "lambda"),
                    sweep_rows)

@@ -35,11 +35,20 @@ from .fock import (
 from .params import DriveParams
 
 
-def site_hamiltonian(ops, det_x, det_y, drive: DriveParams):
-    """Dense one-site H_JC over fock site operators, with local detunings."""
-    return (det_x * ops["num_x"] + det_y * ops["num_y"]
-            + drive.omega0 * (ops["proj_e1"] + ops["proj_e2"])
-            + drive.g_x * ops["jc_x"] + drive.g_y * ops["jc_y"])
+def site_hamiltonian(ops, det_x, det_y, omega0, g_x, g_y):
+    """Dense one-site H_JC over fock site operators, for a stack of sites.
+
+    Each parameter is a scalar or an array of per-entry values (local
+    detunings, omega0, couplings); they broadcast to the stack shape S and
+    the result is (*S, m, m). Terms are summed in place, in this order.
+    """
+    (value, op), *terms = ((det_x, ops["num_x"]), (det_y, ops["num_y"]),
+                           (omega0, ops["proj_e1"] + ops["proj_e2"]),
+                           (g_x, ops["jc_x"]), (g_y, ops["jc_y"]))
+    h = np.asarray(value, dtype=float)[..., None, None] * op
+    for value, op in terms:
+        h += np.asarray(value, dtype=float)[..., None, None] * op
+    return h
 
 
 def build_hjc(basis: SectorBasis, geometry: CrystalGeometry, drive: DriveParams):
@@ -47,11 +56,9 @@ def build_hjc(basis: SectorBasis, geometry: CrystalGeometry, drive: DriveParams)
     if basis.n_sites != geometry.n_ions:
         raise ValueError("basis and geometry disagree on the number of sites")
     det_x, det_y = local_detunings(geometry, drive)
-    ops = site_operators(basis.n_total)
-    return assemble(basis, [
-        (site_hamiltonian(ops, det_x[j], det_y[j], drive), (j,))
-        for j in range(basis.n_sites)
-    ])
+    h = site_hamiltonian(site_operators(basis.n_total), det_x, det_y,
+                         drive.omega0, drive.g_x, drive.g_y)
+    return assemble(basis, [(h[j], (j,)) for j in range(basis.n_sites)])
 
 
 def build_hb(basis: SectorBasis, geometry: CrystalGeometry):
@@ -130,18 +137,20 @@ def particle_hole_gaps(drive: DriveParams):
 # single-site sector machinery (shared by superexchange and dynamics)
 
 
-def site_sector_hamiltonian(n, det_x, det_y, drive: DriveParams):
-    """Dense one-site H_JC on the n-excitation site sector (dim 3n+1).
+def sector_eigh_stack(n, det_x, det_y, omega0, g_x, g_y):
+    """All eigenpairs of the n-excitation sector Hamiltonians (dim 3n+1,
+    basis order of site_states(n)) of a stack of sites, in one eigh.
 
-    det_x/det_y are this site's local detunings; basis order matches
-    site_states(n).
+    Parameters broadcast as in site_hamiltonian; returns (*S, m) energies
+    and (*S, m, m) eigenvector columns.
     """
-    return site_hamiltonian(site_sector_operators(n), det_x, det_y, drive)
+    return np.linalg.eigh(site_hamiltonian(site_sector_operators(n), det_x, det_y,
+                                           omega0, g_x, g_y))
 
 
 def site_sector_eigh(n, det_x, det_y, drive):
-    """All eigenpairs of the one-site sector Hamiltonian."""
-    return np.linalg.eigh(site_sector_hamiltonian(n, det_x, det_y, drive))
+    """All eigenpairs of one site's sector Hamiltonian (a stack of one)."""
+    return sector_eigh_stack(n, det_x, det_y, drive.omega0, drive.g_x, drive.g_y)
 
 
 MANIFOLD_LABELS = {1: ("up", "down"), 2: ("1", "0", "-1")}
@@ -152,36 +161,67 @@ LABEL_X = {lab: n - r for n, labs in MANIFOLD_LABELS.items()
            for r, lab in enumerate(labs)}
 
 
-@lru_cache(maxsize=4096)
-def site_manifold_states(n, det_x, det_y, drive):
-    """Lowest dressed states per conserved (X, Y) block of a site sector:
-    the one definition of a dressed site.
+def manifold_states_stack(n, det_x, det_y, omega0, g_x, g_y):
+    """Lowest dressed states per conserved (X, Y) block of the n-excitation
+    sectors of a stack of sites: the one definition of a dressed site.
 
     Labels: n=1 -> up/down, n=2 -> 1/0/-1. Each block ground state is
     nondegenerate for g > 0, so this stays well-defined where the full
     sector spectrum is degenerate (g_x = g_y). Phases follow the
     convention of a positive coefficient on the purely phononic component.
-
-    Returns read-only (energies, vectors) in MANIFOLD_LABELS[n] order,
-    vectors[r] over site_states(n); cached, and bounded as the key is
-    continuous: the pair engine and every tracked label read each site.
+    Parameters broadcast as in site_hamiltonian; one eigh per label block
+    serves the whole stack. Returns (*S, d) energies and (*S, d, m)
+    vectors in MANIFOLD_LABELS[n] order, vectors[..., r, :] over
+    site_states(n).
     """
     if n not in MANIFOLD_LABELS:
         raise ValueError("manifold closed only for n = 1 or 2 excitations per site")
-    h = site_sector_hamiltonian(n, det_x, det_y, drive)
+    h = site_hamiltonian(site_sector_operators(n), det_x, det_y, omega0, g_x, g_y)
     x_count = np.array([site_x_count(s) for s in site_states(n)])
     labels = MANIFOLD_LABELS[n]
-    energies = np.empty(len(labels))
-    vectors = np.zeros((len(labels), len(x_count)))
+    energies = np.empty(h.shape[:-2] + (len(labels),))
+    vectors = np.zeros(h.shape[:-2] + (len(labels), len(x_count)))
     for r, label in enumerate(labels):
         idx = np.flatnonzero(x_count == LABEL_X[label])
-        vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
-        vec = vecs[:, 0]
-        if vec[0] < 0:  # the phononic component sorts first
-            vec = -vec
-        energies[r] = vals[0]
-        vectors[r, idx] = vec
+        vals, vecs = np.linalg.eigh(h[..., idx[:, None], idx])
+        vec = vecs[..., 0]
+        # the phononic component sorts first
+        vectors[..., r, idx] = np.where(vec[..., :1] < 0, -vec, vec)
+        energies[..., r] = vals[..., 0]
+    return energies, vectors
+
+
+@lru_cache(maxsize=4096)
+def site_manifold_states(n, det_x, det_y, drive):
+    """manifold_states_stack of one site, as read-only (energies, vectors).
+
+    Cached, and bounded as the key is continuous: every tracked label of
+    a full-model product state reads its site here.
+    """
+    energies, vectors = manifold_states_stack(n, det_x, det_y, drive.omega0,
+                                              drive.g_x, drive.g_y)
     return _read_only(energies), _read_only(vectors)
+
+
+def site_ladder_stack(n, det_x, det_y, omega0, g_x, g_y):
+    """A stack of sites' dressed n-excitation manifolds and the sectors one
+    hop reaches from them, as the superexchange pair engine reads them.
+
+    Parameters broadcast as in site_hamiltonian to a stack of S sites.
+    Returns the (S, d) manifold, (S, u) sector n+1 and (S, l) sector n-1
+    energies, then <r| a_beta |A> as (S, d, u) and <B| a_beta |r> as
+    (S, l, d), each for beta = x and y.
+    """
+    params = (det_x, det_y, omega0, g_x, g_y)
+    manifold_e, man_v = manifold_states_stack(n, *params)
+    upper_e, upper_v = sector_eigh_stack(n + 1, *params)
+    lower_e, lower_v = sector_eigh_stack(n - 1, *params)
+    up = site_sector_operators(n + 1)  # a_x/a_y: sector n+1 -> n
+    dn = site_sector_operators(n)  # a_x/a_y: sector n -> n-1
+    return (manifold_e, upper_e, lower_e,
+            *(man_v @ up[a] @ upper_v for a in ("a_x", "a_y")),
+            *(lower_v.swapaxes(-1, -2) @ dn[a] @ man_v.swapaxes(-1, -2)
+              for a in ("a_x", "a_y")))
 
 
 def sector_basis_for(n_sites, n_per_site, dim_cap=DEFAULT_DIM_CAP, n_x_total=None):

@@ -8,9 +8,12 @@ The generic numeric engine builds, for each site pair (j, k), the matrix
 
 over product states of the site-local dressed manifold (n excitations per
 site), where the intermediates chi run over exact product eigenstates with
-(n+1, n-1) and (n-1, n+1) excitation splits. The engine works on a stack
-of pairs: a model build runs it once per site j, on all partners k > j
-together, and a single pair is a stack of one. Spin-1/2 (n=1) and spin-1
+(n+1, n-1) and (n-1, n+1) excitation splits. The dressed site data of a
+whole stack of sites is built at once, with one eigh per sector and per
+manifold label block however many sites the stack holds. The engine works
+on a stack of pairs: a model build runs it once per site j, on all
+partners k > j together; a couplings sweep runs it once, on one pair per
+sweep point; a single pair is a stack of one. Spin-1/2 (n=1) and spin-1
 (n=2) coupling tables are then extracted by matching the matrix against
 the XXZ and Heisenberg-like operator patterns, alongside the closed-form
 coupling formulas valid at delta = 0, which serve as mutual oracles.
@@ -25,13 +28,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .crystal import CrystalGeometry, local_detunings
-from .fock import assemble, product_basis, site_sector_operators
+from .fock import assemble, product_basis
 from .jchv import (
     LABEL_X,
     MANIFOLD_LABELS,
     MANIFOLD_N,
-    site_manifold_states,
-    site_sector_eigh,
+    site_ladder_stack,
 )
 from .params import DriveParams
 
@@ -46,9 +48,9 @@ class DegenerateIntermediateError(RuntimeError):
     coupling (symmetry-protected crossings) do not trigger this.
     """
 
-    def __init__(self, pair, gap, e_manifold, e_chi):
+    def __init__(self, where, pair, gap, e_manifold, e_chi):
         super().__init__(
-            f"pair {pair}: intermediate at E={e_chi:.6g} within {gap:.3e} of "
+            f"{where}: intermediate at E={e_chi:.6g} within {gap:.3e} of "
             f"manifold energy {e_manifold:.6g} with nonzero coupling"
         )
         self.pair = pair
@@ -80,29 +82,11 @@ class _SiteData:
         return _SiteData(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
-def _site_data(n, det_x, det_y, drive):
-    """One site's energies and ladder matrix elements.
-
-    Returns the manifold, upper and lower energies, <r| a_beta |A> as
-    (d, u) and <B| a_beta |r> as (l, d) arrays for beta = x, y.
-    """
-    manifold_e, man_v = site_manifold_states(n, det_x, det_y, drive)
-    upper_e, upper_v = site_sector_eigh(n + 1, det_x, det_y, drive)
-    lower_e, lower_v = site_sector_eigh(n - 1, det_x, det_y, drive)
-    up = site_sector_operators(n + 1)  # a_x/a_y: sector n+1 -> n
-    dn = site_sector_operators(n)  # a_x/a_y: sector n -> n-1
-    return (manifold_e, upper_e, lower_e,
-            man_v @ up["a_x"] @ upper_v, man_v @ up["a_y"] @ upper_v,
-            lower_v.T @ dn["a_x"] @ man_v.T, lower_v.T @ dn["a_y"] @ man_v.T)
-
-
-def _site_table(n, geometry, drive, ions):
-    """_SiteData of the given ions, stacked in that order, computed once per build."""
-    det_x, det_y = local_detunings(geometry, drive)
-    manifold_e, upper_e, lower_e, drop_x, drop_y, lift_x, lift_y = map(np.stack, zip(
-        *(_site_data(n, det_x[j], det_y[j], drive) for j in ions)))
-    n_sites, d, u = drop_x.shape
-    n_lower = lift_x.shape[1]
+def _site_table(n, det_x, det_y, omega0, g_x, g_y):
+    """_SiteData of a stack of sites: jchv.site_ladder_stack, spread."""
+    manifold_e, upper_e, lower_e, *ladders = site_ladder_stack(
+        n, det_x, det_y, omega0, g_x, g_y)
+    (n_sites, d), u, n_lower = manifold_e.shape, upper_e.shape[1], lower_e.shape[1]
 
     def spread(a, shape):
         return np.ascontiguousarray(np.broadcast_to(a, shape))
@@ -110,8 +94,8 @@ def _site_table(n, geometry, drive, ions):
     return _SiteData(
         manifold_e, upper_e, lower_e,
         *(spread(np.swapaxes(v, 1, 2)[:, :, None, None, :], (n_sites, u, n_lower, d, d))
-          for v in (drop_x, drop_y)),
-        *(spread(v[:, :, None, :], (n_sites, n_lower, d, d)) for v in (lift_x, lift_y)),
+          for v in ladders[:2]),
+        *(spread(v[:, :, None, :], (n_sites, n_lower, d, d)) for v in ladders[2:]),
     )
 
 
@@ -134,19 +118,26 @@ def _degeneracy_tol(drive):
     return DEGENERACY_TOL_FACTOR * max(drive.g_x, drive.g_y, 1e-30)
 
 
-def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pairs):
+def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pairs,
+                  points=None):
     """Zeroth-order energies and symmetrized second-order matrices of P pairs (j, k).
 
-    site_j is one site, partners the stack of its P partners k, t_x and
-    t_y their P hoppings and pairs the P labels (j, k) that errors name.
+    site_j is a stack of one site shared by the P pairs (a row of a model
+    build) or of P sites, partners the stack of the P partners k, t_x, t_y
+    and tol_deg the P hoppings and degeneracy tolerances, and pairs the P
+    labels (j, k) that errors name, after the P names in points if given.
     Rows run over product labels (r_j, r'_k), j-major. Both intermediate
     splits, (n+1 at j, n-1 at k) then the reverse, are stacked and summed
     in one weighted contraction per pair, batched over the stack. Errors
     name the stack's first failing pair; a pair with a coupled resonant
     intermediate fails as degenerate before it is checked for finiteness.
     """
+    def name(i):
+        pair = f"pair {pairs[i]}"
+        return pair if points is None else f"{points[i]}: {pair}"
+
     n_pairs, d = partners.manifold_e.shape
-    e_pair = (site_j.manifold_e[:, None]
+    e_pair = (site_j.manifold_e[:, :, None]
               + partners.manifold_e[:, None, :]).reshape(n_pairs, d * d)
 
     def as_row(factor):  # site j's factor, its label moved to the r_j slot
@@ -155,14 +146,14 @@ def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pai
     # intermediates chi = |A_up, B_down>, reached by a_up^dag a_down, in
     # row-major (A, B) order: first an excitation moved from k to j, then
     # from j to k
-    num = np.empty((n_pairs, 2, site_j.upper_e.size, site_j.lower_e.size, d, d))
+    num = np.empty((n_pairs, 2, site_j.upper_e.shape[1], site_j.lower_e.shape[1], d, d))
     _hops((as_row(site_j.drop_x), partners.lift_x[:, None]),
           (as_row(site_j.drop_y), partners.lift_y[:, None]), t_x, t_y, num[:, 0])
-    _hops((partners.drop_x, as_row(site_j.lift_x)),
-          (partners.drop_y, as_row(site_j.lift_y)), t_x, t_y, num[:, 1])
+    _hops((partners.drop_x, as_row(site_j.lift_x)[:, None]),
+          (partners.drop_y, as_row(site_j.lift_y)[:, None]), t_x, t_y, num[:, 1])
     e_chi = np.concatenate(
-        [site_j.upper_e[:, None] + partners.lower_e[:, None, :],
-         partners.upper_e[:, :, None] + site_j.lower_e[None, :]],
+        [site_j.upper_e[:, :, None] + partners.lower_e[:, None, :],
+         partners.upper_e[:, :, None] + site_j.lower_e[:, None, :]],
         axis=1).reshape(n_pairs, -1)
     num = num.reshape(n_pairs, -1, d * d)
     # the denominators, inverted in place below; with num the only
@@ -170,7 +161,8 @@ def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pai
     inv = np.empty_like(num)
     np.copyto(inv, e_pair[:, None, :])
     inv -= e_chi[:, :, None]
-    close = (inv < tol_deg) & (inv > -tol_deg)  # |inv| < tol_deg, no float temporary
+    tol = tol_deg[:, None, None]
+    close = (inv < tol) & (inv > -tol)  # |inv| < tol_deg, no float temporary
     any_close = close.any()
     degenerate = n_pairs
     if any_close:
@@ -181,7 +173,8 @@ def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pai
             degenerate = int(np.argmax(hit))
             chi, where = divmod(int(np.argmax(coupled[degenerate])), d * d)
             error = DegenerateIntermediateError(
-                pairs[degenerate], float(np.abs(inv[degenerate, chi, where])),
+                name(degenerate), pairs[degenerate],
+                float(np.abs(inv[degenerate, chi, where])),
                 float(e_pair[degenerate, where]), float(e_chi[degenerate, chi]),
             )
         inv[close] = 1.0
@@ -194,7 +187,7 @@ def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pai
     non_finite = int(np.argmin(finite)) if not finite.all() else n_pairs
     if non_finite < degenerate:
         raise FloatingPointError(
-            f"pair {pairs[non_finite]}: non-finite second-order matrix")
+            f"{name(non_finite)}: non-finite second-order matrix")
     if degenerate < n_pairs:
         raise error
     return e_pair, 0.5 * (a + a.swapaxes(1, 2))
@@ -219,19 +212,12 @@ def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
 
     manifold 'half' uses the one-excitation dressed doublet per site,
     'one' the two-excitation triplet. Raises DegenerateIntermediateError
-    when a coupled intermediate is resonant with the manifold. It runs
-    the model tables' engine on a stack of one pair, so its couplings
-    equal their [j, k] and [k, j] entries bit for bit.
+    when a coupled intermediate is resonant with the manifold. It is
+    pair_stack on one point, so its couplings equal the model tables'
+    [j, k] and [k, j] entries, and a sweep point's, bit for bit.
     """
-    if j == k:
-        raise ValueError("pair requires distinct sites")
-    n = MANIFOLD_N[manifold]
-    sites = _site_table(n, geometry, drive, (j, k))
-    e_pair, m2 = _second_order(
-        sites[0], sites[1:], geometry.t_x[j, [k]], geometry.t_y[j, [k]],
-        _degeneracy_tol(drive), [(j, k)],
-    )
-    labels = MANIFOLD_LABELS[n]
+    e_pair, m2, couplings = pair_stack(j, k, [geometry], [drive], manifold)
+    labels = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
     return PairEffectiveMatrix(
         j=j,
         k=k,
@@ -239,9 +225,36 @@ def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
         labels=tuple((r, rp) for r in labels for rp in labels),
         matrix=np.diag(e_pair[0]) + m2[0],
         second_order=m2[0],
-        couplings={name: (for_j[0], for_k[0]) for name, (for_j, for_k)
-                   in _EXTRACT[manifold](m2)[0].items()},
+        couplings={name: (for_j[0], for_k[0])
+                   for name, (for_j, for_k) in couplings.items()},
     )
+
+
+def pair_stack(j, k, geometries, drives, manifold="half", points=None):
+    """Pair (j, k) at each of P points (geometry, drive), as one stack.
+
+    One site table holds site j of every point, then site k, and one
+    engine call serves the P pairs; errors name the first failing point,
+    by its entry in points if given. Returns the (P, d*d) zeroth-order
+    energies, the (P, d*d, d*d) second-order matrices and the {name:
+    (for_j, for_k)} per-point coupling arrays.
+    """
+    if j == k:
+        raise ValueError("pair requires distinct sites")
+    detunings = [local_detunings(geo, drive) for geo, drive in zip(geometries, drives)]
+    entries = np.array([(det_x[s], det_y[s], drive.omega0, drive.g_x, drive.g_y)
+                        for s in (j, k)
+                        for (det_x, det_y), drive in zip(detunings, drives)])
+    sites = _site_table(MANIFOLD_N[manifold], *entries.T)
+    n_points = len(drives)
+    e_pair, m2 = _second_order(
+        sites[:n_points], sites[n_points:],
+        np.array([geo.t_x[j, k] for geo in geometries]),
+        np.array([geo.t_y[j, k] for geo in geometries]),
+        np.array([_degeneracy_tol(drive) for drive in drives]),
+        [(j, k)] * n_points, points,
+    )
+    return e_pair, m2, _EXTRACT[manifold](m2)[0]
 
 
 def _all_pairs(n, geometry, drive, extract):
@@ -256,14 +269,15 @@ def _all_pairs(n, geometry, drive, extract):
     manifold energies, the tables and the residuals dict of the models.
     """
     n_ions = geometry.n_ions
-    sites = _site_table(n, geometry, drive, range(n_ions))
+    det_x, det_y = local_detunings(geometry, drive)
+    sites = _site_table(n, det_x, det_y, drive.omega0, drive.g_x, drive.g_y)
     tables = defaultdict(lambda: np.zeros((n_ions, n_ions)))
-    tol_deg = _degeneracy_tol(drive)
+    tol_deg = np.full(n_ions, _degeneracy_tol(drive))
     max_residual = max_asym = 0.0
     for j in range(n_ions - 1):
         ks = slice(j + 1, None)
-        _, m2 = _second_order(sites[j], sites[ks], geometry.t_x[j, ks],
-                              geometry.t_y[j, ks], tol_deg,
+        _, m2 = _second_order(sites[j:j + 1], sites[ks], geometry.t_x[j, ks],
+                              geometry.t_y[j, ks], tol_deg[ks],
                               [(j, k) for k in range(j + 1, n_ions)])
         coeffs, residual = extract(m2)
         for name, (for_j, for_k) in coeffs.items():

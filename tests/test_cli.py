@@ -15,14 +15,19 @@ from jchsim.cli import (
     _COUPLING_HEADER,
     _coupling_rows,
     _write_csv,
+    config_variant,
     main,
     parse_sweep,
     write_line_svg,
 )
-from jchsim.crystal import CrystalGeometry
+from jchsim.crystal import CrystalGeometry, geometry_from_config
 from jchsim.dynamics import CHEBYSHEV_TOL
-from jchsim.params import KHZ, ConfigError, TrapConfig, make_drive
-from jchsim.superexchange import spin_half_general, spin_one_general
+from jchsim.params import KHZ, ConfigError, TrapConfig, make_drive, parse_config
+from jchsim.superexchange import (
+    pair_effective_matrix,
+    spin_half_general,
+    spin_one_general,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -158,6 +163,26 @@ def test_couplings_sweep_integer_key(tmp_path):
     # more ions pull the pair closer: stronger coupling
     k_xy = [abs(r[header.index("K_xy_khz")]) for r in rows]
     assert k_xy == sorted(k_xy)
+
+
+@pytest.mark.parametrize("sweep", ["g_y_khz:12:40:29", "delta_khz:-3:3:7",
+                                   "nu_z_khz:100:140:5", "n_ions:2:6:5"])
+def test_couplings_sweep_rows_equal_single_pairs(tmp_path, sweep):
+    # each row holds its point's pair_effective_matrix(0, 1), as written
+    # by the one CSV format
+    cfg = CONFIG_DIR / "crystal21.cfg"
+    out = tmp_path / "o"
+    assert main(["couplings", "--config", str(cfg), "--out", str(out),
+                 "--sweep", sweep]) == 0
+    key, start, stop, n = parse_sweep(sweep)
+    raw = parse_config(cfg.read_text()).raw
+    expect = [f"{key},K_xy_khz,K_z_khz,lambda"]
+    for v in np.linspace(start, stop, n):
+        vcfg = config_variant(raw, **{key: float(v)})
+        pair = pair_effective_matrix(0, 1, geometry_from_config(vcfg), vcfg.drive)
+        kxy, kz = pair.couplings["K_xy"][0], pair.couplings["K_z"][0]
+        expect.append("%.11e,%.11e,%.11e,%.11e" % (v, kxy / KHZ, kz / KHZ, kz / kxy))
+    assert (out / "couplings_sweep.csv").read_text().splitlines() == expect
 
 
 def test_couplings_sweep_bad_point_writes_nothing(tmp_path, capsys):
@@ -428,6 +453,19 @@ n_excitations = 1
 """)
     assert main(["couplings", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sweep_names_first_failing_point(tmp_path, capsys):
+    # the base config is fine; far above the dressed doublets, from
+    # delta = 1e6 kHz on, an intermediate is resonant with the pair, so
+    # the last three of the five points fail
+    cfg = write_cfg(tmp_path, ISO_PAIR.replace("20.0", "34.0"))
+    assert main(["couplings", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert main(["couplings", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--sweep", "delta_khz:-1e6:3e6:5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: sweep point delta_khz = 1e+06: "
+                          "pair (0, 1): intermediate at"), err
 
 
 @pytest.mark.parametrize("line", ["t_final_ms = nan", "g_x_khz = inf"])

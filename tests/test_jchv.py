@@ -5,21 +5,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jchsim.crystal import CrystalGeometry
+from jchsim.crystal import CrystalGeometry, local_detunings
 from jchsim.fock import (
     assemble,
     enumerate_sector,
     site_operators,
+    site_sector_operators,
     site_states,
+    site_x_count,
 )
 from jchsim.jchv import (
+    LABEL_X,
     MANIFOLD_LABELS,
     build_full,
     build_hb,
     build_hjc,
+    manifold_states_stack,
     particle_hole_gaps,
     sector_basis_for,
+    sector_eigh_stack,
     single_site_spectra,
+    site_hamiltonian,
     site_manifold_states,
     site_sector_eigh,
 )
@@ -96,6 +102,55 @@ def test_manifold_energies_match_closed_forms():
     assert e1 == pytest.approx([s1.E_minus_x, s1.E_minus_y], abs=1e-10)
     e2, _ = site_manifold_states(2, drive.Delta, drive.Delta, drive)
     assert e2 == pytest.approx([s2.E_1, s2.E_0, s2.E_m1], abs=1e-10)
+
+
+def per_block_manifold_states(n, det_x, det_y, drive):
+    """One site's dressed manifold, one label block at a time."""
+    h = site_hamiltonian(site_sector_operators(n), det_x, det_y, drive.omega0,
+                         drive.g_x, drive.g_y)
+    x_count = np.array([site_x_count(s) for s in site_states(n)])
+    labels = MANIFOLD_LABELS[n]
+    energies, vectors = np.empty(len(labels)), np.zeros((len(labels), len(x_count)))
+    for r, label in enumerate(labels):
+        idx = np.flatnonzero(x_count == LABEL_X[label])
+        vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
+        energies[r] = vals[0]
+        vectors[r, idx] = vecs[:, 0] if vecs[0, 0] >= 0 else -vecs[:, 0]
+    return energies, vectors
+
+
+TRAP21 = CrystalGeometry.from_trap(TrapConfig(21, 120.0 * KHZ, 55.555555555555556,
+                                              100.0))
+STACK_DRIVES = {
+    "trap": dict(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ),
+    "g_x=g_y": dict(g_x=20.0 * KHZ, g_y=20.0 * KHZ, delta=0.0),
+    "homogeneous": dict(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ,
+                        homogeneous=True),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("drive", STACK_DRIVES)
+def test_stacked_site_data_equals_per_ion(n, drive):
+    # one eigh per sector and label block for all 21 ions of a trap
+    # crystal gives every ion's own site_sector_eigh and
+    # site_manifold_states bit for bit, and those equal a loop over blocks
+    drive = make_drive(**STACK_DRIVES[drive])
+    det_x, det_y = local_detunings(TRAP21, drive)
+    params = (det_x, det_y, drive.omega0, drive.g_x, drive.g_y)
+    manifold = manifold_states_stack(n, *params)
+    sectors = {m: sector_eigh_stack(m, *params) for m in (n - 1, n + 1)}
+    assert manifold[1].shape == (21, len(MANIFOLD_LABELS[n]), 3 * n + 1)
+    for j in range(21):
+        ion = site_manifold_states(n, det_x[j], det_y[j], drive)
+        loop = per_block_manifold_states(n, det_x[j], det_y[j], drive)
+        for stacked, single, ref in zip(manifold, ion, loop):
+            np.testing.assert_array_equal(stacked[j], single)
+            np.testing.assert_array_equal(single, ref)
+        for m, stack in sectors.items():
+            for stacked, single in zip(stack, site_sector_eigh(m, det_x[j],
+                                                               det_y[j], drive)):
+                np.testing.assert_array_equal(stacked[j], single)
 
 
 def test_isotropic_gaps_closed_form():

@@ -1,14 +1,15 @@
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jchsim import superexchange
-from jchsim.cli import _COUPLING_COLUMNS
-from jchsim.crystal import CrystalGeometry, local_detunings
+from jchsim.cli import _COUPLING_COLUMNS, config_variant, parse_sweep
+from jchsim.crystal import CrystalGeometry, geometry_from_config, local_detunings
 from jchsim.fock import (
     SectorError,
     product_basis,
@@ -21,7 +22,7 @@ from jchsim.jchv import (
     site_manifold_states,
     site_sector_eigh,
 )
-from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive
+from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive, parse_config
 from jchsim.superexchange import (
     MODEL_TERMS,
     DegenerateIntermediateError,
@@ -31,6 +32,7 @@ from jchsim.superexchange import (
     SpinModel,
     build_spin_hamiltonian,
     pair_effective_matrix,
+    pair_stack,
     spin_half_analytic,
     spin_half_general,
     spin_one_general,
@@ -385,24 +387,25 @@ def trap_crystal(n_ions, nu_z_khz=120.0):
         TrapConfig(n_ions, nu_z_khz * KHZ, 55.555555555555556, 100.0))
 
 
+def reference_site(n, det_x, det_y, drive):
+    """One site's energies and ladder matrix elements from its own eighs."""
+    energies, man_v = site_manifold_states(n, det_x, det_y, drive)
+    upper_e, upper_v = site_sector_eigh(n + 1, det_x, det_y, drive)
+    lower_e, lower_v = site_sector_eigh(n - 1, det_x, det_y, drive)
+    up, dn = site_sector_operators(n + 1), site_sector_operators(n)
+    return {
+        "e": energies,
+        "upper_e": upper_e, "lower_e": lower_e,
+        "drop": {b: man_v @ up[f"a_{b}"] @ upper_v for b in "xy"},
+        "lift": {b: lower_v.T @ dn[f"a_{b}"] @ man_v.T for b in "xy"},
+    }
+
+
 def reference_second_order(j, k, geometry, drive, manifold):
     """Second-order pair matrix summed one intermediate at a time."""
     n = {"half": 1, "one": 2}[manifold]
     det_x, det_y = local_detunings(geometry, drive)
-
-    def site(s):
-        energies, man_v = site_manifold_states(n, det_x[s], det_y[s], drive)
-        upper_e, upper_v = site_sector_eigh(n + 1, det_x[s], det_y[s], drive)
-        lower_e, lower_v = site_sector_eigh(n - 1, det_x[s], det_y[s], drive)
-        up, dn = site_sector_operators(n + 1), site_sector_operators(n)
-        return {
-            "e": energies,
-            "upper_e": upper_e, "lower_e": lower_e,
-            "drop": {b: man_v @ up[f"a_{b}"] @ upper_v for b in "xy"},
-            "lift": {b: lower_v.T @ dn[f"a_{b}"] @ man_v.T for b in "xy"},
-        }
-
-    sj, sk = site(j), site(k)
+    sj, sk = (reference_site(n, det_x[s], det_y[s], drive) for s in (j, k))
     t = {"x": geometry.t_x[j, k], "y": geometry.t_y[j, k]}
     e_pair = np.add.outer(sj["e"], sk["e"]).ravel()
     m2 = np.zeros((len(e_pair), len(e_pair)))
@@ -591,6 +594,27 @@ def test_model_build_names_first_failing_pair(chain, manifold):
         assert info.value.pair == first and info.value.gap == loop[0].gap
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("manifold", ["half", "one"])
+@pytest.mark.parametrize("order, error", [
+    (("fine", "overflow", "resonant", "overflow"), FloatingPointError),
+    (("fine", "resonant", "overflow", "resonant"), DegenerateIntermediateError),
+])
+def test_pair_stack_names_first_failing_point(order, error, manifold):
+    # one stack of points fails on its first failing point, by name
+    points = {
+        "fine": (hopping_chain(hoppings(2, [(0, 1)])), make_drive(**DRIVE_TRAP)),
+        "overflow": (hopping_chain(hoppings(2, [(0, 1)], 1e307)),
+                     make_drive(**DRIVE_TRAP)),
+        "resonant": (hopping_chain(hoppings(2, [(0, 1)])),
+                     make_drive(**FAR_DETUNED)),
+    }
+    geometries, drives = zip(*(points[name] for name in order))
+    names = [f"point {p}" for p in range(len(order))]
+    with pytest.raises(error, match=r"^point 1: pair \(0, 1\): "):
+        pair_stack(0, 1, geometries, drives, manifold, names)
+
+
 @pytest.mark.parametrize("manifold", ["half", "one"])
 def test_model_build_runs_one_contraction_per_row(monkeypatch, manifold):
     # N - 1 stacked contractions, one per row j over its partners k > j,
@@ -606,3 +630,83 @@ def test_model_build_runs_one_contraction_per_row(monkeypatch, manifold):
     n_ions = 7
     BUILDERS[manifold](trap_crystal(n_ions), make_drive(**DRIVE_TRAP))
     assert stacks == list(range(n_ions - 1, 0, -1))
+
+
+@pytest.mark.parametrize("manifold", ["half", "one"])
+@pytest.mark.parametrize("drive", [DRIVE_TRAP,
+                                   dict(g_x=20.0 * KHZ, g_y=20.0 * KHZ, delta=0.0),
+                                   dict(DRIVE_TRAP, homogeneous=True)],
+                         ids=["trap", "g_x=g_y", "homogeneous"])
+def test_site_table_equals_per_ion_site_data(manifold, drive):
+    # the 21-ion table's energies and ladder elements, spread over the
+    # slots a pair reads, are each ion's own bit for bit
+    geo, drive, n = trap_crystal(21), make_drive(**drive), MANIFOLD_N[manifold]
+    det_x, det_y = local_detunings(geo, drive)
+    sites = superexchange._site_table(n, det_x, det_y, drive.omega0, drive.g_x,
+                                      drive.g_y)
+    for j in range(21):
+        ref = reference_site(n, det_x[j], det_y[j], drive)
+        for name in ("e", "upper_e", "lower_e"):
+            table = sites.manifold_e if name == "e" else getattr(sites, name)
+            np.testing.assert_array_equal(table[j], ref[name])
+        for b in "xy":
+            drop, lift = getattr(sites, f"drop_{b}")[j], getattr(sites, f"lift_{b}")[j]
+            # drop[A, B, r_j, r_k] = <r_k| a |A>, lift[B, r_j, r_k] = <B| a |r_k>
+            np.testing.assert_array_equal(
+                drop, np.broadcast_to(ref["drop"][b].T[:, None, None, :], drop.shape))
+            np.testing.assert_array_equal(
+                lift, np.broadcast_to(ref["lift"][b][:, None, :], lift.shape))
+
+
+CRYSTAL21 = (Path(__file__).resolve().parents[1] / "configs" / "crystal21.cfg")
+
+
+def sweep_points(sweep):
+    key, start, stop, n = parse_sweep(sweep)
+    raw = parse_config(CRYSTAL21.read_text()).raw
+    variants = [config_variant(raw, **{key: float(v)})
+                for v in np.linspace(start, stop, n)]
+    return [geometry_from_config(v) for v in variants], [v.drive for v in variants]
+
+
+@pytest.mark.parametrize("manifold", ["half", "one"])
+@pytest.mark.parametrize("sweep", ["g_y_khz:12:40:29", "delta_khz:-3:3:7",
+                                   "nu_z_khz:100:140:5", "n_ions:2:6:5"])
+def test_sweep_stack_equals_single_pairs(sweep, manifold):
+    # one site table and one engine call for every point of a sweep give
+    # each point's pair_effective_matrix(0, 1) exactly
+    geometries, drives = sweep_points(sweep)
+    e_pair, m2, couplings = pair_stack(0, 1, geometries, drives, manifold)
+    for p, (geo, drive) in enumerate(zip(geometries, drives)):
+        pair = pair_effective_matrix(0, 1, geo, drive, manifold=manifold)
+        np.testing.assert_array_equal(m2[p], pair.second_order)
+        np.testing.assert_array_equal(np.diag(e_pair[p]) + m2[p], pair.matrix)
+        assert set(couplings) == set(pair.couplings)
+        for name, (for_j, for_k) in pair.couplings.items():
+            assert couplings[name][0][p] == for_j and couplings[name][1][p] == for_k
+
+
+@pytest.mark.parametrize("manifold", ["half", "one"])
+def test_site_eighs_do_not_grow_with_the_stack(monkeypatch, manifold):
+    # sector n + 1, sector n - 1 and one per label block, however many
+    # ions a build has and however many points a sweep has
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    def eighs(run, *args):
+        calls.clear()
+        run(*args)
+        return len(calls)
+
+    crystals = [trap_crystal(3), trap_crystal(9)]
+    geometries, drives = sweep_points("g_y_khz:12:40:29")
+    drive = make_drive(**DRIVE_TRAP)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    counts = [eighs(BUILDERS[manifold], geo, drive) for geo in crystals]
+    counts += [eighs(pair_stack, 0, 1, geometries[:p], drives[:p], manifold)
+               for p in (1, 29)]
+    assert counts == [2 + len(MANIFOLD_LABELS[MANIFOLD_N[manifold]])] * 4
