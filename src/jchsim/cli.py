@@ -296,16 +296,24 @@ def cmd_couplings(cfg, args, out_dir):
         spin_one_isotropic_analytic,
     )
 
-    # every sweep point's config is built before anything is written, so
-    # a bad point fails the run with no output
+    # every sweep point's geometry is built, and its pair solved, before
+    # anything is written, so a bad point fails the run with no output
     if args.sweep:
         key, start, stop, n = parse_sweep(args.sweep)
         values = np.linspace(start, stop, n)
-        variants = [config_variant(cfg.raw, **{key: float(v)}) for v in values]
         points = [f"sweep point {key} = {v:g}" for v in values]
-        for point, vcfg in zip(points, variants):
+        geometries, drives = [], []
+        for point, v in zip(points, values):
+            try:
+                vcfg = config_variant(cfg.raw, **{key: float(v)})
+                geometries.append(geometry_from_config(vcfg))
+            except ConfigError as exc:
+                raise ConfigError(f"{point}: {exc}") from None
             if vcfg.n_ions < 2:
                 raise ConfigError(f"{point} leaves fewer than 2 ions")
+            drives.append(vcfg.drive)
+        _, _, pair = pair_stack(0, 1, geometries, drives, points=points)
+        del geometries  # a hopping table per point, not held through the base builds
 
     geo = geometry_from_config(cfg)
     half = spin_half_general(geo, cfg.drive)
@@ -343,8 +351,6 @@ def cmd_couplings(cfg, args, out_dir):
             residuals["analytic_J_z_rel"] = rel(one, "J_z", jz_a)
 
     if args.sweep:
-        _, _, pair = pair_stack(0, 1, [geometry_from_config(vcfg) for vcfg in variants],
-                                [vcfg.drive for vcfg in variants], points=points)
         sweep_rows = [(v, kxy / KHZ, kz / KHZ, kz / kxy if kxy else math.nan)
                       for v, kxy, kz in zip(values.tolist(), pair["K_xy"][0].tolist(),
                                             pair["K_z"][0].tolist())]

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import _read_only
-from .params import DriveParams, TrapConfig
+from .params import ConfigError, DriveParams, TrapConfig
 
 RESIDUAL_TOL = 1e-12
 # a residual above 1e-12 is accepted within this many times its rounding floor
@@ -38,14 +38,14 @@ def force_residual(u):
     """Force-balance residual g_m = u_m - sum_{k<m} 1/(u_m-u_k)^2 + sum_{k>m} 1/(u_k-u_m)^2."""
     u = np.asarray(u, dtype=float)
     n = len(u)
-    g = u.copy()
-    for m in range(n):
-        for k in range(n):
-            if k < m:
-                g[m] -= 1.0 / (u[m] - u[k]) ** 2
-            elif k > m:
-                g[m] += 1.0 / (u[k] - u[m]) ** 2
-    return g
+    m, k = np.nonzero(~np.eye(n, dtype=bool))  # pairs k != m, k order in each row m
+    # float_power squares by C pow, as a float scalar's ** does; d * d and
+    # an array's ** 2 round some d differently, which would move the solved
+    # positions in their last bits
+    terms = np.copysign(1.0 / np.float_power(u[k] - u[m], 2.0), k - m)
+    # each row summed from u_m in k order; np.sum would sum pairwise
+    rows = np.column_stack([u, terms.reshape(n, n - 1)])
+    return np.add.accumulate(rows, axis=1)[:, -1]
 
 
 def _jacobian(u):
@@ -191,7 +191,16 @@ def local_detunings(geometry: CrystalGeometry, drive: DriveParams):
 
 
 def geometry_from_config(cfg):
-    """Build the geometry a SimConfig describes (trap-derived or explicit)."""
-    if cfg.t_x is not None:
-        return CrystalGeometry.from_uniform_hoppings(cfg.n_ions, cfg.t_x, cfg.t_y)
-    return CrystalGeometry.from_trap(cfg.trap)
+    """Build the geometry a SimConfig describes (trap-derived or explicit).
+
+    Finite t_x_khz, t_y_khz can still overflow in the on-site shifts, the
+    hopping row sums: a config error.
+    """
+    if cfg.t_x is None:
+        return CrystalGeometry.from_trap(cfg.trap)
+    with np.errstate(over="ignore"):
+        geo = CrystalGeometry.from_uniform_hoppings(cfg.n_ions, cfg.t_x, cfg.t_y)
+    # a non-finite hopping makes its row sum non-finite too
+    if not (np.isfinite(geo.dw_x).all() and np.isfinite(geo.dw_y).all()):
+        raise ConfigError("non-finite hoppings or on-site shifts from t_x_khz, t_y_khz")
+    return geo

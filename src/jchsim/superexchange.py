@@ -99,21 +99,6 @@ def _site_table(n, det_x, det_y, omega0, g_x, g_y):
     )
 
 
-def _hops(factors_x, factors_y, t_x, t_y, out):
-    """Numerators t_x a_x b_x + t_y a_y b_y of P pairs, written into out.
-
-    factors_beta = (a, b) are the ladder factors of the two sites, laid out
-    like out, (P, u, l, d, d), or broadcast to it; t_x and t_y are the P
-    pair hoppings.
-    """
-    per_pair = (slice(None),) + (None,) * 4
-    np.multiply(*factors_x, out=out)
-    out *= t_x[per_pair]
-    y_part = np.multiply(*factors_y)
-    y_part *= t_y[per_pair]
-    out += y_part
-
-
 def _degeneracy_tol(drive):
     return DEGENERACY_TOL_FACTOR * max(drive.g_x, drive.g_y, 1e-30)
 
@@ -145,27 +130,22 @@ def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pai
 
     # intermediates chi = |A_up, B_down>, reached by a_up^dag a_down, in
     # row-major (A, B) order: first an excitation moved from k to j, then
-    # from j to k
-    num = np.empty((n_pairs, 2, site_j.upper_e.shape[1], site_j.lower_e.shape[1], d, d))
-    _hops((as_row(site_j.drop_x), partners.lift_x[:, None]),
-          (as_row(site_j.drop_y), partners.lift_y[:, None]), t_x, t_y, num[:, 0])
-    _hops((partners.drop_x, as_row(site_j.lift_x)[:, None]),
-          (partners.drop_y, as_row(site_j.lift_y)[:, None]), t_x, t_y, num[:, 1])
+    # from j to k; numerators t_x a_x b_x + t_y a_y b_y, formed as (a b) t
+    tx, ty = (t[:, None, None, None, None] for t in (t_x, t_y))
+    num = np.stack([
+        as_row(site_j.drop_x) * partners.lift_x[:, None] * tx
+        + as_row(site_j.drop_y) * partners.lift_y[:, None] * ty,
+        partners.drop_x * as_row(site_j.lift_x)[:, None] * tx
+        + partners.drop_y * as_row(site_j.lift_y)[:, None] * ty,
+    ], axis=1).reshape(n_pairs, -1, d * d)
     e_chi = np.concatenate(
         [site_j.upper_e[:, :, None] + partners.lower_e[:, None, :],
          partners.upper_e[:, :, None] + site_j.lower_e[:, None, :]],
         axis=1).reshape(n_pairs, -1)
-    num = num.reshape(n_pairs, -1, d * d)
-    # the denominators, inverted in place below; with num the only
-    # stack-sized arrays alive from here on
-    inv = np.empty_like(num)
-    np.copyto(inv, e_pair[:, None, :])
-    inv -= e_chi[:, :, None]
-    tol = tol_deg[:, None, None]
-    close = (inv < tol) & (inv > -tol)  # |inv| < tol_deg, no float temporary
-    any_close = close.any()
+    den = e_pair[:, None, :] - e_chi[:, :, None]
+    close = np.abs(den) < tol_deg[:, None, None]
     degenerate = n_pairs
-    if any_close:
+    if close.any():
         tol_num = 1e-10 * (np.abs(t_x) + np.abs(t_y)) * math.sqrt(d)  # sqrt(n + 1)
         coupled = close & (np.abs(num) > tol_num[:, None, None])
         hit = coupled.any(axis=(1, 2))
@@ -174,15 +154,14 @@ def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pai
             chi, where = divmod(int(np.argmax(coupled[degenerate])), d * d)
             error = DegenerateIntermediateError(
                 name(degenerate), pairs[degenerate],
-                float(np.abs(inv[degenerate, chi, where])),
+                float(np.abs(den[degenerate, chi, where])),
                 float(e_pair[degenerate, where]), float(e_chi[degenerate, chi]),
             )
-        inv[close] = 1.0
-    np.divide(1.0, inv, out=inv)
-    if any_close:  # resonant but decoupled: zero numerator kills these rows anyway
-        inv[close] = 0.0
-    inv *= num
-    a = np.matmul(inv.swapaxes(1, 2), num)
+        # resonant but decoupled: weight 1/inf = 0, as the zero numerator
+        # kills these rows anyway
+        den[close] = np.inf
+    # weights (1/den) num: num/den would round differently
+    a = np.matmul(((1.0 / den) * num).swapaxes(1, 2), num)
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(e_pair).all(axis=1)
     non_finite = int(np.argmin(finite)) if not finite.all() else n_pairs
     if non_finite < degenerate:

@@ -461,11 +461,30 @@ def test_sweep_names_first_failing_point(tmp_path, capsys):
     # the last three of the five points fail
     cfg = write_cfg(tmp_path, ISO_PAIR.replace("20.0", "34.0"))
     assert main(["couplings", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert main(["couplings", "--config", cfg, "--out", str(tmp_path / "o"),
+    out = tmp_path / "sweep"
+    assert main(["couplings", "--config", cfg, "--out", str(out),
                  "--sweep", "delta_khz:-1e6:3e6:5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: sweep point delta_khz = 1e+06: "
                           "pair (0, 1): intermediate at"), err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("t_x, sweep, point", [
+    ("0.1", ["--sweep", "t_x_khz:0.1:2e307:3"], "sweep point t_x_khz = 2e+307: "),
+    ("2e307", [], ""),
+], ids=["sweep", "single"])
+def test_overflowing_shifts_are_config_errors(tmp_path, capsys, t_x, sweep, point):
+    # finite hoppings whose row sums, the on-site shifts, overflow; at the
+    # sweep's middle point, 1e307 kHz, they do not
+    text = ISO_PAIR.replace("20.0", "34.0").replace("t_y_khz = 0.1", "t_y_khz = 0.17")
+    cfg = write_cfg(tmp_path, text.replace("t_x_khz = 0.1", f"t_x_khz = {t_x}"))
+    out = tmp_path / "o"
+    assert main(["couplings", "--config", cfg, "--out", str(out)] + sweep) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {point}non-finite hoppings or on-site shifts from "
+        "t_x_khz, t_y_khz\n")
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("line", ["t_final_ms = nan", "g_x_khz = inf"])

@@ -55,6 +55,38 @@ def test_positions_property(n):
     assert np.all(np.diff(u) > 0)
 
 
+def reference_force_residual(u):
+    """force_residual as a loop over ion pairs, squaring float scalars with **."""
+    u = np.asarray(u, dtype=float)
+    n = len(u)
+    g = u.copy()
+    for m in range(n):
+        for k in range(n):
+            if k < m:
+                g[m] -= 1.0 / (u[m] - u[k]) ** 2
+            elif k > m:
+                g[m] += 1.0 / (u[k] - u[m]) ** 2
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=60),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_force_residual_equals_loop(n, seed):
+    # sorted positions with full-precision mantissas: the squares of the
+    # short floats hypothesis favours are exact however they are taken,
+    # while the solved positions' last bits depend on every bit here
+    u = np.sort(np.random.default_rng(seed).uniform(-n, n, n))
+    assert np.array_equal(force_residual(u), reference_force_residual(u))
+
+
+@pytest.mark.parametrize("n", [2, 21, 60])
+def test_force_residual_equals_loop_at_equilibrium(n):
+    # near-cancelling terms, where a changed rounding shows most
+    u = equilibrium_positions(n)
+    assert np.array_equal(force_residual(u), reference_force_residual(u))
+
+
 @pytest.mark.parametrize("n", [115, 140, 200])
 def test_long_crystal_meets_rounding_floor(n):
     # from 115 ions max |g| cannot reach 1e-12 in double precision; the
