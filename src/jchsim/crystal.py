@@ -117,8 +117,9 @@ def hopping_matrix(u, trap: TrapConfig):
         raise ValueError("coincident ion positions")
     inv3 = diff**-3
     np.fill_diagonal(inv3, 0.0)
-    t_x = (trap.omega_z**2 / (2.0 * trap.omega_x)) * inv3
-    t_y = (trap.omega_z**2 / (2.0 * trap.omega_y)) * inv3
+    # the bits of a float's **, but inf where that raises OverflowError
+    t_x = (np.float_power(trap.omega_z, 2.0) / (2.0 * trap.omega_x)) * inv3
+    t_y = (np.float_power(trap.omega_z, 2.0) / (2.0 * trap.omega_y)) * inv3
     return t_x, t_y
 
 
@@ -193,14 +194,16 @@ def local_detunings(geometry: CrystalGeometry, drive: DriveParams):
 def geometry_from_config(cfg):
     """Build the geometry a SimConfig describes (trap-derived or explicit).
 
-    Finite t_x_khz, t_y_khz can still overflow in the on-site shifts, the
-    hopping row sums: a config error.
+    Finite keys can still overflow, in omega_z^2 of the trap's hopping
+    prefactor or in the on-site shifts of explicit hoppings, the hopping
+    row sums: a config error that names the keys.
     """
-    if cfg.t_x is None:
-        return CrystalGeometry.from_trap(cfg.trap)
-    with np.errstate(over="ignore"):
-        geo = CrystalGeometry.from_uniform_hoppings(cfg.n_ions, cfg.t_x, cfg.t_y)
+    explicit = cfg.t_x is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        geo = (CrystalGeometry.from_uniform_hoppings(cfg.n_ions, cfg.t_x, cfg.t_y)
+               if explicit else CrystalGeometry.from_trap(cfg.trap))
     # a non-finite hopping makes its row sum non-finite too
     if not (np.isfinite(geo.dw_x).all() and np.isfinite(geo.dw_y).all()):
-        raise ConfigError("non-finite hoppings or on-site shifts from t_x_khz, t_y_khz")
+        keys = "t_x_khz, t_y_khz" if explicit else "nu_z_khz"
+        raise ConfigError(f"non-finite hoppings or on-site shifts from {keys}")
     return geo

@@ -15,6 +15,7 @@ X: N_X for the full model, total S_z for the effective one. Tracked
 labels outside it have population exactly 0.
 """
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,10 +28,10 @@ from .jchv import (
     MANIFOLD_LABELS,
     MANIFOLD_N,
     build_full,
+    manifold_states_stack,
     sector_basis_for,
-    site_manifold_states,
 )
-from .params import DriveParams, SimConfig
+from .params import KHZ, SimConfig
 from .superexchange import (
     SpinModel,
     build_spin_hamiltonian,
@@ -95,37 +96,30 @@ def _n_x(labels):
     return sum(LABEL_X[lab] for lab in labels)
 
 
-def dressed_product_state(labels, drive: DriveParams, basis: SectorBasis,
-                          det_x, det_y):
+def dressed_product_state(labels, vectors, basis: SectorBasis):
     """Tensor product of single-site dressed states in the sector basis.
 
-    det_x/det_y give per-site phonon detunings (crystal.local_detunings).
-    Labels may mix manifolds as long as the summed excitation matches the
-    sector, and their summed X the basis's N_X block if it is one.
+    vectors are the sites' dressed states of the basis's manifold, as
+    manifold_states_stack returns them. Raises SectorError on a wrong
+    label count, a label of another manifold, or a summed X that is not
+    the basis's N_X block's.
     """
     n_sites = basis.n_sites
     if len(labels) != n_sites:
-        raise SectorError(
-            f"{len(labels)} labels for {n_sites} sites"
-        )
-    place = {lab: (n, r) for n, labs in MANIFOLD_LABELS.items()
-             for r, lab in enumerate(labs)}
-    total = sum(place[lab][0] for lab in labels)
-    if total != basis.n_total:
-        raise SectorError(
-            f"labels carry {total} excitations, sector holds {basis.n_total}"
-        )
+        raise SectorError(f"{len(labels)} labels for {n_sites} sites")
+    n = basis.n_total // n_sites
+    rank = {lab: r for r, lab in enumerate(MANIFOLD_LABELS[n])}
+    for lab in labels:
+        if lab not in rank:
+            raise SectorError(f"label {lab!r} does not live in the "
+                              f"{n}-excitation manifold")
     n_x = _n_x(labels)
     if basis.n_x_total is not None and n_x != basis.n_x_total:
-        raise SectorError(
-            f"labels carry X = {n_x}, block holds X = {basis.n_x_total}"
-        )
-    sites = []
-    for j, lab in enumerate(labels):
-        n, r = place[lab]
-        _, vectors = site_manifold_states(n, det_x[j], det_y[j], drive)
-        sites.append(zip(site_states(n), vectors[r]))
-    return basis.product_vector(sites)
+        raise SectorError(f"labels carry X = {n_x}, block holds X = "
+                          f"{basis.n_x_total}")
+    states = site_states(n)
+    return basis.product_vector(zip(states, vectors[j, rank[lab]])
+                                for j, lab in enumerate(labels))
 
 
 def bessel_j(x):
@@ -189,11 +183,20 @@ def _chebyshev_propagate(h: SparseOperator, psi, mid, half, x):
     return out, len(j) - 1, tail
 
 
-def _parity_bases(mirror, dim):
-    """Orthonormal real bases, sparse (dim, k), of the even and odd
-    subspaces of a basis involution m: e_i for each row with m(i) = i,
-    and (e_i + e_m(i)) / sqrt(2), (e_i - e_m(i)) / sqrt(2) for each pair
-    i < m(i). mirror None is the identity: one even basis, no odd one."""
+def block_eigh(h: SparseOperator, mirror=None):
+    """[(basis, w, v)] of the real symmetric h per non-empty even and odd
+    block of a basis involution m, mirror (SectorBasis.mirror's array);
+    None is the identity, with one even block.
+
+    The bases are real, orthonormal and sparse (dim, k): e_i for each row
+    with m(i) = i, and (e_i + e_m(i)) / sqrt(2), (e_i - e_m(i)) / sqrt(2)
+    for each pair i < m(i). Each block takes one real divide-and-conquer
+    eigh (numpy.linalg.eigh, LAPACK syevd); under the identity its array
+    is h's own, so every bit is np.linalg.eigh(h.mat.toarray())'s. Raises
+    ValueError if mirror is no involution of the basis or h mixes the
+    blocks; numpy.linalg.LinAlgError on a LAPACK failure.
+    """
+    dim = h.dim
     rows = np.arange(dim)
     m = rows if mirror is None else np.asarray(mirror)
     if (m.shape != (dim,) or np.any((m < 0) | (m >= dim))
@@ -213,7 +216,17 @@ def _parity_bases(mirror, dim):
         (np.r_[np.full(n_pairs, s), np.full(n_pairs, -s)],
          (np.r_[lead, m[lead]], np.r_[pair_cols, pair_cols])),
         shape=(dim, n_pairs))
-    return even, odd
+    h_even = h.mat @ even
+    cross = odd.T @ h_even
+    scale = np.max(np.abs(h.mat.data)) if h.mat.nnz else 0.0
+    if cross.nnz and (np.max(np.abs(cross.data))
+                      > HERMITICITY_TOL * max(1.0, scale)):
+        raise ValueError("Hamiltonian fails the reflection-symmetry "
+                         "pre-check")
+    return [(basis, *np.linalg.eigh(h_block.toarray()))
+            for basis, h_block in ((even, even.T @ h_even),
+                                   (odd, odd.T @ h.mat @ odd))
+            if basis.shape[1]]
 
 
 def _observables(h, psis, overlap_rows):
@@ -230,15 +243,13 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
 
     label_states maps label -> dense vector; populations are squared
     overlaps. H must be real symmetric, as every Hamiltonian the program
-    builds is. The dense method splits H into the even and odd blocks of
-    mirror, a zero-argument callable returning the chain reflection of
-    h's basis (SectorBasis.mirror), None for the identity; it is called
-    only by the dense method. Each block is diagonalised by one real
-    divide-and-conquer eigh (numpy.linalg.eigh, LAPACK syevd) and
-    propagated over the whole grid at once; a LAPACK failure raises
-    numpy.linalg.LinAlgError. The Chebyshev method keeps only the
-    current state and records each time point's observables as it
-    passes. Raises ValueError on an H not stored float64, or non-finite
+    builds is. The dense method diagonalises H by block_eigh in the even
+    and odd blocks of mirror, a zero-argument callable returning the
+    chain reflection of h's basis (SectorBasis.mirror), None for the
+    identity; it is called only by the dense method. Each block is
+    propagated over the whole grid at once. The Chebyshev method keeps
+    only the current state and records each time point's observables as
+    it passes. Raises ValueError on an H not stored float64, or non-finite
     or non-Hermitian, on one that mixes the parity blocks, or on a bad or
     non-finite grid; FloatingPointError if the last time times the
     Gershgorin bound on |H| overflows, or if the Chebyshev method would
@@ -276,21 +287,10 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     products, truncation_bound, blocks = 0, 0.0, ()
     if h.dim < dense_threshold:
         method = "dense"
-        even, odd = _parity_bases(None if mirror is None else mirror(), h.dim)
-        h_even = h.mat @ even
-        cross = odd.T @ h_even
-        if cross.nnz and (np.max(np.abs(cross.data))
-                          > HERMITICITY_TOL * max(1.0, scale)):
-            raise ValueError("Hamiltonian fails the reflection-symmetry "
-                             "pre-check")
         psis = np.zeros((len(times), h.dim), dtype=complex)
-        for basis, h_block in ((even, even.T @ h_even),
-                               (odd, odd.T @ h.mat @ odd)):
-            if basis.shape[1] == 0:
-                continue
+        for basis, w, v in block_eigh(h, None if mirror is None else mirror()):
             # v stays real, and is applied to the real and imaginary parts
             # apart so that it is never upcast
-            w, v = np.linalg.eigh(h_block.toarray())
             c0 = (v.T @ (basis.T @ psi0.real)
                   + 1j * (v.T @ (basis.T @ psi0.imag)))
             coeffs = np.exp(-1j * np.outer(times, w)) * c0
@@ -354,9 +354,10 @@ def estimate_period(model, initial_labels):
     Taken as pi over the dominant eigen-gap, the gap weighted by the
     initial state's overlaps; this is the pi/(4 K_xy) transfer time in
     the two-site flip-flop case, half a full population cycle. None if
-    the initial state is stationary. Only its S_z block is diagonalised."""
+    the initial state is stationary. Only its S_z block is diagonalised,
+    unsplit: _dominant_gap breaks ties in eigenpair order."""
     basis = spin_block(model.manifold, initial_labels)
-    w, v = np.linalg.eigh(build_spin_hamiltonian(model, basis).mat.toarray())
+    (_, w, v), = block_eigh(build_spin_hamiltonian(model, basis))
     letter = {s: i for i, s in enumerate(basis.alphabet)}
     idx = basis.rank(np.array([[letter[s] for s in initial_labels]]))[0]
     gap = _dominant_gap(w, np.abs(v[idx]) ** 2)
@@ -391,10 +392,7 @@ def default_times(model, initial_labels, n_steps, t_final):
 def _tracked_labels(manifold, n_sites, initial_labels):
     single = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
     if len(single) ** n_sites <= TRACK_CAP:
-        labels = [()]
-        for _ in range(n_sites):
-            labels = [pre + (s,) for pre in labels for s in single]
-        return tuple(labels)
+        return tuple(itertools.product(single, repeat=n_sites))
     return (tuple(initial_labels),)
 
 
@@ -420,7 +418,6 @@ class FullRun:
     initial_labels: tuple
     tracked: tuple
     sector_dim: int  # the total-excitation sector, counted, not allocated
-    block_dim: int  # the N_X block that was propagated
     result: EvolutionResult
 
 
@@ -429,7 +426,8 @@ def evolve_full_model(cfg: SimConfig):
 
     Checks that every initial label lives in the n_excitations manifold,
     builds that manifold's effective model, takes the time grid from
-    default_times, and tracks dressed product labels as observables.
+    default_times, and tracks dressed product labels (their site states
+    computed once, stacked) as observables.
     The total-excitation sector is narrowed to the block with the initial
     labels' X (cfg.dim_cap bounds that block); a tracked label with
     another X never gains population, so its trace is exactly 0.
@@ -455,14 +453,15 @@ def evolve_full_model(cfg: SimConfig):
                              n_x_total=_n_x(labels0))
     h_full = build_full(basis, geometry, drive)
     det_x, det_y = local_detunings(geometry, drive)
+    _, vectors = manifold_states_stack(n_per_site, det_x, det_y, drive.omega0,
+                                       drive.g_x, drive.g_y)
     result = _evolve_labels(
-        h_full, basis,
-        lambda lab: dressed_product_state(lab, drive, basis, det_x, det_y),
+        h_full, basis, lambda lab: dressed_product_state(lab, vectors, basis),
         labels0, tracked, times)
     return FullRun(model=model, initial_labels=labels0, tracked=tracked,
                    sector_dim=sector_dim(geometry.n_ions,
                                          geometry.n_ions * n_per_site),
-                   block_dim=basis.dim, result=result)
+                   result=result)
 
 
 def compare_full_vs_effective(cfg: SimConfig):
@@ -492,12 +491,12 @@ def compare_full_vs_effective(cfg: SimConfig):
     parameters = {
         "n_ions": len(run.initial_labels),
         "manifold": run.model.manifold,
-        "g_x_khz": drive.g_x / (2.0 * np.pi),
-        "g_y_khz": drive.g_y / (2.0 * np.pi),
-        "delta_khz": drive.delta / (2.0 * np.pi),
+        "g_x_khz": drive.g_x / KHZ,
+        "g_y_khz": drive.g_y / KHZ,
+        "delta_khz": drive.delta / KHZ,
         "homogeneous": drive.homogeneous,
         "sector_dim": run.sector_dim,
-        "block_dim": run.block_dim,
+        "block_dim": len(res_full.final_state),
         "full_method": res_full.method,
         "effective_method": res_eff.method,
         "blocks": f"full {res_full.blocks}, effective {res_eff.blocks}",

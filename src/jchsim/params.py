@@ -45,6 +45,9 @@ class TrapConfig:
             raise ConfigError("aspect ratio <= 1: radial confinement must dominate")
         if self.ion_mass_amu is not None and self.ion_mass_amu <= 0:
             raise ConfigError("ion_mass_amu must be positive")
+        for axis in ("x", "y"):  # an infinite one gives zero hoppings
+            if not math.isfinite(getattr(self, f"omega_{axis}")):
+                raise ConfigError(f"non-finite omega_{axis} from nu_z_khz, aspect_{axis}")
 
     @property
     def omega_x(self):

@@ -27,6 +27,7 @@ from jchsim.dynamics import (
 from jchsim.fock import assemble, enumerate_sector, site_operators
 from jchsim.jchv import (
     build_full,
+    manifold_states_stack,
     particle_hole_gaps,
     sector_basis_for,
     single_site_spectra,
@@ -225,10 +226,11 @@ def test_criterion_7_conservation(three_ion_report):
     def traces(d):
         h = build_full(basis, geo, d)
         det_x, det_y = local_detunings(geo, d)
-        psi0 = dressed_product_state(("up", "down", "up"), d, basis,
-                                     det_x, det_y)
+        _, vectors = manifold_states_stack(1, det_x, det_y, d.omega0, d.g_x,
+                                           d.g_y)
+        psi0 = dressed_product_state(("up", "down", "up"), vectors, basis)
         tracked = {
-            lab: dressed_product_state(lab, d, basis, det_x, det_y)
+            lab: dressed_product_state(lab, vectors, basis)
             for lab in [("up", "down", "up"), ("down", "up", "up")]
         }
         return evolve(h, psi0, times, tracked).population_matrix()

@@ -487,6 +487,44 @@ def test_overflowing_shifts_are_config_errors(tmp_path, capsys, t_x, sweep, poin
     assert not any(out.iterdir())
 
 
+NU_Z = "nu_z_khz = 120.0"
+
+
+@pytest.mark.parametrize("command, edits, sweep, error", [
+    ("crystal", {NU_Z: "nu_z_khz = 1e154"}, [],
+     "non-finite hoppings or on-site shifts from nu_z_khz"),
+    ("couplings", {NU_Z: "nu_z_khz = 1e154"}, [],
+     "non-finite hoppings or on-site shifts from nu_z_khz"),
+    ("couplings", {NU_Z: "nu_z_khz = 1e150",
+                   "aspect_x = 55.555555555555556": "aspect_x = 1e160",
+                   "aspect_y = 100.0": "aspect_y = 1e160"}, [],
+     "non-finite omega_x from nu_z_khz, aspect_x"),
+    ("couplings", {}, ["--sweep", "nu_z_khz:100:1e160:3"],
+     "sweep point nu_z_khz = 5e+159: non-finite hoppings or on-site shifts "
+     "from nu_z_khz"),
+    ("crystal", {NU_Z: "nu_z_khz = 1e153"}, [], None),
+    ("couplings", {NU_Z: "nu_z_khz = 1e153"}, [], None),
+], ids=["crystal", "couplings", "radial", "sweep", "crystal-finite",
+        "couplings-finite"])
+def test_overflowing_trap_keys_are_config_errors(tmp_path, capsys, command,
+                                                 edits, sweep, error):
+    # omega_z^2 overflows from nu_z_khz = 1e154, where a float's ** raises
+    # OverflowError; an infinite omega_x or omega_y gives zero hoppings
+    text = (CONFIG_DIR / "three_ion_xxz.cfg").read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "o"
+    code = main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)] + sweep)
+    err = capsys.readouterr().err
+    if error is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"config error: {error}\n")
+        assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("line", ["t_final_ms = nan", "g_x_khz = inf"])
 def test_exit_code_non_finite_config(tmp_path, capsys, line):
     key = line.split()[0]

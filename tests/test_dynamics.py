@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from unittest import mock
 
@@ -15,6 +16,7 @@ from jchsim.dynamics import (
     ComparisonReport,
     _chebyshev_terms,
     bessel_j,
+    block_eigh,
     compare_full_vs_effective,
     default_times,
     dressed_product_state,
@@ -25,13 +27,15 @@ from jchsim.dynamics import (
     _dominant_gap,
     _tracked_labels,
 )
-from jchsim.fock import SectorError, SparseOperator, product_basis
+from jchsim.fock import SectorError, SparseOperator, product_basis, site_states
 from jchsim.jchv import (
     LABEL_X,
     MANIFOLD_LABELS,
     MANIFOLD_N,
     build_full,
+    manifold_states_stack,
     sector_basis_for,
+    site_manifold_states,
 )
 from jchsim.params import KHZ, make_drive, parse_config
 from jchsim.crystal import CrystalGeometry, geometry_from_config, local_detunings
@@ -65,10 +69,18 @@ def rabi_model(k_xy_khz):
                      energy_offset=0.0)
 
 
+def site_vectors(n, det_x, det_y, drive):
+    """Every site's dressed n-excitation states, as evolve_full_model reads
+    them."""
+    return manifold_states_stack(n, det_x, det_y, drive.omega0, drive.g_x,
+                                 drive.g_y)[1]
+
+
 def bare_state(labels, drive, basis):
     """dressed_product_state with the drive's own detuning on every site."""
     det = np.full(basis.n_sites, drive.Delta)
-    return dressed_product_state(labels, drive, basis, det, det)
+    vectors = site_vectors(basis.n_total // basis.n_sites, det, det, drive)
+    return dressed_product_state(labels, vectors, basis)
 
 
 def test_dressed_states_orthonormal():
@@ -81,13 +93,34 @@ def test_dressed_states_orthonormal():
 
 def test_dressed_state_sector_mismatch():
     basis = sector_basis_for(2, 1)
-    with pytest.raises(SectorError):
+    with pytest.raises(SectorError, match="1 labels for 2 sites"):
         bare_state(("up",), DRIVE, basis)
-    with pytest.raises(SectorError):
+    with pytest.raises(SectorError, match="'1' does not live in the 1-"):
         bare_state(("1", "-1"), DRIVE, basis)
+    with pytest.raises(SectorError, match="'up' does not live in the 2-"):
+        bare_state(("up", "down"), DRIVE, sector_basis_for(2, 2))
     block = sector_basis_for(2, 1, n_x_total=1)
     with pytest.raises(SectorError, match="X = 2"):
         bare_state(("up", "up"), DRIVE, block)
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+@pytest.mark.parametrize("n_ions,n", [(2, 1), (3, 1), (4, 1), (5, 1),
+                                      (2, 2), (3, 2)])
+def test_dressed_product_state_equals_per_site(n_ions, n, homogeneous):
+    # the run's stacked site vectors give every label's product state bit
+    # for bit as one site_manifold_states call per site does
+    labels = MANIFOLD_LABELS[n]
+    cfg = run_config(n_ions, n, True, ",".join(labels[:1] * n_ions), homogeneous)
+    det_x, det_y = local_detunings(geometry_from_config(cfg), cfg.drive)
+    vectors = site_vectors(n, det_x, det_y, cfg.drive)
+    for lab in itertools.product(labels, repeat=n_ions):
+        basis = sector_basis_for(n_ions, n, n_x_total=sum(LABEL_X[s] for s in lab))
+        ref = basis.product_vector(
+            zip(site_states(n), site_manifold_states(
+                n, det_x[j], det_y[j], cfg.drive)[1][labels.index(s)])
+            for j, s in enumerate(lab))
+        assert np.array_equal(dressed_product_state(lab, vectors, basis), ref)
 
 
 def test_evolve_input_validation():
@@ -188,7 +221,8 @@ def test_dense_degenerate_parity_blocks_match_expm():
     # the dense branch must not depend on how eigh picks a degenerate basis
     dim = 7
     reverse = np.arange(dim)[::-1].copy()
-    even, odd = dynamics._parity_bases(reverse, dim)
+    zero = SparseOperator(dim, sp.csr_matrix((dim, dim)))
+    even, odd = (basis for basis, _, _ in block_eigh(zero, reverse))
     rng = np.random.default_rng(17)
     h = np.zeros((dim, dim))
     for basis, spectrum in ((even, [1.5, 1.5, 1.5, -2.0]),
@@ -408,6 +442,23 @@ def test_evolve_checks_the_mirror():
     mirror.assert_not_called()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 0.3, 0.05]))
+@example(1, 0, 1.0)
+def test_identity_block_eigh_is_the_whole_eigh(dim, seed, density):
+    # estimate_period's eigenpairs: the identity mirror must hand syevd h's
+    # own dense array, so that not one bit moves
+    rng = np.random.default_rng(seed)
+    a = sp.random(dim, dim, density=density, random_state=rng,
+                  data_rvs=lambda k: rng.normal(size=k) * rng.uniform(0.1, 10.0))
+    h = SparseOperator(dim, sp.csr_matrix(a + a.T))
+    (basis, w, v), = block_eigh(h)
+    w_ref, v_ref = np.linalg.eigh(h.mat.toarray())
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert np.array_equal(basis.toarray(), np.eye(dim))
+
+
 @pytest.mark.slow
 def test_chebyshev_matches_dense_above_threshold():
     cfg = run_config(5, 1, False, "up,down,down,down,down")
@@ -415,11 +466,10 @@ def test_chebyshev_matches_dense_above_threshold():
     basis = sector_basis_for(5, 1, n_x_total=1)
     assert basis.dim > DENSE_THRESHOLD
     h = build_full(basis, geo, cfg.drive)
-    det_x, det_y = local_detunings(geo, cfg.drive)
+    vectors = site_vectors(1, *local_detunings(geo, cfg.drive), cfg.drive)
     labels = [tuple("up" if i == j else "down" for i in range(5))
               for j in range(5)]
-    states = {lab: dressed_product_state(lab, cfg.drive, basis, det_x, det_y)
-              for lab in labels}
+    states = {lab: dressed_product_state(lab, vectors, basis) for lab in labels}
     times = np.linspace(0.0, 2.0, 11)
     cheb = evolve(h, states[labels[0]], times, states)
     dense = evolve(h, states[labels[0]], times, states,
@@ -565,13 +615,13 @@ def test_block_run_matches_full_sector(n_ions, n, labels, trap):
     times = run.result.times
     assert np.array_equal(times, np.linspace(0.0, 200.0, 30))
     assert run.sector_dim == sector_basis_for(n_ions, n).dim
-    assert run.block_dim < run.sector_dim
+    assert len(run.result.final_state) < run.sector_dim
 
     # reference: the whole total-excitation sector
     geo = geometry_from_config(cfg)
     basis = sector_basis_for(n_ions, n)
-    det_x, det_y = local_detunings(geo, cfg.drive)
-    states = {lab: dressed_product_state(lab, cfg.drive, basis, det_x, det_y)
+    vectors = site_vectors(n, *local_detunings(geo, cfg.drive), cfg.drive)
+    states = {lab: dressed_product_state(lab, vectors, basis)
               for lab in run.tracked}
     ref = evolve(build_full(basis, geo, cfg.drive),
                  states[run.initial_labels], times, states)

@@ -85,16 +85,6 @@ def test_manifold_states_orthonormal_and_sign_fixed():
             assert vec[np.flatnonzero(vec)[0]] > 0.0
 
 
-def test_manifold_states_cached_read_only():
-    drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ)
-    energies, vectors = site_manifold_states(2, drive.Delta, drive.Delta, drive)
-    again = site_manifold_states(2, drive.Delta, drive.Delta, drive)
-    assert again[0] is energies and again[1] is vectors
-    for arr in (energies, vectors):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-
-
 def test_manifold_energies_match_closed_forms():
     drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ)
     s1, s2 = single_site_spectra(drive)
