@@ -4,7 +4,7 @@ Every subcommand reads a flat key-value config, writes deterministic CSV
 (12 significant digits, fixed row order) plus a JSON run manifest, and
 optionally a native SVG line chart (CSV is authoritative, SVG is a
 courtesy). Exit codes: 0 success, 2 configuration or output error, 3
-numerical failure. JCHSIM_THREADS pins the BLAS thread count.
+numerical failure or out of memory. JCHSIM_THREADS pins BLAS threads.
 """
 
 import argparse
@@ -51,7 +51,8 @@ def write_line_svg(path, x, series, xlabel, ylabel, title, dashed=()):
     x = np.asarray(x, dtype=float)
     lo_x, hi_x = float(x.min()), float(x.max())
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in series])
-    lo_y, hi_y = float(ys.min()), float(ys.max())
+    ys = ys[np.isfinite(ys)]  # a non-finite point is left out of the plot
+    lo_y, hi_y = (float(ys.min()), float(ys.max())) if len(ys) else (0.0, 1.0)
     if hi_x == lo_x:
         hi_x = lo_x + 1.0
     if hi_y == lo_y:
@@ -89,12 +90,15 @@ def write_line_svg(path, x, series, xlabel, ylabel, title, dashed=()):
         )
     for i, (name, y) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
         dash = ' stroke-dasharray="6,4"' if name in dashed else ""
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"{dash}/>'
-        )
+        y = np.asarray(y, dtype=float)  # a line per run of finite points
+        runs = np.flatnonzero(np.diff(np.r_[0, np.isfinite(y), 0])).reshape(-1, 2)
+        for a, b in runs:
+            pts = " ".join(f"{px(u):.2f},{py(v):.2f}" for u, v in zip(x[a:b], y[a:b]))
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'stroke-width="1.5"{dash}/>'
+            )
         ly = _MT + 14 + 14 * i
         parts.append(
             f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" x2="{_W - _MR - 96}" '
@@ -536,6 +540,9 @@ def main(argv=None):
     except (ConvergenceError, DegenerateIntermediateError,
             np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a grid or basis larger than the host holds
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -174,7 +174,7 @@ class CrystalGeometry:
 
 
 def local_detunings(geometry: CrystalGeometry, drive: DriveParams):
-    """Per-site phonon detunings Delta_{beta,j} = Delta + dw_{beta,j} - dw_{beta,ref}.
+    """Per-site phonon detunings dw_{beta,j} - dw_{beta,ref} (frame Delta = 0).
 
     A homogeneous drive drops the site dependence entirely (the limit used
     by the closed-form spectra). The only place that decides detunings:
@@ -185,10 +185,8 @@ def local_detunings(geometry: CrystalGeometry, drive: DriveParams):
     if not 0 <= ref < n:
         raise IndexError(f"reference_ion {ref} out of range for {n} ions")
     if drive.homogeneous:
-        return np.full(n, drive.Delta), np.full(n, drive.Delta)
-    det_x = drive.Delta + geometry.dw_x - geometry.dw_x[ref]
-    det_y = drive.Delta + geometry.dw_y - geometry.dw_y[ref]
-    return det_x, det_y
+        return np.zeros(n), np.zeros(n)
+    return geometry.dw_x - geometry.dw_x[ref], geometry.dw_y - geometry.dw_y[ref]
 
 
 def geometry_from_config(cfg):

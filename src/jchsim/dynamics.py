@@ -49,6 +49,8 @@ CHEBYSHEV_MAX_X = 1000.0
 # least half-width x horizon of them; more than this is refused up front
 CHEBYSHEV_MAX_PRODUCTS = 1e9
 HERMITICITY_TOL = 1e-10
+# largest rounding error of the phases, eps |E| t_final, in rad
+PHASE_TOL = 1e-6
 N_PERIODS = 2.0  # default horizon, in transfer periods
 TRACK_CAP = 512  # track every product label while there are at most this many
 
@@ -251,9 +253,10 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     only the current state and records each time point's observables as
     it passes. Raises ValueError on an H not stored float64, or non-finite
     or non-Hermitian, on one that mixes the parity blocks, or on a bad or
-    non-finite grid; FloatingPointError if the last time times the
-    Gershgorin bound on |H| overflows, or if the Chebyshev method would
-    need more than CHEBYSHEV_MAX_PRODUCTS products.
+    non-finite grid; FloatingPointError if eps times the last time times
+    the Gershgorin bound on |H|, the phases' rounding error, exceeds
+    PHASE_TOL (or overflows), or if the Chebyshev method would need more
+    than CHEBYSHEV_MAX_PRODUCTS products.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -275,10 +278,13 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     if abs(h.mat - h.mat.T).max() > HERMITICITY_TOL * max(1.0, scale):
         raise ValueError("Hamiltonian fails the Hermiticity pre-check")
     lo, hi = gershgorin_interval(h)
-    # a product of Python floats overflows to inf, without a warning
-    if not np.isfinite(float(times[-1]) * max(abs(lo), abs(hi))):
-        raise FloatingPointError(f"the phases of H at t = {times[-1]:g} ms "
-                                 "overflow")
+    # the phases E t are rounded to eps |E| t, past PHASE_TOL a noise in
+    # the populations; a product of Python floats overflows to inf silently
+    rounding = np.finfo(float).eps * (float(times[-1]) * max(abs(lo), abs(hi)))
+    if not rounding <= PHASE_TOL:
+        raise FloatingPointError(f"the phases of H at t = {times[-1]:g} ms " + (
+            "overflow" if np.isinf(rounding) else
+            f"are rounded to {rounding:.3g} rad, above the limit of {PHASE_TOL:g} rad"))
 
     labels = tuple(label_states or {})
     overlap_rows = np.array([label_states[lab].conj() for lab in labels],
@@ -382,7 +388,7 @@ def _dominant_gap(w, weights):
 
 def default_times(model, initial_labels, n_steps, t_final):
     """n_steps points up to t_final, or if that is None, over N_PERIODS of
-    the dominant oscillation."""
+    the model's dominant oscillation."""
     if t_final is None:
         period = estimate_period(model, initial_labels)
         t_final = N_PERIODS * period if period is not None else 1.0
@@ -412,20 +418,21 @@ def _evolve_labels(h, basis, state_of, initial, tracked, times):
 @dataclass(frozen=True)
 class FullRun:
     """Exact full-model evolution of a config's run, with the effective
-    model of the same manifold (it sizes the default time grid)."""
+    model of the same manifold if it was built, else None."""
 
-    model: SpinModel
+    model: SpinModel | None
     initial_labels: tuple
     tracked: tuple
     sector_dim: int  # the total-excitation sector, counted, not allocated
     result: EvolutionResult
 
 
-def evolve_full_model(cfg: SimConfig):
+def evolve_full_model(cfg: SimConfig, with_model=False):
     """Evolve the dressed initial product state in its conserved N_X block.
 
     Checks that every initial label lives in the n_excitations manifold,
-    builds that manifold's effective model, takes the time grid from
+    builds that manifold's effective model if the default horizon needs
+    it (no t_final_ms) or with_model asks for it, takes the time grid from
     default_times, and tracks dressed product labels (their site states
     computed once, stacked) as observables.
     The total-excitation sector is narrowed to the block with the initial
@@ -443,17 +450,19 @@ def evolve_full_model(cfg: SimConfig):
     geometry = geometry_from_config(cfg)
     drive = cfg.drive
 
-    build_model = spin_half_general if n_per_site == 1 else spin_one_general
-    model = build_model(geometry, drive)
+    manifold, build_model = (("half", spin_half_general) if n_per_site == 1
+                             else ("one", spin_one_general))
+    model = (build_model(geometry, drive)
+             if with_model or cfg.run.t_final_ms is None else None)
     times = default_times(model, labels0, n_steps=cfg.run.n_steps,
                           t_final=cfg.run.t_final_ms)
-    tracked = _tracked_labels(model.manifold, geometry.n_ions, labels0)
+    tracked = _tracked_labels(manifold, geometry.n_ions, labels0)
 
     basis = sector_basis_for(geometry.n_ions, n_per_site, dim_cap=cfg.dim_cap,
                              n_x_total=_n_x(labels0))
     h_full = build_full(basis, geometry, drive)
     det_x, det_y = local_detunings(geometry, drive)
-    _, vectors = manifold_states_stack(n_per_site, det_x, det_y, drive.omega0,
+    _, vectors = manifold_states_stack(n_per_site, det_x, det_y, drive.delta,
                                        drive.g_x, drive.g_y)
     result = _evolve_labels(
         h_full, basis, lambda lab: dressed_product_state(lab, vectors, basis),
@@ -472,7 +481,7 @@ def compare_full_vs_effective(cfg: SimConfig):
     block (spin_block), on the same time grid and tracked labels.
     """
     drive = cfg.drive
-    run = evolve_full_model(cfg)
+    run = evolve_full_model(cfg, with_model=True)
     res_full = run.result
     times = res_full.times
 

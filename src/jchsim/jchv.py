@@ -5,7 +5,8 @@ The on-site part is
     H_JC = sum_j [ sum_b Delta_{b,j} n_{b,j} + omega0 (P_e1 + P_e2)
                    + g_x (a_x |e1><g| + h.c.) + g_y (a_y |e2><g| + h.c.) ],
 
-and the hopping part H_b couples pairs with the crystal's t_{j,k}^beta.
+with local detunings Delta_{b,j} and omega0 = delta in the drive's frame
+Delta = 0, and the hopping part H_b couples pairs with t_{j,k}^beta.
 Closed-form energies of the one- and two-excitation site manifolds are
 provided alongside the numeric dressed states so each can check the other.
 """
@@ -55,7 +56,7 @@ def build_hjc(basis: SectorBasis, geometry: CrystalGeometry, drive: DriveParams)
         raise ValueError("basis and geometry disagree on the number of sites")
     det_x, det_y = local_detunings(geometry, drive)
     h = site_hamiltonian(site_operators(basis.n_total), det_x, det_y,
-                         drive.omega0, drive.g_x, drive.g_y)
+                         drive.delta, drive.g_x, drive.g_y)
     return assemble(basis, [(h[j], (j,)) for j in range(basis.n_sites)])
 
 
@@ -104,12 +105,11 @@ class PolaritonSpectrum2:
 
 def single_site_spectra(drive: DriveParams):
     """Closed-form polariton energies for n = 1 and n = 2."""
-    d, delta = drive.Delta, drive.delta
-    g_x, g_y = drive.g_x, drive.g_y
+    delta, g_x, g_y = drive.delta, drive.g_x, drive.g_y
 
     def e_pm(g):
         root = math.sqrt(delta**2 / 4.0 + g**2)
-        return d + delta / 2.0 - root, d + delta / 2.0 + root
+        return delta / 2.0 - root, delta / 2.0 + root
 
     e_mx, e_px = e_pm(g_x)
     e_my, e_py = e_pm(g_y)
@@ -117,9 +117,9 @@ def single_site_spectra(drive: DriveParams):
                             E_minus_y=e_my, E_plus_y=e_py)
     gxy = math.sqrt(g_x**2 + g_y**2)
     s2 = PolaritonSpectrum2(
-        E_1=2.0 * d + delta / 2.0 - math.sqrt(2.0 * g_x**2 + delta**2 / 4.0),
-        E_0=2.0 * d + delta / 2.0 - math.sqrt(gxy**2 + delta**2 / 4.0),
-        E_m1=2.0 * d + delta / 2.0 - math.sqrt(2.0 * g_y**2 + delta**2 / 4.0),
+        E_1=delta / 2.0 - math.sqrt(2.0 * g_x**2 + delta**2 / 4.0),
+        E_0=delta / 2.0 - math.sqrt(gxy**2 + delta**2 / 4.0),
+        E_m1=delta / 2.0 - math.sqrt(2.0 * g_y**2 + delta**2 / 4.0),
     )
     return s1, s2
 
@@ -148,7 +148,7 @@ def sector_eigh_stack(n, det_x, det_y, omega0, g_x, g_y):
 
 def site_sector_eigh(n, det_x, det_y, drive):
     """All eigenpairs of one site's sector Hamiltonian (a stack of one)."""
-    return sector_eigh_stack(n, det_x, det_y, drive.omega0, drive.g_x, drive.g_y)
+    return sector_eigh_stack(n, det_x, det_y, drive.delta, drive.g_x, drive.g_y)
 
 
 MANIFOLD_LABELS = {1: ("up", "down"), 2: ("1", "0", "-1")}
@@ -192,7 +192,7 @@ def manifold_states_stack(n, det_x, det_y, omega0, g_x, g_y):
 def site_manifold_states(n, det_x, det_y, drive):
     """manifold_states_stack of one site (a stack of one), kept as the
     per-site reference of tests and a name the bench tracer counts."""
-    return manifold_states_stack(n, det_x, det_y, drive.omega0, drive.g_x,
+    return manifold_states_stack(n, det_x, det_y, drive.delta, drive.g_x,
                                  drive.g_y)
 
 

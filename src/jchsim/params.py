@@ -60,56 +60,41 @@ class TrapConfig:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Spin-phonon couplings and detunings (angular, rad/ms).
+    """Spin-phonon couplings and detuning delta = omega0 - Delta (rad/ms).
 
-    delta = omega0 - Delta holds identically; construct via make_drive to
-    fill the missing one of the three. reference_ion and homogeneous fix
-    the per-site phonon detunings (crystal.local_detunings).
+    A common phonon detuning Delta only adds Delta N to a sector of N
+    excitations, so the frame is fixed at Delta = 0. reference_ion and
+    homogeneous fix the per-site phonon detunings (crystal.local_detunings).
     """
 
     g_x: float
     g_y: float
     delta: float
-    Delta: float
-    omega0: float
     reference_ion: int = 0  # 0-based site index fixing the homogeneous shift
     homogeneous: bool = False  # drop the site dependence of the detunings
 
     def __post_init__(self):
         if self.g_x < 0 or self.g_y < 0:
             raise ConfigError("couplings g_x, g_y must be >= 0")
-        if abs(self.delta - (self.omega0 - self.Delta)) > 1e-9 * max(
-            1.0, abs(self.omega0), abs(self.Delta)
-        ):
-            raise ConfigError("inconsistent detunings: delta != omega0 - Delta")
         # finite config keys can still overflow in a product (g = eta * Omega)
-        # or a sum (omega0 = Delta + delta)
-        for name in ("g_x", "g_y", "delta", "Delta", "omega0"):
+        # or a difference (delta = omega0 - Delta)
+        for name in ("g_x", "g_y", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"non-finite drive parameter: {name}")
 
 
 def make_drive(g_x, g_y, delta=None, Delta=None, omega0=None, reference_ion=0,
                homogeneous=False):
-    """Build DriveParams from any two of (delta, Delta, omega0).
-
-    Giving delta alone is allowed and fixes the gauge Delta = 0.
-    """
-    given = sum(v is not None for v in (delta, Delta, omega0))
-    if given == 3:
-        pass  # consistency enforced by DriveParams
-    elif delta is not None and Delta is not None:
-        omega0 = Delta + delta
-    elif delta is not None and omega0 is not None:
-        Delta = omega0 - delta
-    elif Delta is not None and omega0 is not None:
-        delta = omega0 - Delta
-    elif delta is not None:
-        Delta = 0.0
-        omega0 = delta
-    else:
-        raise ConfigError("missing key: need delta (or two of delta/Delta/omega0)")
-    return DriveParams(g_x, g_y, delta, Delta, omega0, reference_ion, homogeneous)
+    """DriveParams from delta or omega0 - Delta, which must agree if both are given."""
+    if Delta is not None and omega0 is not None:
+        implied = omega0 - Delta
+        if delta is None:
+            delta = implied
+        elif abs(delta - implied) > 1e-9 * max(1.0, abs(omega0), abs(Delta)):
+            raise ConfigError("inconsistent detunings: delta != omega0 - Delta")
+    if delta is None:
+        raise ConfigError("missing key: need delta (or Delta and omega0)")
+    return DriveParams(g_x, g_y, delta, reference_ion, homogeneous)
 
 
 @dataclass(frozen=True)

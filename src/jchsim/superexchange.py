@@ -221,7 +221,7 @@ def pair_stack(j, k, geometries, drives, manifold="half", points=None):
     if j == k:
         raise ValueError("pair requires distinct sites")
     detunings = [local_detunings(geo, drive) for geo, drive in zip(geometries, drives)]
-    entries = np.array([(det_x[s], det_y[s], drive.omega0, drive.g_x, drive.g_y)
+    entries = np.array([(det_x[s], det_y[s], drive.delta, drive.g_x, drive.g_y)
                         for s in (j, k)
                         for (det_x, det_y), drive in zip(detunings, drives)])
     sites = _site_table(MANIFOLD_N[manifold], *entries.T)
@@ -249,7 +249,7 @@ def _all_pairs(n, geometry, drive, extract):
     """
     n_ions = geometry.n_ions
     det_x, det_y = local_detunings(geometry, drive)
-    sites = _site_table(n, det_x, det_y, drive.omega0, drive.g_x, drive.g_y)
+    sites = _site_table(n, det_x, det_y, drive.delta, drive.g_x, drive.g_y)
     tables = defaultdict(lambda: np.zeros((n_ions, n_ions)))
     tol_deg = np.full(n_ions, _degeneracy_tol(drive))
     max_residual = max_asym = 0.0

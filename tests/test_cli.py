@@ -252,6 +252,43 @@ def test_svg_escapes_markup_only(tmp_path):
     ET.parse(path)
 
 
+def svg_polylines(path):
+    """Each polyline's points as (x, y) pairs."""
+    lines = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}polyline")
+    return [[tuple(map(float, pt.split(","))) for pt in line.get("points").split()]
+            for line in lines]
+
+
+def test_svg_breaks_line_at_non_finite_points(tmp_path):
+    path = tmp_path / "t.svg"
+    write_line_svg(path, [0.0, 1.0, 2.0, 3.0, 4.0],
+                   [("a", [0.0, 1.0, math.nan, 2.0, 3.0]),
+                    ("b", [3.0, 2.0, 1.0, 0.0, math.inf])], "x", "y", title="t")
+    assert "nan" not in path.read_text() and "inf" not in path.read_text()
+    a_left, a_right, b_line = svg_polylines(path)
+    assert [x for x, _ in a_left] == [72.0, 210.0]
+    assert [x for x, _ in a_right] == [486.0, 624.0]
+    assert [x for x, _ in b_line] == [72.0, 210.0, 348.0, 486.0]
+    # the y range is the finite values' 0..3, padded by 5 %
+    assert max(y for line in (a_left, a_right) for _, y in line) == b_line[-1][1]
+    assert b_line[-1][1] == pytest.approx(348.0 - 0.05 / 1.1 * 320.0, abs=0.005)
+    # a series of finite values stays one line
+    write_line_svg(path, [0.0, 1.0], [("a", [0.0, 1.0])], "x", "y", title="t")
+    assert len(svg_polylines(path)) == 1
+
+
+def test_couplings_sweep_svg_skips_nan_point(tmp_path):
+    # lambda = K_z / K_xy is nan at t_y = 0, where K_xy = 0
+    out = tmp_path / "o"
+    assert main(["couplings", "--config", str(CONFIG_DIR / "anisotropy_scan.cfg"),
+                 "--out", str(out), "--sweep", "t_y_khz:0:0.2:3", "--svg"]) == 0
+    _, rows = read_csv(out / "couplings_sweep.csv")
+    assert math.isnan(rows[0][-1]) and all(math.isfinite(r[-1]) for r in rows[1:])
+    assert "nan" not in (out / "couplings_sweep.svg").read_text()
+    (line,) = svg_polylines(out / "couplings_sweep.svg")
+    assert [x for x, _ in line] == [348.0, 624.0]
+
+
 TRAP4 = """
 n_ions = 4
 nu_z_khz = 120.0
@@ -551,10 +588,11 @@ def test_exit_code_non_finite_sweep_bound(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["couplings", "evolve", "compare"])
 @pytest.mark.parametrize("old, new", [
     ("t_x_khz = 0.1\nt_y_khz = 0.1", "t_x_khz = 1e307\nt_y_khz = 1e307"),
-    ("delta_khz = 0.0", "delta_khz = 0.0\nDelta_khz = 2e307"),
+    ("delta_khz = 0.0", "delta_khz = -2e307"),
 ], ids=["hopping", "detuning"])
 def test_exit_code_non_finite_pair_matrix(tmp_path, capsys, command, old, new):
-    # finite keys whose second-order matrix overflows: before any output
+    # finite keys whose second-order matrix, or pair energy 2 delta,
+    # overflows: before any output
     cfg = write_cfg(tmp_path, ISO_PAIR.replace(old, new))
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
@@ -563,16 +601,30 @@ def test_exit_code_non_finite_pair_matrix(tmp_path, capsys, command, old, new):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["couplings", "evolve", "compare"])
+def test_huge_common_detuning_runs(tmp_path, command):
+    # Delta_khz = 2e307 only offsets each sector by Delta N: every output
+    # byte equals its Delta = 0 twin's
+    outs = []
+    for extra in ("", "Delta_khz = 2e307\n"):
+        out = tmp_path / f"o{len(outs)}"
+        cfg = write_cfg(tmp_path, ISO_PAIR + extra, name=f"{len(outs)}.cfg")
+        assert main([command, "--config", cfg, "--out", str(out), "--svg"]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()
+                     if not p.name.endswith(".json")})
+    assert outs[0] == outs[1] and len(outs[0]) >= 2
+
+
 @pytest.mark.parametrize("command", ["spectrum", "couplings"])
 @pytest.mark.parametrize("keys, member", [
     ("rabi_x_khz = 1e10\nrabi_y_khz = 160\nld_x = 1e300\nld_y = 0.125\n"
      "delta_khz = 0.0\n", "g_x"),
-    ("g_x_khz = 20.0\ng_y_khz = 20.0\ndelta_khz = 1.5e307\n"
-     "Delta_khz = 1.5e307\n", "omega0"),
+    ("g_x_khz = 20.0\ng_y_khz = 20.0\nomega0_khz = 1.5e307\n"
+     "Delta_khz = -1.5e307\n", "delta"),
 ], ids=["laser_product", "detuning_sum"])
 @pytest.mark.filterwarnings("ignore:Lamb-Dicke parameter above 0.3")
 def test_exit_code_non_finite_drive(tmp_path, capsys, command, keys, member):
-    # every key is finite, but g = eta * Omega or omega0 = Delta + delta is not
+    # every key is finite, but g = eta * Omega or delta = omega0 - Delta is not
     cfg = write_cfg(tmp_path, "n_ions = 2\nt_x_khz = 0.1\nt_y_khz = 0.1\n" + keys)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -609,6 +661,78 @@ def test_exit_code_overflowing_horizon(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
     assert "overflow" in capsys.readouterr().err
     assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_exit_code_phase_rounding_horizon(tmp_path, capsys, command):
+    # finite phases, but rounded to 1.9e-4 rad at 1e9 ms: refused, where
+    # populations used to read 0.356 or 0.355 by the rounding alone
+    text = (CONFIG_DIR / "two_ion_spin1_iso.cfg").read_text()
+    cfg = write_cfg(tmp_path, text + "t_final_ms = 1e9\nn_steps = 2\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "are rounded to 0.000191 rad, above the limit of 1e-06 rad" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--config", "big_grid.cfg"],
+    ["couplings", "--config", "anisotropy_scan.cfg",
+     "--sweep", "g_y_khz:12:40:10000000000000000"],
+    ["spectrum", "--config", "anisotropy_scan.cfg",
+     "--sweep", "delta_khz:-1:1:10000000000000000"],
+], ids=["n_steps", "couplings_sweep", "spectrum_sweep"])
+def test_exit_code_out_of_memory(tmp_path, capsys, argv):
+    # 1e16 grid points: more than any address space holds, so the
+    # allocation fails at once
+    text = (CONFIG_DIR / "anisotropy_scan.cfg").read_text()
+    write_cfg(tmp_path, text, "anisotropy_scan.cfg")
+    write_cfg(tmp_path, text + "n_steps = 10000000000000000\n", "big_grid.cfg")
+    argv[2] = str(tmp_path / argv[2])
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
+RESONANT_PAIR = """
+n_ions = 2
+t_x_khz = 0.1
+t_y_khz = 0.17
+g_x_khz = 34
+g_y_khz = 34
+delta_khz = 34e6
+n_excitations = 1
+initial_state = up,down
+n_steps = 5
+"""
+
+
+def test_resonant_drive_evolves_over_explicit_horizon(tmp_path, capsys,
+                                                      monkeypatch):
+    # a coupled intermediate is resonant, so the spin model fails; evolve
+    # reads it only for the default horizon, and compare always
+    from jchsim import dynamics
+
+    built = []
+    for name in ("spin_half_general", "spin_one_general"):
+        build = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name,
+                            lambda *a, build=build: built.append(1) or build(*a))
+    with_t = write_cfg(tmp_path, RESONANT_PAIR + "t_final_ms = 1\n", "t.cfg")
+    without_t = write_cfg(tmp_path, RESONANT_PAIR, "no_t.cfg")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", with_t, "--out", str(out)]) == 0
+    assert built == []
+    manifest = json.loads((out / "evolve_manifest.json").read_text())
+    assert manifest["residuals"]["norm_drift"] < 1e-14
+    for command, cfg in (("evolve", without_t), ("compare", with_t)):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 3
+        assert "intermediate at E=" in capsys.readouterr().err
+    assert built == [1, 1]
 
 
 def test_program_never_loads_scipy_linalg(tmp_path):

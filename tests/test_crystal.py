@@ -134,13 +134,14 @@ def test_local_detunings_reference_convention():
     geo = CrystalGeometry.from_trap(FIG3_TRAP)
     drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
     det_x, det_y = local_detunings(geo, drive)
-    # reference ion sees the bare detuning; the centre ion is shifted by
-    # the on-site frequency difference, -0.756 kHz in x for this trap
-    assert det_x[0] == pytest.approx(drive.Delta)
+    # reference ion sees no detuning in the frame Delta = 0; the centre ion
+    # is shifted by the on-site frequency difference, -0.756 kHz in x for
+    # this trap
+    assert det_x[0] == 0.0 and det_y[0] == 0.0
     assert (det_x[1] - det_x[0]) / KHZ == pytest.approx(-0.756, rel=1e-12)
     hom_x, hom_y = local_detunings(geo, replace(drive, homogeneous=True))
-    assert hom_x == pytest.approx([drive.Delta] * 3)
-    assert hom_y == pytest.approx([drive.Delta] * 3)
+    np.testing.assert_array_equal(hom_x, np.zeros(3))
+    np.testing.assert_array_equal(hom_y, np.zeros(3))
 
 
 def test_local_detunings_bad_reference():

@@ -72,13 +72,13 @@ def rabi_model(k_xy_khz):
 def site_vectors(n, det_x, det_y, drive):
     """Every site's dressed n-excitation states, as evolve_full_model reads
     them."""
-    return manifold_states_stack(n, det_x, det_y, drive.omega0, drive.g_x,
+    return manifold_states_stack(n, det_x, det_y, drive.delta, drive.g_x,
                                  drive.g_y)[1]
 
 
 def bare_state(labels, drive, basis):
-    """dressed_product_state with the drive's own detuning on every site."""
-    det = np.full(basis.n_sites, drive.Delta)
+    """dressed_product_state with no local detuning on any site."""
+    det = np.zeros(basis.n_sites)
     vectors = site_vectors(basis.n_total // basis.n_sites, det, det, drive)
     return dressed_product_state(labels, vectors, basis)
 
@@ -159,16 +159,39 @@ def test_evolve_refuses_overflowing_horizon(dense_threshold):
     psi0 = np.array([1.0, 0.0])
     with pytest.raises(FloatingPointError, match="overflow"):
         evolve(h, psi0, [0.0, 1e307], dense_threshold=dense_threshold)
-    assert evolve(h, psi0, [0.0, 1e306],
-                  dense_threshold=10**9).norm_drift < 1e-12
+    # finite, but phases rounded to about 4e291 rad
+    with pytest.raises(FloatingPointError, match="rounded"):
+        evolve(h, psi0, [0.0, 1e306], dense_threshold=dense_threshold)
+
+
+@pytest.mark.parametrize("dense_threshold", [DENSE_THRESHOLD, 1])
+def test_evolve_phase_rounding_boundary(dense_threshold):
+    # eps |E| t crosses PHASE_TOL at t_edge; the spectrum is narrow, so the
+    # Chebyshev method needs few products to get there
+    h = SparseOperator(2, sp.csr_matrix(np.diag([1e3, 1e3 + 2e-3])))
+    psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    t_edge = dynamics.PHASE_TOL / (np.finfo(float).eps * (1e3 + 2e-3))
+    res = evolve(h, psi0, [0.0, t_edge * (1.0 - 1e-9)],
+                 {"psi0": psi0}, dense_threshold=dense_threshold)
+    assert res.method == ("dense" if dense_threshold > 2 else "chebyshev")
+    # both methods stay within the bound: the Chebyshev shift by mid
+    # cancels to eps |mid| / half per product, over half t products
+    t = res.times[-1]
+    exact = np.cos(0.5 * ((1e3 + 2e-3) - 1e3) * t) ** 2
+    assert abs(res.populations["psi0"][-1] - exact) < dynamics.PHASE_TOL
+    assert res.norm_drift < dynamics.PHASE_TOL
+    with pytest.raises(FloatingPointError, match="rounded to 1e-06 rad"):
+        evolve(h, psi0, [0.0, t_edge * (1.0 + 1e-9)],
+               dense_threshold=dense_threshold)
 
 
 def test_evolve_refuses_unbounded_chebyshev_work():
-    # finite phases, but about 1e305 products: refused before the first one
-    h = SparseOperator(2, sp.csr_matrix(np.diag([1.0, 20.0])))
+    # phases rounded to 4.4e-7 rad, under PHASE_TOL, but 2e9 products:
+    # refused before the first one
+    h = SparseOperator(2, sp.csr_matrix(np.diag([-10.0, 10.0])))
     with mock.patch.object(dynamics, "_chebyshev_propagate") as propagate:
-        with pytest.raises(FloatingPointError, match="products"):
-            evolve(h, np.array([1.0, 0.0]), [0.0, 1e306], dense_threshold=1)
+        with pytest.raises(FloatingPointError, match="2e[+]09 products"):
+            evolve(h, np.array([1.0, 0.0]), [0.0, 2e8], dense_threshold=1)
     propagate.assert_not_called()
 
 
@@ -502,10 +525,10 @@ def test_joint_detuning_offset_invariance():
         }
         return evolve(h, psi0, times, tracked).population_matrix()
 
-    base = cfg.drive
-    shifted = make_drive(g_x=base.g_x, g_y=base.g_y, delta=base.delta,
-                         Delta=base.Delta + 5.0 * KHZ)
-    assert np.max(np.abs(traces(base) - traces(shifted))) < 1e-9
+    # a common detuning Delta in the config leaves every trace exactly
+    # as it was
+    shifted = parse_config(THREE_ION_CFG + "Delta_khz = 5.0\n").drive
+    assert np.array_equal(traces(cfg.drive), traces(shifted))
 
 
 def test_compare_zero_hopping_is_trivial():

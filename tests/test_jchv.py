@@ -35,32 +35,35 @@ GEO2 = CrystalGeometry.from_uniform_hoppings(2, 0.1 * KHZ, 0.17 * KHZ)
 
 
 def random_drive(rng):
+    """A random drive and a random common detuning Delta to offset it by."""
     g_x = rng.uniform(5.0, 50.0) * KHZ
     g_y = rng.uniform(5.0, 50.0) * KHZ
     delta = rng.uniform(-4.0, 4.0) * max(g_x, g_y)
     Delta = rng.uniform(-10.0, 10.0) * KHZ
-    return DriveParams(g_x=g_x, g_y=g_y, delta=delta, Delta=Delta,
-                       omega0=Delta + delta)
+    return DriveParams(g_x=g_x, g_y=g_y, delta=delta), Delta
 
 
 def test_one_excitation_closed_forms_match_numerics():
+    # the site builders at detunings Delta and omega0 = Delta + delta: a
+    # common Delta shifts the n-excitation sector by n Delta
     rng = np.random.default_rng(11)
     for _ in range(30):
-        drive = random_drive(rng)
+        drive, Delta = random_drive(rng)
+        params = (Delta, Delta, Delta + drive.delta, drive.g_x, drive.g_y)
         s1, s2 = single_site_spectra(drive)
-        w1, _ = site_sector_eigh(1, drive.Delta, drive.Delta, drive)
-        expect1 = sorted([s1.E_minus_x, s1.E_plus_x, s1.E_minus_y,
-                          s1.E_plus_y])
+        w1, _ = sector_eigh_stack(1, *params)
+        expect1 = np.sort([s1.E_minus_x, s1.E_plus_x, s1.E_minus_y,
+                           s1.E_plus_y]) + Delta
         assert np.max(np.abs(np.sort(w1) - expect1)) / drive.g_x < 1e-12
-        w2, _ = site_sector_eigh(2, drive.Delta, drive.Delta, drive)
+        w2, _ = sector_eigh_stack(2, *params)
         # the three two-excitation ground states sit below the rest
-        lows = np.sort([s2.E_1, s2.E_0, s2.E_m1])
+        lows = np.sort([s2.E_1, s2.E_0, s2.E_m1]) + 2.0 * Delta
         assert np.max(np.abs(np.sort(w2)[:3] - lows)) / drive.g_x < 1e-12
 
 
 def test_up_state_at_zero_detuning():
     drive = make_drive(g_x=10.0 * KHZ, g_y=10.0 * KHZ, delta=0.0)
-    _, vectors = site_manifold_states(1, drive.Delta, drive.Delta, drive)
+    _, vectors = site_manifold_states(1, 0.0, 0.0, drive)
     # equal-weight (|g,1,0> - |e1,0,0>)/sqrt(2), nothing else
     expect = dict.fromkeys(site_states(1), 0.0)
     expect[(0, 1, 0)] = 1.0 / math.sqrt(2.0)
@@ -72,9 +75,9 @@ def test_up_state_at_zero_detuning():
 def test_manifold_states_orthonormal_and_sign_fixed():
     rng = np.random.default_rng(5)
     for n in (1, 2):
-        drive = random_drive(rng)
-        energies, vectors = site_manifold_states(n, drive.Delta, drive.Delta,
-                                                 drive)
+        drive, Delta = random_drive(rng)
+        energies, vectors = manifold_states_stack(
+            n, Delta, Delta, Delta + drive.delta, drive.g_x, drive.g_y)
         d = len(MANIFOLD_LABELS[n])
         assert energies.shape == (d,)
         assert vectors.shape == (d, len(site_states(n)))
@@ -88,15 +91,15 @@ def test_manifold_states_orthonormal_and_sign_fixed():
 def test_manifold_energies_match_closed_forms():
     drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ)
     s1, s2 = single_site_spectra(drive)
-    e1, _ = site_manifold_states(1, drive.Delta, drive.Delta, drive)
+    e1, _ = site_manifold_states(1, 0.0, 0.0, drive)
     assert e1 == pytest.approx([s1.E_minus_x, s1.E_minus_y], abs=1e-10)
-    e2, _ = site_manifold_states(2, drive.Delta, drive.Delta, drive)
+    e2, _ = site_manifold_states(2, 0.0, 0.0, drive)
     assert e2 == pytest.approx([s2.E_1, s2.E_0, s2.E_m1], abs=1e-10)
 
 
 def per_block_manifold_states(n, det_x, det_y, drive):
     """One site's dressed manifold, one label block at a time."""
-    h = site_hamiltonian(site_sector_operators(n), det_x, det_y, drive.omega0,
+    h = site_hamiltonian(site_sector_operators(n), det_x, det_y, drive.delta,
                          drive.g_x, drive.g_y)
     x_count = np.array([site_x_count(s) for s in site_states(n)])
     labels = MANIFOLD_LABELS[n]
@@ -127,7 +130,7 @@ def test_stacked_site_data_equals_per_ion(n, drive):
     # site_manifold_states bit for bit, and those equal a loop over blocks
     drive = make_drive(**STACK_DRIVES[drive])
     det_x, det_y = local_detunings(TRAP21, drive)
-    params = (det_x, det_y, drive.omega0, drive.g_x, drive.g_y)
+    params = (det_x, det_y, drive.delta, drive.g_x, drive.g_y)
     manifold = manifold_states_stack(n, *params)
     sectors = {m: sector_eigh_stack(m, *params) for m in (n - 1, n + 1)}
     assert manifold[1].shape == (21, len(MANIFOLD_LABELS[n]), 3 * n + 1)
@@ -191,7 +194,7 @@ def test_full_hamiltonian_conserves_x_excitation(sector, trap, homogeneous, seed
         geo = CrystalGeometry.from_uniform_hoppings(
             n_sites, rng.uniform(0.01, 1.0) * KHZ, rng.uniform(0.01, 1.0) * KHZ)
     basis = sector_basis_for(n_sites, n)
-    drive = replace(random_drive(rng), homogeneous=homogeneous)
+    drive = replace(random_drive(rng)[0], homogeneous=homogeneous)
     h = build_full(basis, geo, drive)
     ops = site_operators(basis.n_total)
     n_x = assemble(basis, [(ops["num_x"] + ops["proj_e1"], (j,))
@@ -202,15 +205,25 @@ def test_full_hamiltonian_conserves_x_excitation(sector, trap, homogeneous, seed
 
 
 def test_joint_offset_shifts_by_identity():
+    # H_JC from explicit per-site detunings, offset by a common Delta:
+    # build_hjc is its Delta = 0 member, bit for bit, and Delta shifts the
+    # sector by Delta N
     basis = sector_basis_for(2, 1)
+    drive = make_drive(g_x=10.0 * KHZ, g_y=12.0 * KHZ, delta=-1.0 * KHZ)
+    det_x, det_y = local_detunings(GEO2, drive)
+    ops = site_operators(basis.n_total)
+
+    def offset_hjc(shift):
+        return assemble(basis, [
+            (site_hamiltonian(ops, det_x[j] + shift, det_y[j] + shift,
+                              drive.delta + shift, drive.g_x, drive.g_y), (j,))
+            for j in range(basis.n_sites)]).mat.toarray()
+
+    h0 = build_hjc(basis, GEO2, drive).mat.toarray()
+    np.testing.assert_array_equal(h0, offset_hjc(0.0))
     shift = 5.0 * KHZ
-    d0 = make_drive(g_x=10.0 * KHZ, g_y=12.0 * KHZ, delta=-1.0 * KHZ)
-    d1 = DriveParams(g_x=d0.g_x, g_y=d0.g_y, delta=d0.delta,
-                     Delta=d0.Delta + shift, omega0=d0.omega0 + shift)
-    h0 = build_hjc(basis, GEO2, d0).mat.toarray()
-    h1 = build_hjc(basis, GEO2, d1).mat.toarray()
-    assert np.max(np.abs(h1 - h0 - shift * basis.n_total * np.eye(basis.dim))) \
-        < 1e-10
+    assert np.max(np.abs(offset_hjc(shift) - h0
+                         - shift * basis.n_total * np.eye(basis.dim))) < 1e-10
 
 
 def test_hb_only_couples_equal_species():

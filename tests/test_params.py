@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -44,22 +45,29 @@ def test_trap_validation(kwargs):
 
 
 def test_make_drive_fills_missing_member():
-    d = make_drive(g_x=1.0, g_y=1.0, delta=2.0 * KHZ, Delta=1.0 * KHZ)
-    assert d.omega0 == pytest.approx(3.0 * KHZ)
+    # only delta = omega0 - Delta is kept: the frame is fixed at Delta = 0
+    assert [f.name for f in dataclasses.fields(DriveParams)] == [
+        "g_x", "g_y", "delta", "reference_ion", "homogeneous"]
     d = make_drive(g_x=1.0, g_y=1.0, omega0=3.0 * KHZ, Delta=1.0 * KHZ)
     assert d.delta == pytest.approx(2.0 * KHZ)
-    # delta alone pins the gauge Delta = 0
-    d = make_drive(g_x=1.0, g_y=1.0, delta=-0.22 * KHZ)
-    assert d.Delta == 0.0
-    assert d.omega0 == pytest.approx(-0.22 * KHZ)
+    # with delta given, a Delta or omega0 alone is not used
+    for extra in ({}, {"Delta": 1.0 * KHZ}, {"omega0": 5.0 * KHZ}):
+        d = make_drive(g_x=1.0, g_y=1.0, delta=-0.22 * KHZ, **extra)
+        assert d.delta == -0.22 * KHZ
+    for lone in ({"Delta": 1.0 * KHZ}, {"omega0": 3.0 * KHZ}, {}):
+        with pytest.raises(ConfigError, match="missing key: need delta"):
+            make_drive(g_x=1.0, g_y=1.0, **lone)
 
 
 def test_drive_consistency_enforced():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="inconsistent detunings"):
         make_drive(g_x=1.0, g_y=1.0, delta=1.0 * KHZ, Delta=1.0 * KHZ,
                    omega0=3.0 * KHZ)
+    d = make_drive(g_x=1.0, g_y=1.0, delta=2.0 * KHZ, Delta=1.0 * KHZ,
+                   omega0=3.0 * KHZ)
+    assert d.delta == 2.0 * KHZ
     with pytest.raises(ConfigError):
-        DriveParams(g_x=-1.0, g_y=1.0, delta=0.0, Delta=0.0, omega0=0.0)
+        DriveParams(g_x=-1.0, g_y=1.0, delta=0.0)
 
 
 UNIFORM = "n_ions = 2\nt_x_khz = 0.1\nt_y_khz = 0.17\ndelta_khz = -0.22\n"
@@ -132,9 +140,10 @@ def test_explicit_couplings_outrank_laser_and_gradient():
     # each key is finite, but g_x = eta * Omega overflows
     (UNIFORM + LASER.replace("ld_x = 0.1", "ld_x = 1e300")
      .replace("rabi_x_khz = 200.0", "rabi_x_khz = 1e10"), "g_x"),
-    # omega0 = Delta + delta overflows
-    (UNIFORM.replace("delta_khz = -0.22", "delta_khz = 1.5e307")
-     + "g_x_khz = 19\ng_y_khz = 20\nDelta_khz = 1.5e307\n", "omega0"),
+    # delta = omega0 - Delta overflows
+    (UNIFORM.replace("delta_khz = -0.22\n", "")
+     + "g_x_khz = 19\ng_y_khz = 20\nomega0_khz = 1.5e307\n"
+     + "Delta_khz = -1.5e307\n", "delta"),
 ], ids=["laser_product", "detuning_sum"])
 @pytest.mark.filterwarnings("ignore:Lamb-Dicke parameter above 0.3")
 def test_drive_refuses_non_finite_member(text, member):
@@ -144,7 +153,9 @@ def test_drive_refuses_non_finite_member(text, member):
 
 def test_drive_params_refuse_nan():
     with pytest.raises(ConfigError, match="non-finite drive parameter: g_y"):
-        DriveParams(g_x=1.0, g_y=math.nan, delta=0.0, Delta=0.0, omega0=0.0)
+        DriveParams(g_x=1.0, g_y=math.nan, delta=0.0)
+    with pytest.raises(ConfigError, match="non-finite drive parameter: delta"):
+        DriveParams(g_x=1.0, g_y=1.0, delta=math.nan)
 
 
 CONFIG = """

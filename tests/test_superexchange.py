@@ -171,19 +171,32 @@ def test_degenerate_intermediate_raises():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("manifold", ["half", "one"])
-@pytest.mark.parametrize("t_khz, Delta_khz", [(1e307, 0.0), (0.1, 2e307)],
+@pytest.mark.parametrize("t_khz, delta_khz", [(1e307, 0.0), (0.1, -2e307)],
                          ids=["hopping", "detuning"])
-def test_non_finite_pair_matrix_raises(manifold, t_khz, Delta_khz):
+def test_non_finite_pair_matrix_raises(manifold, t_khz, delta_khz):
     # every input is finite, but the second-order sum or the pair energies
-    # overflow: the pair fails instead of feeding inf/nan to the tables
-    drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=0.0,
-                       Delta=Delta_khz * KHZ)
+    # (2 delta, each site's atom excited) overflow: the pair fails instead
+    # of feeding inf/nan to the tables
+    drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=delta_khz * KHZ)
     geo = uniform_pair(t_khz, t_khz)
     with pytest.raises(FloatingPointError, match=r"pair \(0, 1\): non-finite"):
         pair_effective_matrix(0, 1, geo, drive, manifold=manifold)
     build = spin_half_general if manifold == "half" else spin_one_general
     with pytest.raises(FloatingPointError, match=r"pair \(0, 1\): non-finite"):
         build(geo, drive)
+
+
+@pytest.mark.parametrize("manifold", ["half", "one"])
+def test_huge_common_detuning_is_harmless(manifold):
+    # a common phonon detuning Delta only offsets a sector by Delta N, so
+    # the drive is fixed at Delta = 0: Delta_khz = 2e307 gives the pair of
+    # its Delta = 0 twin exactly
+    geo = uniform_pair(0.1, 0.1)
+    pairs = [pair_effective_matrix(
+        0, 1, geo, make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=0.0, **extra),
+        manifold=manifold) for extra in ({}, {"Delta": 2e307 * KHZ})]
+    np.testing.assert_array_equal(pairs[0].matrix, pairs[1].matrix)
+    assert np.all(np.isfinite(pairs[1].matrix))
 
 
 def test_benign_zero_coupled_crossing_passes():
@@ -642,7 +655,7 @@ def test_site_table_equals_per_ion_site_data(manifold, drive):
     # slots a pair reads, are each ion's own bit for bit
     geo, drive, n = trap_crystal(21), make_drive(**drive), MANIFOLD_N[manifold]
     det_x, det_y = local_detunings(geo, drive)
-    sites = superexchange._site_table(n, det_x, det_y, drive.omega0, drive.g_x,
+    sites = superexchange._site_table(n, det_x, det_y, drive.delta, drive.g_x,
                                       drive.g_y)
     for j in range(21):
         ref = reference_site(n, det_x[j], det_y[j], drive)
