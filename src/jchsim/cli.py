@@ -94,6 +94,10 @@ def write_line_svg(path, x, series, xlabel, ylabel, title, dashed=()):
         y = np.asarray(y, dtype=float)  # a line per run of finite points
         runs = np.flatnonzero(np.diff(np.r_[0, np.isfinite(y), 0])).reshape(-1, 2)
         for a, b in runs:
+            if b - a == 1:  # a one-point polyline renders nothing
+                parts.append(f'<circle cx="{px(x[a]):.2f}" cy="{py(y[a]):.2f}" '
+                             f'r="2" fill="{color}"/>')
+                continue
             pts = " ".join(f"{px(u):.2f},{py(v):.2f}" for u, v in zip(x[a:b], y[a:b]))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '

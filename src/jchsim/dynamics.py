@@ -70,9 +70,6 @@ class EvolutionResult:
     truncation_bound: float  # summed series tails bounding the state error
     blocks: tuple  # dims of the parity blocks diagonalised, () for chebyshev
 
-    def population_matrix(self):
-        return np.array([self.populations[lab] for lab in self.labels])
-
 
 @dataclass(frozen=True)
 class ComparisonReport:

@@ -194,18 +194,6 @@ class SectorBasis:
         return len(self.codes)
 
     @cached_property
-    def states(self):
-        """Basis states as tuples of site states (a view for tests)."""
-        return tuple(
-            tuple(self.alphabet[c] for c in row) for row in self.codes.tolist()
-        )
-
-    @cached_property
-    def index(self):
-        """Map from a states entry back to its ordinal (a view for tests)."""
-        return {s: i for i, s in enumerate(self.states)}
-
-    @cached_property
     def _rank_table(self):
         # [m, *t, c]: the fillings of a site followed by m sites, holding
         # counts t between them, whose first letter is below c. A row's
@@ -395,14 +383,15 @@ class SparseOperator:
 
 
 def assemble(basis: SectorBasis, terms):
-    """SparseOperator summing embed(basis, local, sites) over (local, sites).
+    """SparseOperator summing embed(basis, local, sites) over the terms
+    (sites, local).
 
     Its matrix is a real float64 CSR, with duplicate entries summed and
     those of magnitude at most DROP_TOL dropped. Raises ValueError if a
     term is not float64 (complex included): Hamiltonians are real.
     """
     parts = []
-    for local, sites in terms:
+    for sites, local in terms:
         if local.dtype != np.float64:
             raise ValueError(f"term on sites {tuple(sites)} has dtype "
                              f"{local.dtype}, not float64; Hamiltonians are real")

@@ -57,7 +57,7 @@ def build_hjc(basis: SectorBasis, geometry: CrystalGeometry, drive: DriveParams)
     det_x, det_y = local_detunings(geometry, drive)
     h = site_hamiltonian(site_operators(basis.n_total), det_x, det_y,
                          drive.delta, drive.g_x, drive.g_y)
-    return assemble(basis, [(h[j], (j,)) for j in range(basis.n_sites)])
+    return assemble(basis, [((j,), h[j]) for j in range(basis.n_sites)])
 
 
 def build_hb(basis: SectorBasis, geometry: CrystalGeometry):
@@ -68,7 +68,7 @@ def build_hb(basis: SectorBasis, geometry: CrystalGeometry):
     hop_y = hop_operator(basis.n_total, "y")
     t_x, t_y = geometry.t_x, geometry.t_y
     return assemble(basis, [
-        (t_x[j, k] * hop_x + t_y[j, k] * hop_y, (j, k))
+        ((j, k), t_x[j, k] * hop_x + t_y[j, k] * hop_y)
         for j in range(basis.n_sites)
         for k in range(j)
         if t_x[j, k] or t_y[j, k]

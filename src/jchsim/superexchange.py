@@ -13,10 +13,12 @@ whole stack of sites is built at once, with one eigh per sector and per
 manifold label block however many sites the stack holds. The engine works
 on a stack of pairs: a model build runs it once per site j, on all
 partners k > j together; a couplings sweep runs it once, on one pair per
-sweep point; a single pair is a stack of one. Spin-1/2 (n=1) and spin-1
-(n=2) coupling tables are then extracted by matching the matrix against
-the XXZ and Heisenberg-like operator patterns, alongside the closed-form
-coupling formulas valid at delta = 0, which serve as mutual oracles.
+sweep point; a single pair is a stack of one. A spin model is these pair
+matrices and the sites' manifold energies, as local terms. Its spin-1/2
+(n=1) and spin-1 (n=2) coupling tables, the view the coupling CSV reads,
+are extracted by matching each matrix against the XXZ and Heisenberg-like
+operator patterns, alongside the closed-form coupling formulas valid at
+delta = 0, which serve as mutual oracles.
 """
 
 from __future__ import annotations
@@ -237,19 +239,26 @@ def pair_stack(j, k, geometries, drives, manifold="half", points=None):
 
 
 def _all_pairs(n, geometry, drive, extract):
-    """Second-order coefficients of every pair j < k from one site table.
+    """Terms and coupling tables of every pair j < k from one site table.
 
     Each row j runs the engine once, on the stack of its partners k > j.
-    extract maps a stack of second-order matrices to ({name: (for_j,
-    for_k)} of per-pair arrays, largest residual). Table name holds for_j
-    at [j, k] and for_k at [k, j], so a pair coupling is a symmetric
-    table, a site term sums along rows and a pair constant (given as
-    (const, 0)) sums over the whole table. Returns the (N, d) zeroth-order
-    manifold energies, the tables and the residuals dict of the models.
+    The terms are one diag(manifold_e[j]) per site, then one second-order
+    matrix per pair with its entries between product labels of different
+    total X set to 0: X is conserved, so they are rounding noise, and an
+    S_z block, which holds one X, refuses them. extract maps a stack of
+    the unmasked matrices to ({name: (for_j, for_k)} of per-pair arrays,
+    largest residual). Table name holds for_j at [j, k] and for_k at [k, j], so a
+    pair coupling is a symmetric table and a site term sums along rows.
+    Returns the terms, the (N, d) zeroth-order manifold energies, the
+    tables and the residuals dict of the models.
     """
     n_ions = geometry.n_ions
     det_x, det_y = local_detunings(geometry, drive)
     sites = _site_table(n, det_x, det_y, drive.delta, drive.g_x, drive.g_y)
+    x = np.array([LABEL_X[lab] for lab in MANIFOLD_LABELS[n]])
+    x_pair = (x[:, None] + x[None, :]).ravel()
+    same_x = x_pair[:, None] == x_pair[None, :]
+    terms = [((j,), np.diag(e)) for j, e in enumerate(sites.manifold_e)]
     tables = defaultdict(lambda: np.zeros((n_ions, n_ions)))
     tol_deg = np.full(n_ions, _degeneracy_tol(drive))
     max_residual = max_asym = 0.0
@@ -258,31 +267,38 @@ def _all_pairs(n, geometry, drive, extract):
         _, m2 = _second_order(sites[j:j + 1], sites[ks], geometry.t_x[j, ks],
                               geometry.t_y[j, ks], tol_deg[ks],
                               [(j, k) for k in range(j + 1, n_ions)])
+        terms += [((j, k), m) for k, m in enumerate(np.where(same_x, m2, 0.0),
+                                                     start=j + 1)]
         coeffs, residual = extract(m2)
         for name, (for_j, for_k) in coeffs.items():
             tables[name][j, ks] = for_j
             tables[name][ks, j] = for_k
         max_residual = max(max_residual, residual)
         max_asym = max(max_asym, float(np.max(np.abs(m2 - m2.swapaxes(1, 2)))))
-    return sites.manifold_e, tables, {"extraction": max_residual,
-                                      "hermiticity": max_asym}
+    return tuple(terms), sites.manifold_e, tables, {"extraction": max_residual,
+                                                    "hermiticity": max_asym}
 
 
 # ---------------------------------------------------------------------------
-# coupling-table models
+# effective spin models
 
 
 @dataclass(frozen=True)
 class SpinModel:
-    """Coupling tables of the spin-1/2 ('half') or spin-1 ('one') model.
+    """The spin-1/2 ('half') or spin-1 ('one') model as its local terms.
 
-    tables maps each coupling name of MODEL_TERMS[manifold] to an N x N
-    pair table (symmetric, zero diagonal) or a length-N site field.
+    terms is a tuple of (sites, matrix): a real d x d matrix per site and
+    a d^2 x d^2 matrix per pair (j, k), over the manifold's labels,
+    site-major, as fock.embed reads them; H is their sum. tables is the
+    view the coupling CSV reads: each coupling name maps to an N x N pair
+    table (symmetric, zero diagonal) or a length-N site field. The
+    residual 'extraction' bounds what the tables leave out of the pair
+    matrices.
     """
 
     manifold: str
+    terms: tuple
     tables: dict
-    energy_offset: float  # spin-independent constant, kept for spectrum fidelity
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -298,7 +314,6 @@ def _extract_half(m2):
     """
     diag = np.diagonal(m2, axis1=-2, axis2=-1)
     k_xy = 0.5 * m2[..., 1, 2]  # <up,down|H|down,up> = 2 K_xy
-    const = 0.25 * diag.sum(axis=-1)
     k_z = 0.25 * (diag[..., 0] - diag[..., 1] - diag[..., 2] + diag[..., 3])
     h_j = 0.25 * (diag[..., 0] + diag[..., 1] - diag[..., 2] - diag[..., 3])
     h_k = 0.25 * (diag[..., 0] - diag[..., 1] + diag[..., 2] - diag[..., 3])
@@ -309,19 +324,18 @@ def _extract_half(m2):
         "K_xy": (k_xy, k_xy),
         "K_z": (k_z, k_z),
         "H_field": (h_j, h_k),
-        "const": (const, np.zeros_like(const)),
     }, residual
 
 
 def spin_half_general(geometry: CrystalGeometry, drive: DriveParams):
     """Numeric spin-1/2 model from the pair engine, all pairs."""
-    energies, pairs, residuals = _all_pairs(1, geometry, drive, _extract_half)
+    terms, energies, pairs, residuals = _all_pairs(1, geometry, drive,
+                                                   _extract_half)
     e_up, e_down = energies.T
-    tables = {name: pairs[name] for name, _ in MODEL_TERMS["half"][1]}
-    tables["H_field"] = pairs["H_field"].sum(axis=1)  # second-order part only
-    tables["E0_split"] = 0.5 * (e_up - e_down)  # zeroth-order (E_up - E_down)/2
-    offset = np.sum(0.5 * (e_up + e_down)) + pairs["const"].sum()
-    return SpinModel("half", tables, offset, residuals)
+    tables = {"K_xy": pairs["K_xy"], "K_z": pairs["K_z"],
+              "H_field": pairs["H_field"].sum(axis=1),  # second-order part only
+              "E0_split": 0.5 * (e_up - e_down)}  # zeroth-order (E_up - E_down)/2
+    return SpinModel("half", terms, tables, residuals)
 
 
 # spin-1 product order (m_j, m_k), j-major: (1,1),(1,0),(1,-1),(0,1),...
@@ -372,19 +386,19 @@ def _extract_one(m2):
         "V": (c[2, 2], c[2, 2]),
         "B_field": (c[1, 0], c[0, 1]),
         "D_field": (c[2, 0], c[0, 2]),
-        "const": (c[0, 0], np.zeros_like(c[0, 0])),
     }, residual
 
 
 def spin_one_general(geometry: CrystalGeometry, drive: DriveParams):
     """Numeric spin-1 model from the pair engine, all pairs."""
-    energies, pairs, residuals = _all_pairs(2, geometry, drive, _extract_one)
+    terms, energies, pairs, residuals = _all_pairs(2, geometry, drive,
+                                                   _extract_one)
     e1, e0, em1 = energies.T
-    tables = {name: pairs[name] for name, _ in MODEL_TERMS["one"][1]}
+    tables = {name: pairs[name] for name in ("J_xy", "J_z", "W", "V", "v_p1",
+                                             "v_m1")}
     tables["D_field"] = 0.5 * (e1 + em1 - 2.0 * e0) + pairs["D_field"].sum(axis=1)
     tables["B_field"] = 0.5 * (e1 - em1) + pairs["B_field"].sum(axis=1)
-    offset = np.sum(e0) + pairs["const"].sum()
-    return SpinModel("one", tables, offset, residuals)
+    return SpinModel("one", terms, tables, residuals)
 
 
 _EXTRACT = {"half": _extract_half, "one": _extract_one}
@@ -427,39 +441,6 @@ def spin_one_isotropic_analytic(g, t_x, t_y):
 # spin Hamiltonians on a conserved S_z block of the 2^N / 3^N product space
 
 
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-# spin-1 in the (|1>, |0>, |-1>) basis; S_- is S_PLUS.T
-S_PLUS = math.sqrt(2.0) * np.array(
-    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
-)
-S_Z1 = np.diag([1.0, 0.0, -1.0])
-_SZ2 = S_Z1 @ S_Z1
-_A_P = np.kron(S_Z1 @ S_PLUS, S_PLUS.T @ S_Z1)
-_A_M = np.kron(S_Z1 @ S_PLUS.T, S_PLUS @ S_Z1)
-
-# MODEL_TERMS[manifold] = (site terms, pair terms): (table name, operator)
-# in summation order; XX + YY is written with the real ladder operators
-MODEL_TERMS = {
-    "half": (
-        (("H_field", SIGMA_Z), ("E0_split", SIGMA_Z)),
-        (("K_xy", 2.0 * (np.kron(SIGMA_PLUS, SIGMA_PLUS.T)
-                         + np.kron(SIGMA_PLUS.T, SIGMA_PLUS))),
-         ("K_z", np.kron(SIGMA_Z, SIGMA_Z))),
-    ),
-    "one": (
-        (("D_field", _SZ2), ("B_field", S_Z1)),
-        (("J_xy", 0.5 * (np.kron(S_PLUS, S_PLUS.T) + np.kron(S_PLUS.T, S_PLUS))),
-         ("J_z", np.kron(S_Z1, S_Z1)),
-         ("W", np.kron(S_Z1, _SZ2) + np.kron(_SZ2, S_Z1)),
-         ("V", np.kron(_SZ2, _SZ2)),
-         ("v_p1", _A_P + _A_P.T),
-         ("v_m1", _A_M + _A_M.T)),
-    ),
-}
-
-
 def spin_block(manifold, labels):
     """Product basis of the manifold's spin labels in the total-S_z block of
     labels: each label counts its LABEL_X (S_z shifted to 0, 1, ...)."""
@@ -469,18 +450,11 @@ def spin_block(manifold, labels):
 
 
 def build_spin_hamiltonian(model, basis):
-    """Sparse effective spin Hamiltonian from a coupling-table model.
+    """Sparse effective spin Hamiltonian: the sum of the model's terms.
 
-    Includes the zeroth-order single-site terms and the spin-independent
-    constant, so its spectrum matches the pair effective matrices, not
-    just its dynamics. basis is a product basis of the model's labels:
-    a spin_block, or the whole product space (all x counts 0).
+    The site terms hold the zeroth-order energies, so its spectrum matches
+    the pair effective matrices, not just its dynamics. basis is a
+    product basis of the model's labels: a spin_block, or the whole
+    product space (all x counts 0).
     """
-    site, pair = MODEL_TERMS[model.manifold]
-    tables, n = model.tables, model.n_sites
-    terms = [(sum(tables[name][j] * op for name, op in site), (j,))
-             for j in range(n)]
-    terms += [(sum(tables[name][j, k] * op for name, op in pair), (j, k))
-              for j in range(n) for k in range(j + 1, n)]
-    terms.append((model.energy_offset * np.eye(len(basis.alphabet)), (0,)))
-    return assemble(basis, terms)
+    return assemble(basis, model.terms)

@@ -39,6 +39,7 @@ from jchsim.superexchange import (
     spin_half_general,
     spin_one_general,
 )
+from support import population_matrix
 
 from pathlib import Path
 
@@ -213,8 +214,8 @@ def test_criterion_7_conservation(three_ion_report):
                            2, 0.1 * KHZ, 0.17 * KHZ),
                        drive)
         ops = site_operators(basis.n_total)
-        n_op = assemble(basis, [(ops["num_x"] + ops["num_y"] + ops["proj_e1"]
-                                 + ops["proj_e2"], (j,))
+        n_op = assemble(basis, [((j,), ops["num_x"] + ops["num_y"]
+                                 + ops["proj_e1"] + ops["proj_e2"])
                                 for j in range(basis.n_sites)])
         comm = h.mat @ n_op.mat - n_op.mat @ h.mat
         comm_worst = max(comm_worst,
@@ -236,7 +237,7 @@ def test_criterion_7_conservation(three_ion_report):
             lab: dressed_product_state(lab, vectors, basis)
             for lab in [("up", "down", "up"), ("down", "up", "up")]
         }
-        return evolve(h, psi0, times, tracked).population_matrix()
+        return population_matrix(evolve(h, psi0, times, tracked))
 
     # a common detuning Delta given with delta leaves the drive, and every
     # trace, exactly as it was

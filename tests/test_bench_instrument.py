@@ -17,7 +17,8 @@ import scipy.sparse as sp
 
 from jchsim.dynamics import evolve
 from jchsim.fock import SparseOperator
-from jchsim.superexchange import SpinModel, build_spin_hamiltonian, spin_block
+from jchsim.superexchange import build_spin_hamiltonian, spin_block
+from support import oracle_model
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -42,9 +43,9 @@ def test_traced_shapes_hold():
     evolve = importlib.import_module("jchsim.dynamics").evolve
     assert next(iter(inspect.signature(evolve).parameters)) == "h"
     zeros = np.zeros((2, 2))
-    model = SpinModel("half", {"K_xy": zeros, "K_z": zeros,
-                               "H_field": np.zeros(2), "E0_split": np.zeros(2)},
-                      energy_offset=0.0)
+    model = oracle_model("half", {"K_xy": zeros, "K_z": zeros,
+                                  "H_field": np.zeros(2), "E0_split": np.zeros(2)},
+                         0.0)
     h = build_spin_hamiltonian(model, spin_block("half", ("up", "down")))
     assert isinstance(h, SparseOperator)
 

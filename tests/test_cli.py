@@ -277,6 +277,17 @@ def test_svg_breaks_line_at_non_finite_points(tmp_path):
     assert len(svg_polylines(path)) == 1
 
 
+def test_svg_marks_isolated_point(tmp_path):
+    # a finite point between two non-finite ones is a dot, not an empty line
+    path = tmp_path / "t.svg"
+    write_line_svg(path, [0.0, 1.0, 2.0], [("a", [math.nan, 1.0, math.nan])],
+                   "x", "y", title="t")
+    assert svg_polylines(path) == []
+    (dot,) = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}circle")
+    assert (dot.get("cx"), dot.get("cy")) == ("348.00", "333.45")
+    assert dot.get("fill") == "#1f77b4"
+
+
 def test_couplings_sweep_svg_skips_nan_point(tmp_path):
     # lambda = K_z / K_xy is nan at t_y = 0, where K_xy = 0
     out = tmp_path / "o"

@@ -30,6 +30,7 @@ from jchsim.jchv import (
     site_sector_eigh,
 )
 from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive
+from support import basis_index
 
 GEO2 = CrystalGeometry.from_uniform_hoppings(2, 0.1 * KHZ, 0.17 * KHZ)
 
@@ -174,8 +175,8 @@ def test_full_hamiltonian_conserves_excitation():
     drive = make_drive(g_x=32.0 * KHZ, g_y=34.0 * KHZ, delta=0.0)
     h = build_full(basis, GEO2, drive)
     ops = site_operators(basis.n_total)
-    n_tot = assemble(basis, [(ops["num_x"] + ops["num_y"] + ops["proj_e1"]
-                              + ops["proj_e2"], (j,)) for j in range(2)])
+    n_tot = assemble(basis, [((j,), ops["num_x"] + ops["num_y"] + ops["proj_e1"]
+                              + ops["proj_e2"]) for j in range(2)])
     assert abs(h.mat - h.mat.T).max() < 1e-13
     assert abs(h.mat @ n_tot.mat - n_tot.mat @ h.mat).max() < 1e-13
 
@@ -197,7 +198,7 @@ def test_full_hamiltonian_conserves_x_excitation(sector, trap, homogeneous, seed
     drive = replace(random_drive(rng)[0], homogeneous=homogeneous)
     h = build_full(basis, geo, drive)
     ops = site_operators(basis.n_total)
-    n_x = assemble(basis, [(ops["num_x"] + ops["proj_e1"], (j,))
+    n_x = assemble(basis, [((j,), ops["num_x"] + ops["proj_e1"])
                            for j in range(n_sites)])
     assert abs(h.mat @ n_x.mat - n_x.mat @ h.mat).max() == 0.0
     # N_X is not a multiple of the identity here, so the check has teeth
@@ -215,8 +216,8 @@ def test_joint_offset_shifts_by_identity():
 
     def offset_hjc(shift):
         return assemble(basis, [
-            (site_hamiltonian(ops, det_x[j] + shift, det_y[j] + shift,
-                              drive.delta + shift, drive.g_x, drive.g_y), (j,))
+            ((j,), site_hamiltonian(ops, det_x[j] + shift, det_y[j] + shift,
+                                    drive.delta + shift, drive.g_x, drive.g_y))
             for j in range(basis.n_sites)]).mat.toarray()
 
     h0 = build_hjc(basis, GEO2, drive).mat.toarray()
@@ -229,10 +230,11 @@ def test_joint_offset_shifts_by_identity():
 def test_hb_only_couples_equal_species():
     basis = enumerate_sector(2, 1)
     h_b = build_hb(basis, GEO2).mat.toarray()
-    i_xx = basis.index[((0, 1, 0), (0, 0, 0))]
-    j_xx = basis.index[((0, 0, 0), (0, 1, 0))]
-    i_yy = basis.index[((0, 0, 1), (0, 0, 0))]
-    j_yy = basis.index[((0, 0, 0), (0, 0, 1))]
+    index = basis_index(basis)
+    i_xx = index[((0, 1, 0), (0, 0, 0))]
+    j_xx = index[((0, 0, 0), (0, 1, 0))]
+    i_yy = index[((0, 0, 1), (0, 0, 0))]
+    j_yy = index[((0, 0, 0), (0, 0, 1))]
     assert h_b[i_xx, j_xx] == pytest.approx(GEO2.t_x[0, 1])
     assert h_b[i_yy, j_yy] == pytest.approx(GEO2.t_y[0, 1])
     assert h_b[i_xx, j_yy] == 0.0

@@ -24,12 +24,7 @@ from jchsim.jchv import (
 )
 from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive, parse_config
 from jchsim.superexchange import (
-    MODEL_TERMS,
     DegenerateIntermediateError,
-    SIGMA_Z,
-    S_PLUS,
-    S_Z1,
-    SpinModel,
     build_spin_hamiltonian,
     pair_effective_matrix,
     pair_stack,
@@ -39,6 +34,7 @@ from jchsim.superexchange import (
     spin_block,
     spin_one_isotropic_analytic,
 )
+from support import MODEL_TERMS, SIGMA_Z, S_PLUS, S_Z1, oracle_model, table_offset
 
 
 # the complex Pauli and spin-1 matrices of the explicit kron oracle
@@ -343,7 +339,7 @@ def test_spin_hamiltonian_matches_explicit_kron(manifold):
     if manifold == "half":
         t = {"K_xy": couplings(), "K_z": couplings(),
              "H_field": rng.normal(size=n), "E0_split": rng.normal(size=n)}
-        model = SpinModel("half", t, energy_offset=offset)
+        model = oracle_model("half", t, offset)
         d = 2
         expect = offset * np.eye(d**n, dtype=complex)
         for j in range(n):
@@ -358,7 +354,7 @@ def test_spin_hamiltonian_matches_explicit_kron(manifold):
         t = {name: couplings() for name in ("J_xy", "J_z", "W", "V", "v_p1",
                                             "v_m1")}
         t.update(D_field=rng.normal(size=n), B_field=rng.normal(size=n))
-        model = SpinModel("one", t, energy_offset=offset)
+        model = oracle_model("one", t, offset)
         d = 3
         sz2 = S_Z1 @ S_Z1
         expect = offset * np.eye(d**n, dtype=complex)
@@ -503,19 +499,22 @@ def test_pair_entries_match_model_tables():
 @pytest.mark.parametrize("manifold, builder", [("half", spin_half_general),
                                                ("one", spin_one_general)])
 def test_coupling_names_agree_across_modules(manifold, builder):
-    site, pair = MODEL_TERMS[manifold]
-    names = {name for name, _ in site + pair}
     geo = CrystalGeometry.from_uniform_hoppings(3, 0.05 * KHZ, 0.08 * KHZ)
     drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
-    assert set(builder(geo, drive).tables) == names
-    # every CSV column reads a table of the model
-    for columns in _COUPLING_COLUMNS[manifold]:
-        assert {name for name in columns if name is not None} <= names
+    model = builder(geo, drive)
+    # the CSV columns read every table, and each table has an oracle operator
+    columns = {name for cols in _COUPLING_COLUMNS[manifold] for name in cols
+               if name is not None}
+    site, pair = MODEL_TERMS[manifold]
+    assert set(model.tables) == columns == {name for name, _ in site + pair}
+    # one real symmetric term per site, then per pair j < k
     d = len(MANIFOLD_LABELS[MANIFOLD_N[manifold]])
-    for terms, dim in ((site, d), (pair, d * d)):
-        for name, op in terms:
-            assert op.dtype == np.float64 and op.shape == (dim, dim), name
-            np.testing.assert_array_equal(op, op.T)
+    assert [sites for sites, _ in model.terms] == (
+        [(j,) for j in range(3)] + list(itertools.combinations(range(3), 2)))
+    for sites, op in model.terms:
+        assert op.dtype == np.float64, sites
+        assert op.shape == (d ** len(sites),) * 2, sites
+        np.testing.assert_array_equal(op, op.T)
 
 
 DRIVE_TRAP = dict(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
@@ -529,11 +528,12 @@ def test_row_stacks_equal_single_pairs(manifold):
     # read as for_j and [k, j] as for_k
     geo = trap_crystal(7)
     drive = make_drive(**DRIVE_TRAP)
-    _, tables, _ = superexchange._all_pairs(
+    _, _, tables, _ = superexchange._all_pairs(
         MANIFOLD_N[manifold], geo, drive, superexchange._EXTRACT[manifold])
     model = BUILDERS[manifold](geo, drive)
-    for name, _ in MODEL_TERMS[manifold][1]:
-        np.testing.assert_array_equal(model.tables[name], tables[name])
+    for name, table in model.tables.items():
+        if table.ndim == 2:  # a pair table; a site field adds zeroth order
+            np.testing.assert_array_equal(table, tables[name])
     for j, k in itertools.combinations(range(7), 2):
         pair = pair_effective_matrix(j, k, geo, drive, manifold=manifold)
         assert set(pair.couplings) == set(tables)
@@ -543,6 +543,117 @@ def test_row_stacks_equal_single_pairs(manifold):
         ref = reference_second_order(j, k, geo, drive, manifold)
         scale = np.max(np.abs(pair.second_order))
         assert np.max(np.abs(pair.second_order - ref)) <= 1e-13 * scale
+
+
+EPS = np.finfo(float).eps
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def same_x(manifold):
+    """[a, b]: product labels a and b of a pair carry the same total X."""
+    x = np.array([LABEL_X[s] for s in MANIFOLD_LABELS[MANIFOLD_N[manifold]]])
+    x_pair = (x[:, None] + x[None, :]).ravel()
+    return x_pair[:, None] == x_pair[None, :]
+
+
+def block_hamiltonians(model, oracle):
+    """The model's and the oracle's H on each S_z block of the model's sites."""
+    letters = MANIFOLD_LABELS[MANIFOLD_N[model.manifold]]
+    for n_x in range(model.n_sites * (len(letters) - 1) + 1):
+        block = product_basis({s: LABEL_X[s] for s in letters}, model.n_sites,
+                              n_x)
+        yield tuple(build_spin_hamiltonian(m, block).mat.toarray()
+                    for m in (model, oracle))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["half", "one"]),
+       st.integers(min_value=2, max_value=5),
+       st.booleans(),
+       st.booleans(),
+       st.floats(min_value=8.0, max_value=40.0),
+       st.floats(min_value=8.0, max_value=40.0),
+       st.floats(min_value=-1.5, max_value=1.5))
+def test_terms_equal_table_form(manifold, n_ions, trap, homogeneous, g_x, g_y,
+                                d_over_g):
+    # the term H is the table form's (the operators weighted by the tables,
+    # plus the constant) up to rounding and what the tables leave out
+    if manifold == "one":
+        n_ions = min(n_ions, 4)
+    geo = (trap_crystal(n_ions) if trap else
+           CrystalGeometry.from_uniform_hoppings(n_ions, 0.1 * KHZ, 0.17 * KHZ))
+    drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ,
+                       delta=d_over_g * min(g_x, g_y) * KHZ,
+                       homogeneous=homogeneous)
+    model = BUILDERS[manifold](geo, drive)
+    oracle = oracle_model(manifold, model.tables, table_offset(manifold, geo, drive))
+    # each pair moves an entry by at most 2 x extraction: the antisymmetric
+    # W's operator m_j m_k^2 - m_j^2 m_k reaches 2
+    omitted = n_ions * (n_ions - 1) * model.residuals["extraction"]
+    # an entry sums one entry of each oracle term; the sum's rounding scales
+    # with its summands, which cancel on the diagonal (the constant)
+    rounding = len(oracle.terms) * EPS * sum(np.max(np.abs(m))
+                                             for _, m in oracle.terms)
+    for h, h_oracle in block_hamiltonians(model, oracle):
+        assert np.max(np.abs(h - h_oracle)) <= omitted + rounding
+
+
+@pytest.mark.parametrize("name", ["anisotropy_scan", "crystal21",
+                                  "single_site_spectrum", "three_ion_xxz",
+                                  "two_ion_spin1_aniso", "two_ion_spin1_iso"])
+def test_pair_terms_are_masked_pair_matrices(name):
+    # each pair term is the pair's second-order matrix with the entries
+    # between labels of different X set to 0; those are rounding noise
+    cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+    geo = geometry_from_config(cfg)
+    for manifold, builder in BUILDERS.items():
+        model = builder(geo, cfg.drive)
+        keep = same_x(manifold)
+        pair_terms = [(sites, m) for sites, m in model.terms if len(sites) == 2]
+        assert [sites for sites, _ in pair_terms] == list(
+            itertools.combinations(range(geo.n_ions), 2))
+        m2 = [pair_effective_matrix(j, k, geo, cfg.drive,
+                                    manifold=manifold).second_order
+              for (j, k), _ in pair_terms]
+        m2_max = max(np.max(np.abs(m)) for m in m2)
+        for (_, term), full in zip(pair_terms, m2):
+            np.testing.assert_array_equal(term, np.where(keep, full, 0.0))
+            assert np.max(np.abs(full[~keep])) <= 1e-14 * m2_max
+
+
+def test_terms_keep_what_the_spin_one_tables_drop():
+    # three_ion_xxz's crystal and drive at two excitations per site: pair
+    # (0, 1) joins unlike sites, so its (1,-1) <-> (0,0) and (-1,1) <-> (0,0)
+    # elements differ and its mixed cubic term is not j <-> k symmetric;
+    # the tables keep their means, the terms keep both
+    geo, drive = trap_crystal(3), make_drive(**DRIVE_TRAP)
+    model = spin_one_general(geo, drive)
+    oracle = oracle_model("one", model.tables, table_offset("one", geo, drive))
+    m2 = pair_effective_matrix(0, 1, geo, drive, manifold="one").second_order
+    letters = MANIFOLD_LABELS[2]
+    whole = product_basis(dict.fromkeys(letters, 0), 3, 0)
+    h, h_oracle = (build_spin_hamiltonian(m, whole).mat.toarray()
+                   for m in (model, oracle))
+
+    def row(*labels):
+        return whole.rank(np.array([[letters.index(s) for s in labels]]))[0]
+
+    zero = row("0", "0", "0")
+    up_down, down_up = row("1", "-1", "0"), row("-1", "1", "0")
+    assert (h[up_down, zero], h[down_up, zero]) == (m2[2, 4], m2[6, 4])
+    assert m2[2, 4] - m2[6, 4] == pytest.approx(0.638, abs=1e-3)  # rad/ms
+    j_xy = model.tables["J_xy"][0, 1]
+    assert j_xy == pytest.approx(-3.810, abs=1e-3)
+    assert h_oracle[up_down, zero] == h_oracle[down_up, zero] == pytest.approx(
+        j_xy, rel=1e-14)
+    extraction = model.residuals["extraction"]
+    assert extraction == pytest.approx(0.686, abs=1e-3)
+    # the largest gap, 4 x extraction, sits on the diagonal at (1, -1, 1),
+    # where the antisymmetric W of pairs (0, 1) and (1, 2) adds up
+    diff = np.abs(h - h_oracle)
+    assert 0.0 < np.max(diff) <= 2 * 3 * extraction
+    assert diff[row("1", "-1", "1"), row("1", "-1", "1")] == pytest.approx(
+        4 * extraction, rel=1e-12)
 
 
 def hopping_chain(t_khz, dw_khz=()):
@@ -671,7 +782,7 @@ def test_site_table_equals_per_ion_site_data(manifold, drive):
                 lift, np.broadcast_to(ref["lift"][b][:, None, :], lift.shape))
 
 
-CRYSTAL21 = (Path(__file__).resolve().parents[1] / "configs" / "crystal21.cfg")
+CRYSTAL21 = CONFIG_DIR / "crystal21.cfg"
 
 
 def sweep_points(sweep):
