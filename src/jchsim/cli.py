@@ -29,10 +29,6 @@ def _write_csv(path, header, rows):
 _INTS = ("int", "bool", "int64", "int32")
 
 
-def _label_col(labels):
-    return "P_" + ".".join(labels)
-
-
 # ---------------------------------------------------------------------------
 # native SVG line charts
 
@@ -377,12 +373,9 @@ def cmd_couplings(cfg, args, out_dir):
 
 
 def _time_series_rows(times, labels, populations):
-    cols = ["t_ms"] + [_label_col(lab) for lab in labels]
-    rows = [
-        tuple([t] + [populations[lab][i] for lab in labels])
-        for i, t in enumerate(times)
-    ]
-    return cols, rows
+    cols = ["t_ms"] + ["P_" + ".".join(lab) for lab in labels]
+    return cols, [tuple([t] + [populations[lab][i] for lab in labels])
+                  for i, t in enumerate(times)]
 
 
 def _run_residuals(result):
@@ -406,10 +399,8 @@ def cmd_evolve(cfg, args, out_dir):
     res, tracked = run.result, run.tracked
     times = res.times
 
-    cols, rows = _time_series_rows(times, tracked, res.populations)
-    path = os.path.join(out_dir, "evolution.csv")
-    _write_csv(path, cols, rows)
-    outputs = [path]
+    outputs = [os.path.join(out_dir, "evolution.csv")]
+    _write_csv(outputs[0], *_time_series_rows(times, tracked, res.populations))
     if args.svg:
         series = [(".".join(lab), res.populations[lab]) for lab in tracked
                   if res.populations[lab].max() > 0.01]
@@ -424,31 +415,23 @@ def cmd_compare(cfg, args, out_dir):
     from .dynamics import compare_full_vs_effective
 
     rep = compare_full_vs_effective(cfg)
-    cols, rows = _time_series_rows(rep.times, rep.labels, rep.full.populations)
-    full_path = os.path.join(out_dir, "compare_full.csv")
-    _write_csv(full_path, cols, rows)
-    cols, rows = _time_series_rows(rep.times, rep.labels,
-                                   rep.effective.populations)
-    eff_path = os.path.join(out_dir, "compare_effective.csv")
-    _write_csv(eff_path, cols, rows)
+    sides = (("full", rep.full), ("effective", rep.effective))
+    outputs = [os.path.join(out_dir, f"compare_{side}.csv") for side, _ in sides]
+    for path, (_, res) in zip(outputs, sides):
+        _write_csv(path, *_time_series_rows(rep.times, rep.labels, res.populations))
 
-    report_path = os.path.join(out_dir, "compare_report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(f"overall_max_deviation = {rep.overall_max_deviation:.6e}\n")
-        for lab in rep.labels:
-            fh.write(f"max_abs_deviation[{'.'.join(lab)}] = "
-                     f"{rep.max_abs_deviation[lab]:.6e}\n")
-        for lab in rep.labels:
-            fh.write(f"l2_deviation[{'.'.join(lab)}] = "
-                     f"{rep.l2_deviation[lab]:.6e}\n")
-        fh.write(f"full_norm_drift = {rep.full.norm_drift:.6e}\n")
-        fh.write(f"effective_norm_drift = {rep.effective.norm_drift:.6e}\n")
-        fh.write(f"full_energy_drift = {rep.full.energy_drift:.6e}\n")
-        fh.write(f"effective_energy_drift = {rep.effective.energy_drift:.6e}\n")
-        for key, val in sorted(rep.parameters.items()):
-            fh.write(f"parameters.{key} = {val}\n")
+    lines = [f"overall_max_deviation = {rep.overall_max_deviation:.6e}"]
+    lines += [f"{name}[{'.'.join(lab)}] = {dev[lab]:.6e}"
+              for name, dev in (("max_abs_deviation", rep.max_abs_deviation),
+                                ("l2_deviation", rep.l2_deviation))
+              for lab in rep.labels]
+    lines += [f"{side}_{drift} = {getattr(res, drift):.6e}"
+              for drift in ("norm_drift", "energy_drift") for side, res in sides]
+    lines += [f"parameters.{k} = {v}" for k, v in sorted(rep.parameters.items())]
+    outputs.append(os.path.join(out_dir, "compare_report.txt"))
+    with open(outputs[-1], "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
-    outputs = [full_path, eff_path, report_path]
     if args.svg:
         shown = [lab for lab in rep.labels
                  if rep.full.populations[lab].max() > 0.01]
@@ -461,7 +444,7 @@ def cmd_compare(cfg, args, out_dir):
                        title="full vs effective", dashed=dashed)
         outputs.append(svg)
     residuals = {"overall_max_deviation": rep.overall_max_deviation}
-    for side, res in (("full", rep.full), ("effective", rep.effective)):
+    for side, res in sides:
         residuals.update((f"{side}_{key}", val)
                          for key, val in _run_residuals(res).items())
     return outputs, residuals

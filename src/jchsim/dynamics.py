@@ -16,6 +16,7 @@ labels outside it have population exactly 0.
 """
 
 import itertools
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -228,6 +229,10 @@ def block_eigh(h: SparseOperator, mirror=None):
             if basis.shape[1]]
 
 
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _observables(h, psis, overlap_rows):
     """Norms, label populations and energies of the state rows psis."""
     norms = np.einsum("ij,ij->i", psis.conj(), psis).real
@@ -253,7 +258,8 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     non-finite grid; FloatingPointError if eps times the last time times
     the Gershgorin bound on |H|, the phases' rounding error, exceeds
     PHASE_TOL (or overflows), or if the Chebyshev method would need more
-    than CHEBYSHEV_MAX_PRODUCTS products.
+    than CHEBYSHEV_MAX_PRODUCTS products; MemoryError if the dense
+    method's states would not fit in physical memory, before they exist.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -290,6 +296,11 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     products, truncation_bound, blocks = 0, 0.0, ()
     if h.dim < dense_threshold:
         method = "dense"
+        # a lower bound: _observables holds four len(times) x dim complex arrays
+        need, host = 64 * len(times) * h.dim, _physical_memory()
+        if need > host:
+            raise MemoryError(f"the dense method's states take {need / 2**30:.3g} GiB, "
+                              f"above the {host / 2**30:.3g} GiB of physical memory")
         psis = np.zeros((len(times), h.dim), dtype=complex)
         for basis, w, v in block_eigh(h, None if mirror is None else mirror()):
             # v stays real, and is applied to the real and imaginary parts

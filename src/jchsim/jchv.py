@@ -135,15 +135,26 @@ def particle_hole_gaps(drive: DriveParams):
 # single-site sector machinery (shared by superexchange and dynamics)
 
 
+def x_blocks(n):
+    """Positions of each X block (fock.site_x_count) in site_states(n), X = 0..n."""
+    x_count = [site_x_count(s) for s in site_states(n)]
+    return [np.flatnonzero(np.equal(x_count, x)) for x in range(n + 1)]
+
+
 def sector_eigh_stack(n, det_x, det_y, omega0, g_x, g_y):
     """All eigenpairs of the n-excitation sector Hamiltonians (dim 3n+1,
-    basis order of site_states(n)) of a stack of sites, in one eigh.
+    basis order of site_states(n)) of a stack of sites, one eigh per X block.
 
     Parameters broadcast as in site_hamiltonian; returns (*S, m) energies
-    and (*S, m, m) eigenvector columns.
+    and (*S, m, m) eigenvector columns, each block's at its positions,
+    ascending in it and exactly 0 off it: every eigenvector has one X.
     """
-    return np.linalg.eigh(site_hamiltonian(site_sector_operators(n), det_x, det_y,
-                                           omega0, g_x, g_y))
+    h = site_hamiltonian(site_sector_operators(n), det_x, det_y, omega0, g_x, g_y)
+    energies, vectors = np.empty(h.shape[:-1]), np.zeros(h.shape)
+    for idx in x_blocks(n):
+        energies[..., idx], vectors[..., idx[:, None], idx] = np.linalg.eigh(
+            h[..., idx[:, None], idx])
+    return energies, vectors
 
 
 def site_sector_eigh(n, det_x, det_y, drive):
@@ -163,29 +174,26 @@ def manifold_states_stack(n, det_x, det_y, omega0, g_x, g_y):
     """Lowest dressed states per conserved (X, Y) block of the n-excitation
     sectors of a stack of sites: the one definition of a dressed site.
 
-    Labels: n=1 -> up/down, n=2 -> 1/0/-1. Each block ground state is
-    nondegenerate for g > 0, so this stays well-defined where the full
-    sector spectrum is degenerate (g_x = g_y). Phases follow the
-    convention of a positive coefficient on the purely phononic component.
-    Parameters broadcast as in site_hamiltonian; one eigh per label block
-    serves the whole stack. Returns (*S, d) energies and (*S, d, m)
-    vectors in MANIFOLD_LABELS[n] order, vectors[..., r, :] over
-    site_states(n).
+    Labels: n=1 -> up/down, n=2 -> 1/0/-1, each its X block's lowest
+    eigenpair in sector_eigh_stack(n), nondegenerate for g > 0, so this
+    stays well-defined where the full sector spectrum is degenerate
+    (g_x = g_y). Phases follow the convention of a positive coefficient
+    on the purely phononic component. Parameters broadcast as in
+    site_hamiltonian. Returns (*S, d) energies and (*S, d, m) vectors in
+    MANIFOLD_LABELS[n] order, vectors[..., r, :] over site_states(n).
     """
     if n not in MANIFOLD_LABELS:
         raise ValueError("manifold closed only for n = 1 or 2 excitations per site")
-    h = site_hamiltonian(site_sector_operators(n), det_x, det_y, omega0, g_x, g_y)
-    x_count = np.array([site_x_count(s) for s in site_states(n)])
-    labels = MANIFOLD_LABELS[n]
-    energies = np.empty(h.shape[:-2] + (len(labels),))
-    vectors = np.zeros(h.shape[:-2] + (len(labels), len(x_count)))
+    sector_e, sector_v = sector_eigh_stack(n, det_x, det_y, omega0, g_x, g_y)
+    labels, by_x = MANIFOLD_LABELS[n], x_blocks(n)
+    shape = sector_e.shape[:-1] + (len(labels),)
+    energies, vectors = np.empty(shape), np.zeros(shape + (3 * n + 1,))
     for r, label in enumerate(labels):
-        idx = np.flatnonzero(x_count == LABEL_X[label])
-        vals, vecs = np.linalg.eigh(h[..., idx[:, None], idx])
-        vec = vecs[..., 0]
+        idx = by_x[LABEL_X[label]]
+        vec = sector_v[..., idx, idx[0]]  # the block's lowest eigenvector
         # the phononic component sorts first
         vectors[..., r, idx] = np.where(vec[..., :1] < 0, -vec, vec)
-        energies[..., r] = vals[..., 0]
+        energies[..., r] = sector_e[..., idx[0]]
     return energies, vectors
 
 
@@ -203,7 +211,8 @@ def site_ladder_stack(n, det_x, det_y, omega0, g_x, g_y):
     Parameters broadcast as in site_hamiltonian to a stack of S sites.
     Returns the (S, d) manifold, (S, u) sector n+1 and (S, l) sector n-1
     energies, then <r| a_beta |A> as (S, d, u) and <B| a_beta |r> as
-    (S, l, d), each for beta = x and y.
+    (S, l, d), each for beta = x and y; every state has one X, so an
+    element that a_beta's change of X does not join is exactly 0.0.
     """
     params = (det_x, det_y, omega0, g_x, g_y)
     manifold_e, man_v = manifold_states_stack(n, *params)

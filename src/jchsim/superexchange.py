@@ -9,8 +9,8 @@ The generic numeric engine builds, for each site pair (j, k), the matrix
 over product states of the site-local dressed manifold (n excitations per
 site), where the intermediates chi run over exact product eigenstates with
 (n+1, n-1) and (n-1, n+1) excitation splits. The dressed site data of a
-whole stack of sites is built at once, with one eigh per sector and per
-manifold label block however many sites the stack holds. The engine works
+whole stack of sites is built at once, with one eigh per conserved X
+block of each sector however many sites the stack holds. The engine works
 on a stack of pairs: a model build runs it once per site j, on all
 partners k > j together; a couplings sweep runs it once, on one pair per
 sweep point; a single pair is a stack of one. A spin model is these pair
@@ -242,22 +242,18 @@ def _all_pairs(n, geometry, drive, extract):
     """Terms and coupling tables of every pair j < k from one site table.
 
     Each row j runs the engine once, on the stack of its partners k > j.
-    The terms are one diag(manifold_e[j]) per site, then one second-order
-    matrix per pair with its entries between product labels of different
-    total X set to 0: X is conserved, so they are rounding noise, and an
-    S_z block, which holds one X, refuses them. extract maps a stack of
-    the unmasked matrices to ({name: (for_j, for_k)} of per-pair arrays,
-    largest residual). Table name holds for_j at [j, k] and for_k at [k, j], so a
-    pair coupling is a symmetric table and a site term sums along rows.
-    Returns the terms, the (N, d) zeroth-order manifold energies, the
-    tables and the residuals dict of the models.
+    The terms are one diag(manifold_e[j]) per site, then each pair's
+    second-order matrix as the engine gives it: exactly 0.0 between
+    product labels of different total X, as every site state has one X.
+    extract maps a stack of the matrices to ({name: (for_j, for_k)} of
+    per-pair arrays, largest residual). Table name holds for_j at [j, k]
+    and for_k at [k, j], so a pair coupling is a symmetric table and a
+    site term sums along rows. Returns the terms, the (N, d) zeroth-order
+    manifold energies, the tables and the residuals dict of the models.
     """
     n_ions = geometry.n_ions
     det_x, det_y = local_detunings(geometry, drive)
     sites = _site_table(n, det_x, det_y, drive.delta, drive.g_x, drive.g_y)
-    x = np.array([LABEL_X[lab] for lab in MANIFOLD_LABELS[n]])
-    x_pair = (x[:, None] + x[None, :]).ravel()
-    same_x = x_pair[:, None] == x_pair[None, :]
     terms = [((j,), np.diag(e)) for j, e in enumerate(sites.manifold_e)]
     tables = defaultdict(lambda: np.zeros((n_ions, n_ions)))
     tol_deg = np.full(n_ions, _degeneracy_tol(drive))
@@ -267,8 +263,7 @@ def _all_pairs(n, geometry, drive, extract):
         _, m2 = _second_order(sites[j:j + 1], sites[ks], geometry.t_x[j, ks],
                               geometry.t_y[j, ks], tol_deg[ks],
                               [(j, k) for k in range(j + 1, n_ions)])
-        terms += [((j, k), m) for k, m in enumerate(np.where(same_x, m2, 0.0),
-                                                     start=j + 1)]
+        terms += [((j, k), m) for k, m in enumerate(m2, start=j + 1)]
         coeffs, residual = extract(m2)
         for name, (for_j, for_k) in coeffs.items():
             tables[name][j, ks] = for_j
@@ -289,9 +284,11 @@ class SpinModel:
 
     terms is a tuple of (sites, matrix): a real d x d matrix per site and
     a d^2 x d^2 matrix per pair (j, k), over the manifold's labels,
-    site-major, as fock.embed reads them; H is their sum. tables is the
-    view the coupling CSV reads: each coupling name maps to an N x N pair
-    table (symmetric, zero diagonal) or a length-N site field. The
+    site-major, as fock.embed reads them; H is their sum, and a pair
+    matrix, 0.0 between labels of different total X, fits every S_z
+    block. tables is the view the coupling CSV reads: each coupling name
+    maps to an N x N pair table (symmetric, zero diagonal) or a length-N
+    site field. The
     residual 'extraction' bounds what the tables leave out of the pair
     matrices.
     """

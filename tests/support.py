@@ -12,7 +12,13 @@ import math
 import numpy as np
 
 from jchsim.crystal import local_detunings
-from jchsim.jchv import MANIFOLD_N, site_manifold_states
+from jchsim.fock import site_sector_operators
+from jchsim.jchv import (
+    MANIFOLD_N,
+    manifold_states_stack,
+    site_hamiltonian,
+    site_manifold_states,
+)
 from jchsim.superexchange import SpinModel, pair_effective_matrix
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -85,6 +91,24 @@ def table_offset(manifold, geometry, drive):
                                        manifold=manifold).second_order
             offset += 0.25 * np.trace(m2) if manifold == "half" else m2[4, 4]
     return offset
+
+
+def whole_sector_ladder_stack(n, det_x, det_y, omega0, g_x, g_y):
+    """jchv.site_ladder_stack with sectors n + 1 and n - 1 each diagonalised
+    whole, in one eigh, not per X block: its eigenvectors hold one X only
+    where no levels of different X are degenerate. The manifold is the
+    library's. Substituted into superexchange, it gives the pair engine's
+    matrices from whole-sector intermediates."""
+    params = (det_x, det_y, omega0, g_x, g_y)
+    manifold_e, man_v = manifold_states_stack(n, *params)
+    (upper_e, upper_v), (lower_e, lower_v) = (
+        np.linalg.eigh(site_hamiltonian(site_sector_operators(m), *params))
+        for m in (n + 1, n - 1))
+    up, dn = site_sector_operators(n + 1), site_sector_operators(n)
+    return (manifold_e, upper_e, lower_e,
+            *(man_v @ up[a] @ upper_v for a in ("a_x", "a_y")),
+            *(lower_v.swapaxes(-1, -2) @ dn[a] @ man_v.swapaxes(-1, -2)
+              for a in ("a_x", "a_y")))
 
 
 def population_matrix(result):

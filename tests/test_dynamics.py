@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -221,6 +222,31 @@ def test_flip_flop_rabi_formula():
     # transfer time = pi / (4 |K|)
     assert estimate_period(model, ("up", "down")) == pytest.approx(
         np.pi / (4.0 * abs(k) * KHZ), rel=1e-12)
+
+
+def test_dense_states_refused_above_physical_memory(monkeypatch):
+    # four len(times) x dim complex arrays: one byte more than the memory
+    # probe reports is refused before any state exists, and that estimate
+    # is a lower bound on what the dense method holds at its peak
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(300, 300))
+    h = SparseOperator(300, sp.csr_matrix(a + a.T))
+    psi0 = np.zeros(300, dtype=complex)
+    psi0[0] = 1.0
+    times = np.linspace(0.0, 1.0, 400)
+    need = 64 * len(times) * h.dim
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"take {need / 2**30:.3g} GiB, above "
+                       f"the {(need - 1) / 2**30:.3g} GiB of physical memory"):
+        evolve(h, psi0, times)
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: need)
+    tracemalloc.start()
+    try:
+        result = evolve(h, psi0, times, {"0": np.eye(300)[0]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.method == "dense" and peak >= need
 
 
 def test_dense_hamiltonian_matches_expm():

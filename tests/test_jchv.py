@@ -28,6 +28,7 @@ from jchsim.jchv import (
     site_hamiltonian,
     site_manifold_states,
     site_sector_eigh,
+    x_blocks,
 )
 from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive
 from support import basis_index
@@ -98,6 +99,42 @@ def test_manifold_energies_match_closed_forms():
     assert e2 == pytest.approx([s2.E_1, s2.E_0, s2.E_m1], abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_sector_eigenpairs_hold_one_x(n):
+    # random sites, and sites with det_x = det_y = 0, where sector 3 has a
+    # level of X = 1 and one of X = 2 at exactly omega0 (dark states):
+    # every column is 0.0 off its X block, energies ascend within it, and
+    # the pairs are the whole sector's eigenpairs
+    rng = np.random.default_rng(29)
+    drives = [random_drive(rng) for _ in range(20)]
+    det_x = np.array([rng.uniform(-2.0, 2.0) * KHZ for _ in drives] + [0.0])
+    det_y = np.array([rng.uniform(-2.0, 2.0) * KHZ for _ in drives] + [0.0])
+    omega0, g_x, g_y = np.array([(Delta + d.delta, d.g_x, d.g_y)
+                                 for d, Delta in drives + [drives[0]]]).T
+    params = (det_x, det_y, omega0, g_x, g_y)
+    energies, vectors = sector_eigh_stack(n, *params)
+    h = site_hamiltonian(site_sector_operators(n), *params)
+    blocks = x_blocks(n)
+    assert sorted(np.concatenate(blocks)) == list(range(3 * n + 1))
+    x_of = np.empty(3 * n + 1, dtype=int)
+    for x, idx in enumerate(blocks):
+        x_of[idx] = x
+        off = np.setdiff1d(np.arange(3 * n + 1), idx)
+        assert np.all(vectors[:, off[:, None], idx] == 0.0)
+        assert np.all(np.diff(energies[:, idx], axis=1) >= 0.0)
+    np.testing.assert_array_equal(x_of, [site_x_count(s) for s in site_states(n)])
+    scale = np.max(np.abs(h), axis=(1, 2), initial=1.0)[:, None, None]
+    assert np.max(np.abs(h @ vectors - vectors * energies[:, None, :])
+                  / scale) < 1e-13
+    assert np.max(np.abs(vectors.swapaxes(1, 2) @ vectors
+                         - np.eye(3 * n + 1))) < 1e-13
+    whole = np.linalg.eigvalsh(h)
+    assert np.max(np.abs(np.sort(energies, axis=1) - whole) / scale[:, 0]) < 1e-13
+    if n == 3:
+        dark = energies[-1, np.concatenate(blocks[1:3])]
+        assert np.sum(np.abs(dark - omega0[-1]) < 1e-12 * scale[-1, 0, 0]) == 2
+
+
 def per_block_manifold_states(n, det_x, det_y, drive):
     """One site's dressed manifold, one label block at a time."""
     h = site_hamiltonian(site_sector_operators(n), det_x, det_y, drive.delta,
@@ -126,9 +163,10 @@ STACK_DRIVES = {
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("drive", STACK_DRIVES)
 def test_stacked_site_data_equals_per_ion(n, drive):
-    # one eigh per sector and label block for all 21 ions of a trap
+    # one eigh per X block of each sector for all 21 ions of a trap
     # crystal gives every ion's own site_sector_eigh and
-    # site_manifold_states bit for bit, and those equal a loop over blocks
+    # site_manifold_states bit for bit, and the manifold equals a loop
+    # over label blocks with eighs of its own
     drive = make_drive(**STACK_DRIVES[drive])
     det_x, det_y = local_detunings(TRAP21, drive)
     params = (det_x, det_y, drive.delta, drive.g_x, drive.g_y)

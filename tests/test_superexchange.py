@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jchsim import superexchange
 from jchsim.cli import _COUPLING_COLUMNS, config_variant, parse_sweep
@@ -21,6 +21,7 @@ from jchsim.jchv import (
     MANIFOLD_N,
     site_manifold_states,
     site_sector_eigh,
+    x_blocks,
 )
 from jchsim.params import KHZ, DriveParams, TrapConfig, make_drive, parse_config
 from jchsim.superexchange import (
@@ -34,7 +35,15 @@ from jchsim.superexchange import (
     spin_block,
     spin_one_isotropic_analytic,
 )
-from support import MODEL_TERMS, SIGMA_Z, S_PLUS, S_Z1, oracle_model, table_offset
+from support import (
+    MODEL_TERMS,
+    SIGMA_Z,
+    S_PLUS,
+    S_Z1,
+    oracle_model,
+    table_offset,
+    whole_sector_ladder_stack,
+)
 
 
 # the complex Pauli and spin-1 matrices of the explicit kron oracle
@@ -602,8 +611,9 @@ def test_terms_equal_table_form(manifold, n_ions, trap, homogeneous, g_x, g_y,
                                   "single_site_spectrum", "three_ion_xxz",
                                   "two_ion_spin1_aniso", "two_ion_spin1_iso"])
 def test_pair_terms_are_masked_pair_matrices(name):
-    # each pair term is the pair's second-order matrix with the entries
-    # between labels of different X set to 0; those are rounding noise
+    # each pair term is the pair's second-order matrix bit for bit, and
+    # its entries between labels of different X are 0.0: the engine's
+    # site states each hold one X, so the mask the terms need is none
     cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
     geo = geometry_from_config(cfg)
     for manifold, builder in BUILDERS.items():
@@ -615,10 +625,93 @@ def test_pair_terms_are_masked_pair_matrices(name):
         m2 = [pair_effective_matrix(j, k, geo, cfg.drive,
                                     manifold=manifold).second_order
               for (j, k), _ in pair_terms]
-        m2_max = max(np.max(np.abs(m)) for m in m2)
         for (_, term), full in zip(pair_terms, m2):
-            np.testing.assert_array_equal(term, np.where(keep, full, 0.0))
-            assert np.max(np.abs(full[~keep])) <= 1e-14 * m2_max
+            np.testing.assert_array_equal(term, full)
+            assert np.all(term[~keep] == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["half", "one"]),
+       st.integers(2, 4),
+       st.sampled_from([55.555555555555556, 55.56]),
+       st.floats(min_value=8.0, max_value=40.0),
+       st.floats(min_value=8.0, max_value=40.0),
+       st.floats(min_value=-1.5, max_value=1.5))
+# a four-ion spin-1 trap drive near a crossing of levels of different X,
+# where whole-sector eighs leave 1.2e-14 rad/ms across X in pair (0, 1)
+@example("one", 4, 55.56, 36.727, 34.726, -11.97 / 34.726)
+def test_x_changing_entries_are_zero(manifold, n_ions, aspect_x, g_x, g_y,
+                                     d_over_g):
+    # every pair matrix, of a model build and of the one-pair engine, is
+    # 0.0 between product labels of different total X
+    geo = CrystalGeometry.from_trap(TrapConfig(n_ions, 120.0 * KHZ, aspect_x,
+                                               100.0))
+    drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ,
+                       delta=d_over_g * min(g_x, g_y) * KHZ)
+    keep = same_x(manifold)
+    model = BUILDERS[manifold](geo, drive)
+    for sites, term in model.terms:
+        if len(sites) == 2:
+            assert np.all(term[~keep] == 0.0), sites
+            pair = pair_effective_matrix(*sites, geo, drive, manifold=manifold)
+            assert np.all(pair.matrix[~keep] == 0.0), sites
+
+
+def x_gap(n, det_x, det_y, drive):
+    """Smallest distance between levels of different X in sectors n +- 1
+    of a stack of sites."""
+    gap = np.inf
+    for m in (n - 1, n + 1):
+        energies, _ = site_sector_eigh(m, det_x, det_y, drive)
+        for a, b in itertools.combinations(x_blocks(m), 2):
+            gap = min(gap, np.min(np.abs(energies[..., a, None]
+                                         - energies[..., None, b])))
+    return gap
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["half", "one"]),
+       st.floats(min_value=8.0, max_value=40.0),
+       st.floats(min_value=8.0, max_value=40.0),
+       st.floats(min_value=-1.5, max_value=1.5),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=4,
+                max_size=4),
+       st.floats(min_value=0.01, max_value=0.5),
+       st.floats(min_value=0.01, max_value=0.5))
+def test_engine_agrees_with_whole_sector_oracle(manifold, g_x, g_y, d_over_g,
+                                                detunings, t_x, t_y):
+    # a pair of sites with no degeneracy: no intermediate within 1e-2 g of
+    # a manifold level (the rounding of both engines grows as 1/gap), and
+    # no levels of different X within 1e-6 g in sectors n +- 1 (a site
+    # with det_x = det_y has two for spin-1, at omega0). There the engine's
+    # X-conserving entries equal those from whole-sector intermediates to
+    # 1e-12 max|m2|
+    n = MANIFOLD_N[manifold]
+    drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ,
+                       delta=d_over_g * min(g_x, g_y) * KHZ)
+    g = max(drive.g_x, drive.g_y)
+    det_x, det_y = np.reshape(detunings, (2, 2)) * KHZ
+
+    def second_order():
+        sites = superexchange._site_table(n, det_x, det_y, drive.delta,
+                                          drive.g_x, drive.g_y)
+        return sites, superexchange._second_order(
+            sites[:1], sites[1:], np.array([t_x * KHZ]), np.array([t_y * KHZ]),
+            np.array([superexchange._degeneracy_tol(drive)]), [(0, 1)])[1][0]
+
+    sites, m2 = second_order()
+    e_pair = np.add.outer(*sites.manifold_e).ravel()
+    e_chi = np.concatenate([np.add.outer(sites.upper_e[j],
+                                         sites.lower_e[1 - j]).ravel()
+                            for j in (0, 1)])
+    assume(np.min(np.abs(np.subtract.outer(e_pair, e_chi))) > 1e-2 * g)
+    assume(x_gap(n, det_x, det_y, drive) > 1e-6 * g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(superexchange, "site_ladder_stack", whole_sector_ladder_stack)
+        _, oracle = second_order()
+    keep = same_x(manifold)
+    assert np.all(m2[~keep] == 0.0)
+    assert np.max(np.abs(m2 - oracle)[keep]) <= 1e-12 * np.max(np.abs(m2))
 
 
 def test_terms_keep_what_the_spin_one_tables_drop():
@@ -812,8 +905,9 @@ def test_sweep_stack_equals_single_pairs(sweep, manifold):
 
 @pytest.mark.parametrize("manifold", ["half", "one"])
 def test_site_eighs_do_not_grow_with_the_stack(monkeypatch, manifold):
-    # sector n + 1, sector n - 1 and one per label block, however many
-    # ions a build has and however many points a sweep has
+    # one per X block of sectors n - 1, n and n + 1 (the manifold is the
+    # lowest pair of its label's block in sector n), however many ions a
+    # build has and however many points a sweep has
     eigh = np.linalg.eigh
     calls = []
 
@@ -833,4 +927,5 @@ def test_site_eighs_do_not_grow_with_the_stack(monkeypatch, manifold):
     counts = [eighs(BUILDERS[manifold], geo, drive) for geo in crystals]
     counts += [eighs(pair_stack, 0, 1, geometries[:p], drives[:p], manifold)
                for p in (1, 29)]
-    assert counts == [2 + len(MANIFOLD_LABELS[MANIFOLD_N[manifold]])] * 4
+    n = MANIFOLD_N[manifold]
+    assert counts == [sum(len(x_blocks(m)) for m in (n - 1, n, n + 1))] * 4
