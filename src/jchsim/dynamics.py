@@ -3,20 +3,22 @@
 Evolution is unitary: dense eigendecomposition below a dimension
 threshold, one real divide-and-conquer eigh (LAPACK syevd, through
 numpy.linalg; the program loads no SciPy linear algebra module) per
-chain-reflection parity block; above it, a Chebyshev expansion of
-exp(-i H dt) per grid interval (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-(1984)) on the Gershgorin interval of H, each term one product of H with
-the complex state, cut where the series tail, a certified bound on the
-state error, falls below CHEBYSHEV_TOL. States are tracked through
-squared overlaps with dressed product labels (full model) or spin
-product labels (effective model), which makes the two sides directly
-comparable trace by trace. Both run in the block of the initial labels'
-X: N_X for the full model, total S_z for the effective one. Tracked
-labels outside it have population exactly 0.
+chain-reflection parity block, the states formed one chunk of the time
+grid at a time; above it, a Chebyshev expansion of exp(-i H dt) per grid
+interval (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) on the
+Gershgorin interval of H, mapped onto [-1, 1] once, each term one
+product of the mapped H with the complex state, cut where the series
+tail, a certified bound on the state error, falls below CHEBYSHEV_TOL.
+Either way the observables are recorded as the states pass, and no state
+array spans the grid. States are tracked through squared overlaps with
+dressed product labels (full model) or spin product labels (effective
+model), which makes the two sides directly comparable trace by trace.
+Both run in the block of the initial labels' X: N_X for the full model,
+total S_z for the effective one. Tracked labels outside it have
+population exactly 0.
 """
 
 import itertools
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +44,7 @@ from .superexchange import (
 )
 
 DENSE_THRESHOLD = 2000
+DENSE_CHUNK = 2**20  # most state entries the dense method forms at once
 CHEBYSHEV_TOL = 1e-12  # truncation bound per expansion
 # largest half-width x time of one expansion: a longer grid interval is
 # split, so the series' order, and its coefficient arrays, stay small
@@ -156,14 +159,13 @@ def gershgorin_interval(h: SparseOperator):
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
-def _chebyshev_propagate(h: SparseOperator, psi, mid, half, x):
-    """exp(-i x H~) psi for H~ = (H - mid) / half, whose spectrum lies in
-    [-1, 1], as sum_k c_k T_k(H~) psi with c_0 = J_0(x), c_k = 2 (-i)^k J_k(x).
+def _chebyshev_propagate(h: SparseOperator, psi, x):
+    """exp(-i x h) psi for an h whose spectrum lies in [-1, 1], as
+    sum_k c_k T_k(h) psi with c_0 = J_0(x), c_k = 2 (-i)^k J_k(x).
 
-    The shift and scale act on the vectors, T_1 = (H - mid) psi / half and
-    T_k+1 = 2 (H - mid) T_k / half - T_k-1, so every term costs one product
-    of H with the complex state. Returns the state, the product count and
-    the truncation bound sum_{k>K} |c_k|.
+    T_1 = h psi and T_k+1 = 2 h T_k - T_k-1, so every term costs one
+    product of h with the complex state. Returns the state, the product
+    count and the truncation bound sum_{k>K} |c_k|.
     """
     j, tail = _chebyshev_terms(x)
     c = 2.0 * j * np.array([1.0, -1j, -1.0, 1j])[np.arange(len(j)) % 4]
@@ -172,11 +174,8 @@ def _chebyshev_propagate(h: SparseOperator, psi, mid, half, x):
     t_prev, t_k = None, psi
     for k in range(1, len(j)):
         t_next = h.matvec(t_k)
-        t_next -= mid * t_k
-        if k == 1:
-            t_next /= half
-        else:
-            t_next *= 2.0 / half
+        if k > 1:
+            t_next *= 2.0
             t_next -= t_prev
         out += c[k] * t_next
         t_prev, t_k = t_k, t_next
@@ -229,15 +228,15 @@ def block_eigh(h: SparseOperator, mirror=None):
             if basis.shape[1]]
 
 
-def _physical_memory():
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _observables(h, psis, overlap_rows):
-    """Norms, label populations and energies of the state rows psis."""
+    """Norms, label populations and energies of the state rows psis; H psi
+    is the real h.mat on the real and imaginary parts: no complex H."""
     norms = np.einsum("ij,ij->i", psis.conj(), psis).real
     pops = np.abs(psis @ overlap_rows.T) ** 2
-    energies = np.einsum("ij,ij->i", psis.conj(), (h.mat @ psis.T).T).real
+    h_psis = np.empty_like(psis)
+    h_psis.real = (h.mat @ psis.real.T).T
+    h_psis.imag = (h.mat @ psis.imag.T).T
+    energies = np.einsum("ij,ij->i", psis.conj(), h_psis).real
     return norms, pops, energies
 
 
@@ -250,16 +249,15 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     builds is. The dense method diagonalises H by block_eigh in the even
     and odd blocks of mirror, a zero-argument callable returning the
     chain reflection of h's basis (SectorBasis.mirror), None for the
-    identity; it is called only by the dense method. Each block is
-    propagated over the whole grid at once. The Chebyshev method keeps
-    only the current state and records each time point's observables as
-    it passes. Raises ValueError on an H not stored float64, or non-finite
-    or non-Hermitian, on one that mixes the parity blocks, or on a bad or
-    non-finite grid; FloatingPointError if eps times the last time times
-    the Gershgorin bound on |H|, the phases' rounding error, exceeds
-    PHASE_TOL (or overflows), or if the Chebyshev method would need more
-    than CHEBYSHEV_MAX_PRODUCTS products; MemoryError if the dense
-    method's states would not fit in physical memory, before they exist.
+    identity; it is called only by the dense method. It forms the states
+    of at most DENSE_CHUNK // dim time points at once (at least one), the
+    Chebyshev method one; each method records their observables as they
+    pass, so no state array spans the grid. Raises ValueError on an H not
+    stored float64, or non-finite or non-Hermitian, on one that mixes the
+    parity blocks, or on a bad or non-finite grid; FloatingPointError if
+    eps times the last time times the Gershgorin bound on |H|, the phases'
+    rounding error, exceeds PHASE_TOL (or overflows), or if the Chebyshev
+    method would need more than CHEBYSHEV_MAX_PRODUCTS products.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -293,53 +291,55 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
     overlap_rows = np.array([label_states[lab].conj() for lab in labels],
                             dtype=complex).reshape(len(labels), h.dim)
 
-    products, truncation_bound, blocks = 0, 0.0, ()
+    products, truncation_bound, blocks, steps = 0, 0.0, (), []
     if h.dim < dense_threshold:
         method = "dense"
-        # a lower bound: _observables holds four len(times) x dim complex arrays
-        need, host = 64 * len(times) * h.dim, _physical_memory()
-        if need > host:
-            raise MemoryError(f"the dense method's states take {need / 2**30:.3g} GiB, "
-                              f"above the {host / 2**30:.3g} GiB of physical memory")
-        psis = np.zeros((len(times), h.dim), dtype=complex)
-        for basis, w, v in block_eigh(h, None if mirror is None else mirror()):
-            # v stays real, and is applied to the real and imaginary parts
-            # apart so that it is never upcast
-            c0 = (v.T @ (basis.T @ psi0.real)
-                  + 1j * (v.T @ (basis.T @ psi0.imag)))
-            coeffs = np.exp(-1j * np.outer(times, w)) * c0
-            psis.real += (basis @ (v @ coeffs.real.T)).T
-            psis.imag += (basis @ (v @ coeffs.imag.T)).T
-            blocks += (basis.shape[1],)
-        norms, pops, energies = _observables(h, psis, overlap_rows)
-        final_state = psis[-1]
+        spectra = block_eigh(h, None if mirror is None else mirror())
+        blocks = tuple(basis.shape[1] for basis, _, _ in spectra)
+        rows = max(1, DENSE_CHUNK // h.dim)
+        for start in range(0, len(times), rows):
+            chunk = times[start:start + rows]
+            psis = np.zeros((len(chunk), h.dim), dtype=complex)
+            for basis, w, v in spectra:
+                # v stays real, and is applied to the real and imaginary
+                # parts apart so that it is never upcast
+                c0 = (v.T @ (basis.T @ psi0.real)
+                      + 1j * (v.T @ (basis.T @ psi0.imag)))
+                coeffs = np.exp(-1j * np.outer(chunk, w)) * c0
+                psis.real += (basis @ (v @ coeffs.real.T)).T
+                psis.imag += (basis @ (v @ coeffs.imag.T)).T
+            steps.append(_observables(h, psis, overlap_rows))
+        final_state = psis[-1].copy()
     else:
         method = "chebyshev"
-        # complex H times the complex state: the fastest product
-        h_complex = SparseOperator(h.dim, h.mat.astype(complex))
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         if half * times[-1] > CHEBYSHEV_MAX_PRODUCTS:
             raise FloatingPointError(
                 f"propagating to t = {times[-1]:g} ms takes at least "
                 f"{half * times[-1]:.3g} products of H, above the limit of "
                 f"{CHEBYSHEV_MAX_PRODUCTS:.0e}")
-        steps = []
+        # (H - mid) / half, spectrum in [-1, 1], rounded once (a Hermitian
+        # error) and not per product; complex, the fastest product with the
+        # state, sharing the indices of a real temporary
+        h_unit = h.mat - mid * sp.identity(h.dim, format="csr")
+        if half > 0.0:
+            h_unit.data /= half
+        h_unit = SparseOperator(h.dim, sp.csr_matrix(
+            (h_unit.data.astype(complex), h_unit.indices, h_unit.indptr),
+            shape=h_unit.shape))
         psi = psi0.copy()
-        t_prev = 0.0
-        for t in times:
-            dt = t - t_prev
+        for dt in np.diff(times, prepend=0.0):
             n_split = max(1, int(np.ceil(half * dt / CHEBYSHEV_MAX_X)))
             for _ in range(n_split):
                 # half = 0 gives x = 0: the series is J_0 = 1, no product
                 psi, n_products, tail = _chebyshev_propagate(
-                    h_complex, psi, mid, half, half * dt / n_split)
+                    h_unit, psi, half * dt / n_split)
                 products += n_products
                 truncation_bound += tail
             psi *= np.exp(-1j * mid * dt)
-            steps.append(_observables(h_complex, psi[None, :], overlap_rows))
-            t_prev = t
-        norms, pops, energies = (np.concatenate(obs) for obs in zip(*steps))
+            steps.append(_observables(h, psi[None, :], overlap_rows))
         final_state = psi
+    norms, pops, energies = (np.concatenate(obs) for obs in zip(*steps))
 
     norm_drift = float(np.max(np.abs(norms - 1.0)))
     e0 = energies[0]

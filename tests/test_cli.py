@@ -708,37 +708,6 @@ def test_exit_code_out_of_memory(tmp_path, capsys, argv):
     assert not any(out.iterdir())
 
 
-COMPARE_XXZ_N4 = """
-n_ions = 4
-t_x_khz = 0.1
-t_y_khz = 0.17
-g_x_khz = 19
-g_y_khz = 20
-delta_khz = -0.22
-n_excitations = 1
-initial_state = up,down,up,down
-t_final_ms = 5
-n_steps = 1000000
-"""
-
-
-def test_exit_code_dense_states_above_physical_memory(tmp_path, capsys,
-                                                      monkeypatch):
-    # a million time points of the N_X block (dim 834) take 12.4 GiB a
-    # state array, four of them at once: refused against an 8 GiB host
-    # before they are allocated
-    import jchsim.dynamics
-
-    monkeypatch.setattr(jchsim.dynamics, "_physical_memory", lambda: 8 * 2**30)
-    out = tmp_path / "o"
-    cfg = write_cfg(tmp_path, COMPARE_XXZ_N4)
-    assert main(["compare", "--config", cfg, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        "out of memory: the dense method's states take 49.7 GiB, above the "
-        "8 GiB of physical memory\n")
-    assert not any(out.iterdir())
-
-
 RESONANT_PAIR = """
 n_ions = 2
 t_x_khz = 0.1

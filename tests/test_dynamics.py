@@ -175,12 +175,15 @@ def test_evolve_phase_rounding_boundary(dense_threshold):
     res = evolve(h, psi0, [0.0, t_edge * (1.0 - 1e-9)],
                  {"psi0": psi0}, dense_threshold=dense_threshold)
     assert res.method == ("dense" if dense_threshold > 2 else "chebyshev")
-    # both methods stay within the bound: the Chebyshev shift by mid
-    # cancels to eps |mid| / half per product, over half t products
     t = res.times[-1]
     exact = np.cos(0.5 * ((1e3 + 2e-3) - 1e3) * t) ** 2
     assert abs(res.populations["psi0"][-1] - exact) < dynamics.PHASE_TOL
     assert res.norm_drift < dynamics.PHASE_TOL
+    if res.method == "chebyshev":
+        # H is shifted and scaled onto [-1, 1] once, a Hermitian rounding,
+        # so the 4 935 products keep the error within the truncation bound
+        assert res.products == 4935
+        assert abs(res.populations["psi0"][-1] - exact) <= res.truncation_bound
     with pytest.raises(FloatingPointError, match="rounded to 1e-06 rad"):
         evolve(h, psi0, [0.0, t_edge * (1.0 + 1e-9)],
                dense_threshold=dense_threshold)
@@ -224,29 +227,49 @@ def test_flip_flop_rabi_formula():
         np.pi / (4.0 * abs(k) * KHZ), rel=1e-12)
 
 
-def test_dense_states_refused_above_physical_memory(monkeypatch):
-    # four len(times) x dim complex arrays: one byte more than the memory
-    # probe reports is refused before any state exists, and that estimate
-    # is a lower bound on what the dense method holds at its peak
+def test_dense_peak_does_not_grow_with_the_grid(monkeypatch):
+    # states are formed 20 time points at a time: a grid 20 times longer
+    # adds to the traced peak no more than its outputs, the norms,
+    # energies and populations, held twice (per chunk and concatenated);
+    # a state array over the grid would add 16 bytes per entry, 4 800 per
+    # time point
+    monkeypatch.setattr(dynamics, "DENSE_CHUNK", 300 * 20)
     rng = np.random.default_rng(41)
     a = rng.normal(size=(300, 300))
     h = SparseOperator(300, sp.csr_matrix(a + a.T))
-    psi0 = np.zeros(300, dtype=complex)
-    psi0[0] = 1.0
-    times = np.linspace(0.0, 1.0, 400)
-    need = 64 * len(times) * h.dim
-    monkeypatch.setattr(dynamics, "_physical_memory", lambda: need - 1)
-    with pytest.raises(MemoryError, match=f"take {need / 2**30:.3g} GiB, above "
-                       f"the {(need - 1) / 2**30:.3g} GiB of physical memory"):
-        evolve(h, psi0, times)
-    monkeypatch.setattr(dynamics, "_physical_memory", lambda: need)
-    tracemalloc.start()
-    try:
-        result = evolve(h, psi0, times, {"0": np.eye(300)[0]})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.method == "dense" and peak >= need
+    tracked = {str(i): np.eye(300)[i] for i in range(4)}
+    peaks = []
+    for n_times in (200, 4000):
+        tracemalloc.start()
+        try:
+            result = evolve(h, tracked["0"], np.linspace(0.0, 1.0, n_times),
+                            tracked)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.method == "dense"
+    assert peaks[1] - peaks[0] <= 2 * 8 * (len(tracked) + 2) * (4000 - 200)
+
+
+def test_dense_chunks_agree_with_one_chunk(monkeypatch):
+    # 7 time points per chunk, the last chunk short, both parity blocks
+    cfg = parse_config(THREE_ION_CFG)
+    basis = sector_basis_for(3, 1)
+    h = build_full(basis, geometry_from_config(cfg), cfg.drive)
+    tracked = {lab: bare_state(lab, cfg.drive, basis)
+               for lab in [("up", "down", "up"), ("down", "up", "up")]}
+    psi0 = tracked[("up", "down", "up")]
+    times = np.linspace(0.0, 4.0, 45)
+    whole = evolve(h, psi0, times, tracked, mirror=basis.mirror)
+    monkeypatch.setattr(dynamics, "DENSE_CHUNK", 7 * basis.dim)
+    chunked = evolve(h, psi0, times, tracked, mirror=basis.mirror)
+    assert len(whole.blocks) == 2 and chunked.blocks == whole.blocks
+    for lab in tracked:
+        assert np.max(np.abs(chunked.populations[lab]
+                             - whole.populations[lab])) < 1e-12
+    assert abs(chunked.norm_drift - whole.norm_drift) < 1e-12
+    assert abs(chunked.energy_drift - whole.energy_drift) < 1e-12
+    assert np.max(np.abs(chunked.final_state - whole.final_state)) < 1e-12
 
 
 def test_dense_hamiltonian_matches_expm():
