@@ -293,7 +293,7 @@ def cmd_couplings(cfg, args, out_dir):
     from .crystal import geometry_from_config
     from .params import KHZ, ConfigError
     from .superexchange import (
-        pair_stack,
+        pair_effective_matrix,
         spin_half_analytic,
         spin_half_general,
         spin_one_general,
@@ -316,7 +316,8 @@ def cmd_couplings(cfg, args, out_dir):
             if vcfg.n_ions < 2:
                 raise ConfigError(f"{point} leaves fewer than 2 ions")
             drives.append(vcfg.drive)
-        _, _, pair = pair_stack(0, 1, geometries, drives, points=points)
+        _, _, pair = pair_effective_matrix(0, 1, geometries, drives,
+                                           points=points)
         del geometries  # a hopping table per point, not held through the base builds
 
     geo = geometry_from_config(cfg)

@@ -25,14 +25,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .crystal import geometry_from_config, local_detunings
-from .fock import SectorBasis, SectorError, SparseOperator, sector_dim, site_states
+from .fock import (SectorBasis, SectorError, SparseOperator, enumerate_sector,
+                   sector_dim, site_states)
 from .jchv import (
     LABEL_X,
     MANIFOLD_LABELS,
     MANIFOLD_N,
     build_full,
-    manifold_states_stack,
-    sector_basis_for,
+    site_manifold_states,
 )
 from .params import KHZ, SimConfig
 from .superexchange import (
@@ -103,9 +103,9 @@ def dressed_product_state(labels, vectors, basis: SectorBasis):
     """Tensor product of single-site dressed states in the sector basis.
 
     vectors are the sites' dressed states of the basis's manifold, as
-    manifold_states_stack returns them. Raises SectorError on a wrong
-    label count, a label of another manifold, or a summed X that is not
-    the basis's N_X block's.
+    jchv.site_manifold_states returns them for the stack of the basis's
+    sites. Raises SectorError on a wrong label count, a label of another
+    manifold, or a summed X that is not the basis's N_X block's.
     """
     n_sites = basis.n_sites
     if len(labels) != n_sites:
@@ -466,12 +466,12 @@ def evolve_full_model(cfg: SimConfig, with_model=False):
                           t_final=cfg.run.t_final_ms)
     tracked = _tracked_labels(manifold, geometry.n_ions, labels0)
 
-    basis = sector_basis_for(geometry.n_ions, n_per_site, dim_cap=cfg.dim_cap,
-                             n_x_total=_n_x(labels0))
+    basis = enumerate_sector(geometry.n_ions, geometry.n_ions * n_per_site,
+                             dim_cap=cfg.dim_cap, n_x_total=_n_x(labels0))
     h_full = build_full(basis, geometry, drive)
     det_x, det_y = local_detunings(geometry, drive)
-    _, vectors = manifold_states_stack(n_per_site, det_x, det_y, drive.delta,
-                                       drive.g_x, drive.g_y)
+    _, vectors = site_manifold_states(n_per_site, det_x, det_y, drive.delta,
+                                      drive.g_x, drive.g_y)
     result = _evolve_labels(
         h_full, basis, lambda lab: dressed_product_state(lab, vectors, basis),
         labels0, tracked, times)

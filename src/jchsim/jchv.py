@@ -7,8 +7,11 @@ The on-site part is
 
 with local detunings Delta_{b,j} and omega0 = delta in the drive's frame
 Delta = 0, and the hopping part H_b couples pairs with t_{j,k}^beta.
-Closed-form energies of the one- and two-excitation site manifolds are
-provided alongside the numeric dressed states so each can check the other.
+The numeric dressed-site functions each take a stack of sites (scalar
+parameters give one site), with one eigh per conserved X block of a
+sector for the whole stack. Closed-form energies of the one- and
+two-excitation site manifolds are provided alongside them so each can
+check the other.
 """
 
 from __future__ import annotations
@@ -20,11 +23,9 @@ import numpy as np
 
 from .crystal import CrystalGeometry, local_detunings
 from .fock import (
-    DEFAULT_DIM_CAP,
     SectorBasis,
     SparseOperator,
     assemble,
-    enumerate_sector,
     hop_operator,
     site_operators,
     site_sector_operators,
@@ -141,13 +142,14 @@ def x_blocks(n):
     return [np.flatnonzero(np.equal(x_count, x)) for x in range(n + 1)]
 
 
-def sector_eigh_stack(n, det_x, det_y, omega0, g_x, g_y):
+def site_sector_eigh(n, det_x, det_y, omega0, g_x, g_y):
     """All eigenpairs of the n-excitation sector Hamiltonians (dim 3n+1,
     basis order of site_states(n)) of a stack of sites, one eigh per X block.
 
-    Parameters broadcast as in site_hamiltonian; returns (*S, m) energies
-    and (*S, m, m) eigenvector columns, each block's at its positions,
-    ascending in it and exactly 0 off it: every eigenvector has one X.
+    Parameters broadcast as in site_hamiltonian (scalars give one site);
+    returns (*S, m) energies and (*S, m, m) eigenvector columns, each
+    block's at its positions, ascending in it and exactly 0 off it: every
+    eigenvector has one X.
     """
     h = site_hamiltonian(site_sector_operators(n), det_x, det_y, omega0, g_x, g_y)
     energies, vectors = np.empty(h.shape[:-1]), np.zeros(h.shape)
@@ -155,11 +157,6 @@ def sector_eigh_stack(n, det_x, det_y, omega0, g_x, g_y):
         energies[..., idx], vectors[..., idx[:, None], idx] = np.linalg.eigh(
             h[..., idx[:, None], idx])
     return energies, vectors
-
-
-def site_sector_eigh(n, det_x, det_y, drive):
-    """All eigenpairs of one site's sector Hamiltonian (a stack of one)."""
-    return sector_eigh_stack(n, det_x, det_y, drive.delta, drive.g_x, drive.g_y)
 
 
 MANIFOLD_LABELS = {1: ("up", "down"), 2: ("1", "0", "-1")}
@@ -170,21 +167,22 @@ LABEL_X = {lab: n - r for n, labs in MANIFOLD_LABELS.items()
            for r, lab in enumerate(labs)}
 
 
-def manifold_states_stack(n, det_x, det_y, omega0, g_x, g_y):
+def site_manifold_states(n, det_x, det_y, omega0, g_x, g_y):
     """Lowest dressed states per conserved (X, Y) block of the n-excitation
     sectors of a stack of sites: the one definition of a dressed site.
 
     Labels: n=1 -> up/down, n=2 -> 1/0/-1, each its X block's lowest
-    eigenpair in sector_eigh_stack(n), nondegenerate for g > 0, so this
+    eigenpair in site_sector_eigh(n), nondegenerate for g > 0, so this
     stays well-defined where the full sector spectrum is degenerate
     (g_x = g_y). Phases follow the convention of a positive coefficient
     on the purely phononic component. Parameters broadcast as in
-    site_hamiltonian. Returns (*S, d) energies and (*S, d, m) vectors in
-    MANIFOLD_LABELS[n] order, vectors[..., r, :] over site_states(n).
+    site_hamiltonian (scalars give one site). Returns (*S, d) energies
+    and (*S, d, m) vectors in MANIFOLD_LABELS[n] order, vectors[..., r, :]
+    over site_states(n).
     """
     if n not in MANIFOLD_LABELS:
         raise ValueError("manifold closed only for n = 1 or 2 excitations per site")
-    sector_e, sector_v = sector_eigh_stack(n, det_x, det_y, omega0, g_x, g_y)
+    sector_e, sector_v = site_sector_eigh(n, det_x, det_y, omega0, g_x, g_y)
     labels, by_x = MANIFOLD_LABELS[n], x_blocks(n)
     shape = sector_e.shape[:-1] + (len(labels),)
     energies, vectors = np.empty(shape), np.zeros(shape + (3 * n + 1,))
@@ -195,13 +193,6 @@ def manifold_states_stack(n, det_x, det_y, omega0, g_x, g_y):
         vectors[..., r, idx] = np.where(vec[..., :1] < 0, -vec, vec)
         energies[..., r] = sector_e[..., idx[0]]
     return energies, vectors
-
-
-def site_manifold_states(n, det_x, det_y, drive):
-    """manifold_states_stack of one site (a stack of one), kept as the
-    per-site reference of tests and a name the bench tracer counts."""
-    return manifold_states_stack(n, det_x, det_y, drive.delta, drive.g_x,
-                                 drive.g_y)
 
 
 def site_ladder_stack(n, det_x, det_y, omega0, g_x, g_y):
@@ -215,9 +206,9 @@ def site_ladder_stack(n, det_x, det_y, omega0, g_x, g_y):
     element that a_beta's change of X does not join is exactly 0.0.
     """
     params = (det_x, det_y, omega0, g_x, g_y)
-    manifold_e, man_v = manifold_states_stack(n, *params)
-    upper_e, upper_v = sector_eigh_stack(n + 1, *params)
-    lower_e, lower_v = sector_eigh_stack(n - 1, *params)
+    manifold_e, man_v = site_manifold_states(n, *params)
+    upper_e, upper_v = site_sector_eigh(n + 1, *params)
+    lower_e, lower_v = site_sector_eigh(n - 1, *params)
     up = site_sector_operators(n + 1)  # a_x/a_y: sector n+1 -> n
     dn = site_sector_operators(n)  # a_x/a_y: sector n -> n-1
     return (manifold_e, upper_e, lower_e,
@@ -225,9 +216,3 @@ def site_ladder_stack(n, det_x, det_y, omega0, g_x, g_y):
             *(lower_v.swapaxes(-1, -2) @ dn[a] @ man_v.swapaxes(-1, -2)
               for a in ("a_x", "a_y")))
 
-
-def sector_basis_for(n_sites, n_per_site, dim_cap=DEFAULT_DIM_CAP, n_x_total=None):
-    """Sector with n_per_site excitations on every site (total = product),
-    or its N_X block with n_x_total x excitations."""
-    return enumerate_sector(n_sites, n_sites * n_per_site, dim_cap=dim_cap,
-                            n_x_total=n_x_total)

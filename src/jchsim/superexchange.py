@@ -12,9 +12,10 @@ site), where the intermediates chi run over exact product eigenstates with
 whole stack of sites is built at once, with one eigh per conserved X
 block of each sector however many sites the stack holds. The engine works
 on a stack of pairs: a model build runs it once per site j, on all
-partners k > j together; a couplings sweep runs it once, on one pair per
-sweep point; a single pair is a stack of one. A spin model is these pair
-matrices and the sites' manifold energies, as local terms. Its spin-1/2
+partners k > j together; pair_effective_matrix runs it once on one pair
+at each of a stack of points (a couplings sweep), a single pair being a
+stack of one. A spin model is these pair matrices and the sites'
+manifold energies, as local terms. Its spin-1/2
 (n=1) and spin-1 (n=2) coupling tables, the view the coupling CSV reads,
 are extracted by matching each matrix against the XXZ and Heisenberg-like
 operator patterns, alongside the closed-form coupling formulas valid at
@@ -174,52 +175,26 @@ def _second_order(site_j: _SiteData, partners: _SiteData, t_x, t_y, tol_deg, pai
     return e_pair, 0.5 * (a + a.swapaxes(1, 2))
 
 
-@dataclass(frozen=True)
-class PairEffectiveMatrix:
-    """Effective Hamiltonian of one site pair over manifold product states."""
-
-    j: int
-    k: int
-    manifold: str  # 'half' or 'one'
-    labels: tuple  # product labels (r_j, r'_k), row-major in site j
-    matrix: np.ndarray  # d^2 x d^2, zeroth + second order, Hermitian
-    second_order: np.ndarray  # the superexchange part alone
-    couplings: dict  # {name: (for_j, for_k)}, as the model tables hold them
-
-
-def pair_effective_matrix(j, k, geometry: CrystalGeometry, drive: DriveParams,
-                          manifold="half"):
-    """Second-order effective pair Hamiltonian, Eq.-style symmetrized denominators.
+def pair_effective_matrix(j, k, geometries, drives, manifold="half",
+                          points=None):
+    """Second-order effective Hamiltonian of pair (j, k) at each of P points
+    (geometry, drive), as one stack; a single pair is a stack of one.
 
     manifold 'half' uses the one-excitation dressed doublet per site,
-    'one' the two-excitation triplet. Raises DegenerateIntermediateError
-    when a coupled intermediate is resonant with the manifold. It is
-    pair_stack on one point, so its couplings equal the model tables'
-    [j, k] and [k, j] entries, and a sweep point's, bit for bit.
+    'one' the two-excitation triplet. One site table holds site j of
+    every point, then site k, and one engine call serves the P pairs;
+    errors name the first failing point, by its entry in points if given,
+    and DegenerateIntermediateError means a coupled intermediate is
+    resonant with the manifold. Returns the (P, d*d) zeroth-order
+    energies, the (P, d*d, d*d) second-order matrices over product labels
+    (r_j, r'_k), j-major, and the {name: (for_j, for_k)} per-point
+    coupling arrays, which equal the model tables' [j, k] and [k, j]
+    entries bit for bit.
     """
-    e_pair, m2, couplings = pair_stack(j, k, [geometry], [drive], manifold)
-    labels = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
-    return PairEffectiveMatrix(
-        j=j,
-        k=k,
-        manifold=manifold,
-        labels=tuple((r, rp) for r in labels for rp in labels),
-        matrix=np.diag(e_pair[0]) + m2[0],
-        second_order=m2[0],
-        couplings={name: (for_j[0], for_k[0])
-                   for name, (for_j, for_k) in couplings.items()},
-    )
-
-
-def pair_stack(j, k, geometries, drives, manifold="half", points=None):
-    """Pair (j, k) at each of P points (geometry, drive), as one stack.
-
-    One site table holds site j of every point, then site k, and one
-    engine call serves the P pairs; errors name the first failing point,
-    by its entry in points if given. Returns the (P, d*d) zeroth-order
-    energies, the (P, d*d, d*d) second-order matrices and the {name:
-    (for_j, for_k)} per-point coupling arrays.
-    """
+    n_ions = min(geo.n_ions for geo in geometries)
+    for site in (j, k):
+        if not 0 <= site < n_ions:
+            raise ValueError(f"site index {site} outside 0..{n_ions - 1}")
     if j == k:
         raise ValueError("pair requires distinct sites")
     detunings = [local_detunings(geo, drive) for geo, drive in zip(geometries, drives)]

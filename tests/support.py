@@ -14,8 +14,8 @@ import numpy as np
 from jchsim.crystal import local_detunings
 from jchsim.fock import site_sector_operators
 from jchsim.jchv import (
+    MANIFOLD_LABELS,
     MANIFOLD_N,
-    manifold_states_stack,
     site_hamiltonian,
     site_manifold_states,
 )
@@ -77,9 +77,10 @@ def table_offset(manifold, geometry, drive):
     """The spin-independent constant that the table form adds: the sites'
     zeroth-order share (the mean of up and down, or the m = 0 energy)
     and each pair's second-order share (a quarter of the trace, or the
-    (0, 0) diagonal entry), taken from the one-pair engine."""
+    (0, 0) diagonal entry), taken from the pair engine one pair at a time."""
     det_x, det_y = local_detunings(geometry, drive)
-    energies, _ = site_manifold_states(MANIFOLD_N[manifold], det_x, det_y, drive)
+    energies, _ = site_manifold_states(MANIFOLD_N[manifold], det_x, det_y,
+                                       drive.delta, drive.g_x, drive.g_y)
     n_ions = geometry.n_ions
     if manifold == "half":
         offset = np.sum(0.5 * (energies[:, 0] + energies[:, 1]))
@@ -87,10 +88,26 @@ def table_offset(manifold, geometry, drive):
         offset = np.sum(energies[:, 1])
     for j in range(n_ions):
         for k in range(j + 1, n_ions):
-            m2 = pair_effective_matrix(j, k, geometry, drive,
-                                       manifold=manifold).second_order
+            _, m2, _ = one_pair(j, k, geometry, drive, manifold)
             offset += 0.25 * np.trace(m2) if manifold == "half" else m2[4, 4]
     return offset
+
+
+def pair_labels(manifold):
+    """Product labels (r_j, r'_k) of a pair matrix's rows, j-major."""
+    labels = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
+    return tuple((r, rp) for r in labels for rp in labels)
+
+
+def one_pair(j, k, geometry, drive, manifold="half"):
+    """pair_effective_matrix on one point: the pair's whole matrix
+    diag(e_pair) + m2, its second-order matrix m2, and its couplings as
+    {name: (for_j, for_k)} scalars."""
+    e_pair, m2, couplings = pair_effective_matrix(j, k, [geometry], [drive],
+                                                  manifold)
+    return (np.diag(e_pair[0]) + m2[0], m2[0],
+            {name: (for_j[0], for_k[0])
+             for name, (for_j, for_k) in couplings.items()})
 
 
 def whole_sector_ladder_stack(n, det_x, det_y, omega0, g_x, g_y):
@@ -100,7 +117,7 @@ def whole_sector_ladder_stack(n, det_x, det_y, omega0, g_x, g_y):
     library's. Substituted into superexchange, it gives the pair engine's
     matrices from whole-sector intermediates."""
     params = (det_x, det_y, omega0, g_x, g_y)
-    manifold_e, man_v = manifold_states_stack(n, *params)
+    manifold_e, man_v = site_manifold_states(n, *params)
     (upper_e, upper_v), (lower_e, lower_v) = (
         np.linalg.eigh(site_hamiltonian(site_sector_operators(m), *params))
         for m in (n + 1, n - 1))

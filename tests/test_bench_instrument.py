@@ -10,6 +10,10 @@ checked here.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,8 @@ from jchsim.fock import SparseOperator
 from jchsim.superexchange import build_spin_hamiltonian, spin_block
 from support import oracle_model
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_traced_table():
@@ -67,3 +72,21 @@ def test_every_chebyshev_product_is_a_matvec(monkeypatch):
     result = evolve(h, psi0, np.linspace(0.0, 1.0, 5), dense_threshold=0)
     assert result.method == "chebyshev" and result.products > 0
     assert len(calls) == result.products
+
+
+def test_tracer_counts_the_stacked_site_and_pair_calls(tmp_path):
+    # a traced couplings sweep in a child, as the bench runs it: the site
+    # data and the sweep's one stacked pair call are seen under the names
+    # the tracer wraps
+    config = str(ROOT / "configs" / "three_ion_xxz.cfg")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), config, "--trace",
+         "--", "couplings", "--config", config, "--out", str(tmp_path),
+         "--sweep", "g_y_khz:12:40:3"],
+        capture_output=True, text=True, env=env, check=True)
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["exit_code"] == 0
+    assert result["layers"]["jchv.site_eigh_calls"] > 0
+    assert result["layers"]["superexchange.pair_calls"] == 1

@@ -23,11 +23,8 @@ from jchsim.cli import (
 from jchsim.crystal import CrystalGeometry, geometry_from_config
 from jchsim.dynamics import CHEBYSHEV_TOL
 from jchsim.params import KHZ, ConfigError, TrapConfig, make_drive, parse_config
-from jchsim.superexchange import (
-    pair_effective_matrix,
-    spin_half_general,
-    spin_one_general,
-)
+from jchsim.superexchange import spin_half_general, spin_one_general
+from support import one_pair
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -168,8 +165,8 @@ def test_couplings_sweep_integer_key(tmp_path):
 @pytest.mark.parametrize("sweep", ["g_y_khz:12:40:29", "delta_khz:-3:3:7",
                                    "nu_z_khz:100:140:5", "n_ions:2:6:5"])
 def test_couplings_sweep_rows_equal_single_pairs(tmp_path, sweep):
-    # each row holds its point's pair_effective_matrix(0, 1), as written
-    # by the one CSV format
+    # each row holds its point's pair (0, 1) solved alone, as written by
+    # the one CSV format
     cfg = CONFIG_DIR / "crystal21.cfg"
     out = tmp_path / "o"
     assert main(["couplings", "--config", str(cfg), "--out", str(out),
@@ -179,8 +176,8 @@ def test_couplings_sweep_rows_equal_single_pairs(tmp_path, sweep):
     expect = [f"{key},K_xy_khz,K_z_khz,lambda"]
     for v in np.linspace(start, stop, n):
         vcfg = config_variant(raw, **{key: float(v)})
-        pair = pair_effective_matrix(0, 1, geometry_from_config(vcfg), vcfg.drive)
-        kxy, kz = pair.couplings["K_xy"][0], pair.couplings["K_z"][0]
+        _, _, couplings = one_pair(0, 1, geometry_from_config(vcfg), vcfg.drive)
+        kxy, kz = couplings["K_xy"][0], couplings["K_z"][0]
         expect.append("%.11e,%.11e,%.11e,%.11e" % (v, kxy / KHZ, kz / KHZ, kz / kxy))
     assert (out / "couplings_sweep.csv").read_text().splitlines() == expect
 

@@ -28,14 +28,13 @@ from jchsim.dynamics import (
     _dominant_gap,
     _tracked_labels,
 )
-from jchsim.fock import SectorError, SparseOperator, product_basis, site_states
+from jchsim.fock import (SectorError, SparseOperator, enumerate_sector,
+                         product_basis, site_states)
 from jchsim.jchv import (
     LABEL_X,
     MANIFOLD_LABELS,
     MANIFOLD_N,
     build_full,
-    manifold_states_stack,
-    sector_basis_for,
     site_manifold_states,
 )
 from jchsim.params import KHZ, make_drive, parse_config
@@ -73,8 +72,8 @@ def rabi_model(k_xy_khz):
 def site_vectors(n, det_x, det_y, drive):
     """Every site's dressed n-excitation states, as evolve_full_model reads
     them."""
-    return manifold_states_stack(n, det_x, det_y, drive.delta, drive.g_x,
-                                 drive.g_y)[1]
+    return site_manifold_states(n, det_x, det_y, drive.delta, drive.g_x,
+                                drive.g_y)[1]
 
 
 def bare_state(labels, drive, basis):
@@ -85,7 +84,7 @@ def bare_state(labels, drive, basis):
 
 
 def test_dressed_states_orthonormal():
-    basis = sector_basis_for(2, 1)
+    basis = enumerate_sector(2, 2)
     labels = [("up", "down"), ("down", "up"), ("up", "up"), ("down", "down")]
     vecs = [bare_state(lab, DRIVE, basis) for lab in labels]
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
@@ -93,14 +92,14 @@ def test_dressed_states_orthonormal():
 
 
 def test_dressed_state_sector_mismatch():
-    basis = sector_basis_for(2, 1)
+    basis = enumerate_sector(2, 2)
     with pytest.raises(SectorError, match="1 labels for 2 sites"):
         bare_state(("up",), DRIVE, basis)
     with pytest.raises(SectorError, match="'1' does not live in the 1-"):
         bare_state(("1", "-1"), DRIVE, basis)
     with pytest.raises(SectorError, match="'up' does not live in the 2-"):
-        bare_state(("up", "down"), DRIVE, sector_basis_for(2, 2))
-    block = sector_basis_for(2, 1, n_x_total=1)
+        bare_state(("up", "down"), DRIVE, enumerate_sector(2, 4))
+    block = enumerate_sector(2, 2, n_x_total=1)
     with pytest.raises(SectorError, match="X = 2"):
         bare_state(("up", "up"), DRIVE, block)
 
@@ -110,16 +109,17 @@ def test_dressed_state_sector_mismatch():
                                       (2, 2), (3, 2)])
 def test_dressed_product_state_equals_per_site(n_ions, n, homogeneous):
     # the run's stacked site vectors give every label's product state bit
-    # for bit as one site_manifold_states call per site does
+    # for bit as one scalar site_manifold_states call per site does
     labels = MANIFOLD_LABELS[n]
     cfg = run_config(n_ions, n, True, ",".join(labels[:1] * n_ions), homogeneous)
     det_x, det_y = local_detunings(geometry_from_config(cfg), cfg.drive)
     vectors = site_vectors(n, det_x, det_y, cfg.drive)
     for lab in itertools.product(labels, repeat=n_ions):
-        basis = sector_basis_for(n_ions, n, n_x_total=sum(LABEL_X[s] for s in lab))
+        basis = enumerate_sector(n_ions, n_ions * n,
+                                 n_x_total=sum(LABEL_X[s] for s in lab))
         ref = basis.product_vector(
-            zip(site_states(n), site_manifold_states(
-                n, det_x[j], det_y[j], cfg.drive)[1][labels.index(s)])
+            zip(site_states(n), site_vectors(n, det_x[j], det_y[j],
+                                             cfg.drive)[labels.index(s)])
             for j, s in enumerate(lab))
         assert np.array_equal(dressed_product_state(lab, vectors, basis), ref)
 
@@ -200,7 +200,7 @@ def test_evolve_refuses_unbounded_chebyshev_work():
 
 
 def test_initial_populations_are_overlaps():
-    basis = sector_basis_for(2, 1)
+    basis = enumerate_sector(2, 2)
     psi0 = bare_state(("up", "down"), DRIVE, basis)
     geo = CrystalGeometry.from_uniform_hoppings(2, 0.05 * KHZ, 0.07 * KHZ)
     h = build_full(basis, geo, replace(DRIVE, homogeneous=True))
@@ -254,7 +254,7 @@ def test_dense_peak_does_not_grow_with_the_grid(monkeypatch):
 def test_dense_chunks_agree_with_one_chunk(monkeypatch):
     # 7 time points per chunk, the last chunk short, both parity blocks
     cfg = parse_config(THREE_ION_CFG)
-    basis = sector_basis_for(3, 1)
+    basis = enumerate_sector(3, 3)
     h = build_full(basis, geometry_from_config(cfg), cfg.drive)
     tracked = {lab: bare_state(lab, cfg.drive, basis)
                for lab in [("up", "down", "up"), ("down", "up", "up")]}
@@ -347,7 +347,7 @@ def test_diagonal_hamiltonian_freezes_populations():
 def test_chebyshev_matches_dense():
     cfg = parse_config(THREE_ION_CFG)
     geo = geometry_from_config(cfg)
-    basis = sector_basis_for(3, 1)
+    basis = enumerate_sector(3, 3)
     h = build_full(basis, geo, cfg.drive)
     psi0 = bare_state(("up", "down", "up"), cfg.drive, basis)
     tracked = {("up", "down", "up"): psi0}
@@ -535,7 +535,7 @@ def test_identity_block_eigh_is_the_whole_eigh(dim, seed, density):
 def test_chebyshev_matches_dense_above_threshold():
     cfg = run_config(5, 1, False, "up,down,down,down,down")
     geo = geometry_from_config(cfg)
-    basis = sector_basis_for(5, 1, n_x_total=1)
+    basis = enumerate_sector(5, 5, n_x_total=1)
     assert basis.dim > DENSE_THRESHOLD
     h = build_full(basis, geo, cfg.drive)
     vectors = site_vectors(1, *local_detunings(geo, cfg.drive), cfg.drive)
@@ -562,7 +562,7 @@ def test_chebyshev_matches_dense_above_threshold():
 def test_joint_detuning_offset_invariance():
     cfg = parse_config(THREE_ION_CFG)
     geo = geometry_from_config(cfg)
-    basis = sector_basis_for(3, 1)
+    basis = enumerate_sector(3, 3)
     times = np.linspace(0.0, 6.0, 30)
 
     def traces(drive):
@@ -686,12 +686,12 @@ def test_block_run_matches_full_sector(n_ions, n, labels, trap):
     run = evolve_full_model(cfg)
     times = run.result.times
     assert np.array_equal(times, np.linspace(0.0, 200.0, 30))
-    assert run.sector_dim == sector_basis_for(n_ions, n).dim
+    assert run.sector_dim == enumerate_sector(n_ions, n_ions * n).dim
     assert len(run.result.final_state) < run.sector_dim
 
     # reference: the whole total-excitation sector
     geo = geometry_from_config(cfg)
-    basis = sector_basis_for(n_ions, n)
+    basis = enumerate_sector(n_ions, n_ions * n)
     vectors = site_vectors(n, *local_detunings(geo, cfg.drive), cfg.drive)
     states = {lab: dressed_product_state(lab, vectors, basis)
               for lab in run.tracked}
@@ -716,7 +716,7 @@ def test_hamiltonians_are_reflection_symmetric(size, trap, homogeneous, data):
                                 min_size=n_ions, max_size=n_ions))
     cfg = run_config(n_ions, n, trap, ",".join(labels), homogeneous)
     geo = geometry_from_config(cfg)
-    full = sector_basis_for(n_ions, n,
+    full = enumerate_sector(n_ions, n_ions * n,
                             n_x_total=sum(LABEL_X[s] for s in labels))
     model = (spin_half_general if n == 1 else spin_one_general)(geo, cfg.drive)
     spin = spin_block(model.manifold, labels)

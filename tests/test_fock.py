@@ -24,7 +24,7 @@ from jchsim.fock import (
     site_states,
     site_x_count,
 )
-from jchsim.jchv import LABEL_X, build_full, build_hb, build_hjc, sector_basis_for
+from jchsim.jchv import LABEL_X, build_full, build_hb, build_hjc
 from jchsim.params import KHZ, TrapConfig, make_drive
 from jchsim.superexchange import (
     build_spin_hamiltonian,
@@ -208,7 +208,7 @@ def test_assemble_refuses_imaginary_term():
 def test_every_builder_stores_real_float64(n_sites, n):
     geo = CrystalGeometry.from_uniform_hoppings(n_sites, 0.1 * KHZ, 0.17 * KHZ)
     drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
-    basis = sector_basis_for(n_sites, n, n_x_total=n_sites * n // 2)
+    basis = enumerate_sector(n_sites, n_sites * n, n_x_total=n_sites * n // 2)
     ops = [build_hjc(basis, geo, drive), build_hb(basis, geo),
            build_full(basis, geo, drive)]
     model = (spin_half_general if n == 1 else spin_one_general)(geo, drive)
@@ -424,8 +424,8 @@ def test_hamiltonian_terms_match_rank(monkeypatch, n_sites, n, trap):
         return calls[-1][-1]
 
     monkeypatch.setattr(fock, "embed", recorded)
-    build_full(sector_basis_for(n_sites, n, n_x_total=n_sites * n // 2),
-               geo, drive)
+    build_full(enumerate_sector(n_sites, n_sites * n,
+                                n_x_total=n_sites * n // 2), geo, drive)
     for x in range(n_sites * n + 1):
         build_spin_hamiltonian(model, product_basis(
             {lab: LABEL_X[lab] for lab in SPIN_LETTERS[n]}, n_sites, x))

@@ -20,10 +20,7 @@ from jchsim.jchv import (
     build_full,
     build_hb,
     build_hjc,
-    manifold_states_stack,
     particle_hole_gaps,
-    sector_basis_for,
-    sector_eigh_stack,
     single_site_spectra,
     site_hamiltonian,
     site_manifold_states,
@@ -53,11 +50,11 @@ def test_one_excitation_closed_forms_match_numerics():
         drive, Delta = random_drive(rng)
         params = (Delta, Delta, Delta + drive.delta, drive.g_x, drive.g_y)
         s1, s2 = single_site_spectra(drive)
-        w1, _ = sector_eigh_stack(1, *params)
+        w1, _ = site_sector_eigh(1, *params)
         expect1 = np.sort([s1.E_minus_x, s1.E_plus_x, s1.E_minus_y,
                            s1.E_plus_y]) + Delta
         assert np.max(np.abs(np.sort(w1) - expect1)) / drive.g_x < 1e-12
-        w2, _ = sector_eigh_stack(2, *params)
+        w2, _ = site_sector_eigh(2, *params)
         # the three two-excitation ground states sit below the rest
         lows = np.sort([s2.E_1, s2.E_0, s2.E_m1]) + 2.0 * Delta
         assert np.max(np.abs(np.sort(w2)[:3] - lows)) / drive.g_x < 1e-12
@@ -65,7 +62,8 @@ def test_one_excitation_closed_forms_match_numerics():
 
 def test_up_state_at_zero_detuning():
     drive = make_drive(g_x=10.0 * KHZ, g_y=10.0 * KHZ, delta=0.0)
-    _, vectors = site_manifold_states(1, 0.0, 0.0, drive)
+    _, vectors = site_manifold_states(1, 0.0, 0.0, drive.delta, drive.g_x,
+                                      drive.g_y)
     # equal-weight (|g,1,0> - |e1,0,0>)/sqrt(2), nothing else
     expect = dict.fromkeys(site_states(1), 0.0)
     expect[(0, 1, 0)] = 1.0 / math.sqrt(2.0)
@@ -78,7 +76,7 @@ def test_manifold_states_orthonormal_and_sign_fixed():
     rng = np.random.default_rng(5)
     for n in (1, 2):
         drive, Delta = random_drive(rng)
-        energies, vectors = manifold_states_stack(
+        energies, vectors = site_manifold_states(
             n, Delta, Delta, Delta + drive.delta, drive.g_x, drive.g_y)
         d = len(MANIFOLD_LABELS[n])
         assert energies.shape == (d,)
@@ -93,9 +91,10 @@ def test_manifold_states_orthonormal_and_sign_fixed():
 def test_manifold_energies_match_closed_forms():
     drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ)
     s1, s2 = single_site_spectra(drive)
-    e1, _ = site_manifold_states(1, 0.0, 0.0, drive)
+    params = (0.0, 0.0, drive.delta, drive.g_x, drive.g_y)
+    e1, _ = site_manifold_states(1, *params)
     assert e1 == pytest.approx([s1.E_minus_x, s1.E_minus_y], abs=1e-10)
-    e2, _ = site_manifold_states(2, 0.0, 0.0, drive)
+    e2, _ = site_manifold_states(2, *params)
     assert e2 == pytest.approx([s2.E_1, s2.E_0, s2.E_m1], abs=1e-10)
 
 
@@ -112,7 +111,7 @@ def test_sector_eigenpairs_hold_one_x(n):
     omega0, g_x, g_y = np.array([(Delta + d.delta, d.g_x, d.g_y)
                                  for d, Delta in drives + [drives[0]]]).T
     params = (det_x, det_y, omega0, g_x, g_y)
-    energies, vectors = sector_eigh_stack(n, *params)
+    energies, vectors = site_sector_eigh(n, *params)
     h = site_hamiltonian(site_sector_operators(n), *params)
     blocks = x_blocks(n)
     assert sorted(np.concatenate(blocks)) == list(range(3 * n + 1))
@@ -165,23 +164,23 @@ STACK_DRIVES = {
 def test_stacked_site_data_equals_per_ion(n, drive):
     # one eigh per X block of each sector for all 21 ions of a trap
     # crystal gives every ion's own site_sector_eigh and
-    # site_manifold_states bit for bit, and the manifold equals a loop
-    # over label blocks with eighs of its own
+    # site_manifold_states, called on its scalar parameters, bit for bit,
+    # and the manifold equals a loop over label blocks with eighs of its own
     drive = make_drive(**STACK_DRIVES[drive])
     det_x, det_y = local_detunings(TRAP21, drive)
     params = (det_x, det_y, drive.delta, drive.g_x, drive.g_y)
-    manifold = manifold_states_stack(n, *params)
-    sectors = {m: sector_eigh_stack(m, *params) for m in (n - 1, n + 1)}
+    manifold = site_manifold_states(n, *params)
+    sectors = {m: site_sector_eigh(m, *params) for m in (n - 1, n + 1)}
     assert manifold[1].shape == (21, len(MANIFOLD_LABELS[n]), 3 * n + 1)
     for j in range(21):
-        ion = site_manifold_states(n, det_x[j], det_y[j], drive)
+        ion = (det_x[j], det_y[j], drive.delta, drive.g_x, drive.g_y)
         loop = per_block_manifold_states(n, det_x[j], det_y[j], drive)
-        for stacked, single, ref in zip(manifold, ion, loop):
+        for stacked, single, ref in zip(manifold, site_manifold_states(n, *ion),
+                                        loop):
             np.testing.assert_array_equal(stacked[j], single)
             np.testing.assert_array_equal(single, ref)
         for m, stack in sectors.items():
-            for stacked, single in zip(stack, site_sector_eigh(m, det_x[j],
-                                                               det_y[j], drive)):
+            for stacked, single in zip(stack, site_sector_eigh(m, *ion)):
                 np.testing.assert_array_equal(stacked[j], single)
 
 
@@ -209,7 +208,7 @@ def test_gap_asymptotics():
 
 
 def test_full_hamiltonian_conserves_excitation():
-    basis = sector_basis_for(2, 2)
+    basis = enumerate_sector(2, 4)
     drive = make_drive(g_x=32.0 * KHZ, g_y=34.0 * KHZ, delta=0.0)
     h = build_full(basis, GEO2, drive)
     ops = site_operators(basis.n_total)
@@ -232,7 +231,7 @@ def test_full_hamiltonian_conserves_x_excitation(sector, trap, homogeneous, seed
     else:
         geo = CrystalGeometry.from_uniform_hoppings(
             n_sites, rng.uniform(0.01, 1.0) * KHZ, rng.uniform(0.01, 1.0) * KHZ)
-    basis = sector_basis_for(n_sites, n)
+    basis = enumerate_sector(n_sites, n_sites * n)
     drive = replace(random_drive(rng)[0], homogeneous=homogeneous)
     h = build_full(basis, geo, drive)
     ops = site_operators(basis.n_total)
@@ -247,7 +246,7 @@ def test_joint_offset_shifts_by_identity():
     # H_JC from explicit per-site detunings, offset by a common Delta:
     # build_hjc is its Delta = 0 member, bit for bit, and Delta shifts the
     # sector by Delta N
-    basis = sector_basis_for(2, 1)
+    basis = enumerate_sector(2, 2)
     drive = make_drive(g_x=10.0 * KHZ, g_y=12.0 * KHZ, delta=-1.0 * KHZ)
     det_x, det_y = local_detunings(GEO2, drive)
     ops = site_operators(basis.n_total)

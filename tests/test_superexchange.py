@@ -28,7 +28,6 @@ from jchsim.superexchange import (
     DegenerateIntermediateError,
     build_spin_hamiltonian,
     pair_effective_matrix,
-    pair_stack,
     spin_half_analytic,
     spin_half_general,
     spin_one_general,
@@ -40,7 +39,9 @@ from support import (
     SIGMA_Z,
     S_PLUS,
     S_Z1,
+    one_pair,
     oracle_model,
+    pair_labels,
     table_offset,
     whole_sector_ladder_stack,
 )
@@ -116,23 +117,18 @@ def test_no_direct_double_flip_coupling():
     # (1,-1) <-> (-1,1) needs four phonon moves; absent at second order
     drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ,
                        homogeneous=True)
-    pair = pair_effective_matrix(0, 1, uniform_pair(0.05, 0.07), drive,
-                                 manifold="one")
-    i = pair.labels.index(("1", "-1"))
-    j = pair.labels.index(("-1", "1"))
-    assert abs(pair.second_order[i, j]) < 1e-14 * np.max(
-        np.abs(pair.second_order))
+    _, m2, _ = one_pair(0, 1, uniform_pair(0.05, 0.07), drive, "one")
+    labels = pair_labels("one")
+    i, j = labels.index(("1", "-1")), labels.index(("-1", "1"))
+    assert abs(m2[i, j]) < 1e-14 * np.max(np.abs(m2))
 
 
 def test_second_order_scales_quadratically():
     drive = make_drive(g_x=20.0 * KHZ, g_y=26.0 * KHZ, delta=3.0 * KHZ,
                        homogeneous=True)
-    base = pair_effective_matrix(0, 1, uniform_pair(0.02, 0.03), drive,
-                                 manifold="half")
-    scaled = pair_effective_matrix(0, 1, uniform_pair(0.06, 0.09), drive,
-                                   manifold="half")
-    assert np.max(np.abs(scaled.second_order - 9.0 * base.second_order)) \
-        < 1e-10 * np.max(np.abs(scaled.second_order))
+    _, base, _ = one_pair(0, 1, uniform_pair(0.02, 0.03), drive, "half")
+    _, scaled, _ = one_pair(0, 1, uniform_pair(0.06, 0.09), drive, "half")
+    assert np.max(np.abs(scaled - 9.0 * base)) < 1e-10 * np.max(np.abs(scaled))
 
 
 def test_species_swap_symmetry():
@@ -170,8 +166,7 @@ def test_degenerate_intermediate_raises():
     g = 34.0 * KHZ
     drive = make_drive(g_x=g, g_y=g, delta=1e6 * g, homogeneous=True)
     with pytest.raises(DegenerateIntermediateError):
-        pair_effective_matrix(0, 1, uniform_pair(0.1, 0.17), drive,
-                              manifold="half")
+        pair_effective_matrix(0, 1, [uniform_pair(0.1, 0.17)], [drive], "half")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -185,7 +180,7 @@ def test_non_finite_pair_matrix_raises(manifold, t_khz, delta_khz):
     drive = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=delta_khz * KHZ)
     geo = uniform_pair(t_khz, t_khz)
     with pytest.raises(FloatingPointError, match=r"pair \(0, 1\): non-finite"):
-        pair_effective_matrix(0, 1, geo, drive, manifold=manifold)
+        pair_effective_matrix(0, 1, [geo], [drive], manifold)
     build = spin_half_general if manifold == "half" else spin_one_general
     with pytest.raises(FloatingPointError, match=r"pair \(0, 1\): non-finite"):
         build(geo, drive)
@@ -197,11 +192,11 @@ def test_huge_common_detuning_is_harmless(manifold):
     # the drive is fixed at Delta = 0: Delta_khz = 2e307 gives the pair of
     # its Delta = 0 twin exactly
     geo = uniform_pair(0.1, 0.1)
-    pairs = [pair_effective_matrix(
+    pairs = [one_pair(
         0, 1, geo, make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=0.0, **extra),
-        manifold=manifold) for extra in ({}, {"Delta": 2e307 * KHZ})]
-    np.testing.assert_array_equal(pairs[0].matrix, pairs[1].matrix)
-    assert np.all(np.isfinite(pairs[1].matrix))
+        manifold)[0] for extra in ({}, {"Delta": 2e307 * KHZ})]
+    np.testing.assert_array_equal(pairs[0], pairs[1])
+    assert np.all(np.isfinite(pairs[1]))
 
 
 def test_benign_zero_coupled_crossing_passes():
@@ -210,9 +205,8 @@ def test_benign_zero_coupled_crossing_passes():
     g_x = 10.0 * KHZ
     drive = make_drive(g_x=g_x, g_y=math.sqrt(3.0) * g_x, delta=0.0,
                        homogeneous=True)
-    pair = pair_effective_matrix(0, 1, uniform_pair(0.01, 0.01), drive,
-                                 manifold="half")
-    assert np.all(np.isfinite(pair.second_order))
+    _, m2, _ = one_pair(0, 1, uniform_pair(0.01, 0.01), drive, "half")
+    assert np.all(np.isfinite(m2))
 
 
 def test_pair_matrix_consistency_with_spin_hamiltonian():
@@ -221,15 +215,15 @@ def test_pair_matrix_consistency_with_spin_hamiltonian():
     geo = uniform_pair(0.05, 0.07)
     for manifold, builder in (("half", spin_half_general),
                               ("one", spin_one_general)):
-        pair = pair_effective_matrix(0, 1, geo, drive, manifold=manifold)
+        matrix, _, _ = one_pair(0, 1, geo, drive, manifold)
         model = builder(geo, drive)
         letters = MANIFOLD_LABELS[MANIFOLD_N[manifold]]
         basis = product_basis(dict.fromkeys(letters, 0), 2, 0)
         h = build_spin_hamiltonian(model, basis).mat.toarray()
         idx = basis.rank(np.array([[letters.index(s) for s in lab]
-                                   for lab in pair.labels]))
-        diff = np.max(np.abs(h[np.ix_(idx, idx)] - pair.matrix))
-        assert diff < 1e-12 * max(1.0, np.max(np.abs(pair.matrix)))
+                                   for lab in pair_labels(manifold)]))
+        diff = np.max(np.abs(h[np.ix_(idx, idx)] - matrix))
+        assert diff < 1e-12 * max(1.0, np.max(np.abs(matrix)))
 
 
 def test_extraction_residuals_tiny():
@@ -279,10 +273,9 @@ def test_transition_elements_feed_back_consistently():
     drive = make_drive(g_x=12.0 * KHZ, g_y=18.0 * KHZ, delta=-0.5 * KHZ,
                        homogeneous=True)
     geo = uniform_pair(0.05, 0.07)
-    pair = pair_effective_matrix(0, 1, geo, drive, manifold="one")
+    _, m2, _ = one_pair(0, 1, geo, drive, "one")
     tables = spin_one_general(geo, drive).tables
-    m2 = pair.second_order
-    lab = pair.labels
+    lab = pair_labels("one")
     t_1 = m2[lab.index(("1", "0")), lab.index(("0", "1"))]
     t_m1 = m2[lab.index(("-1", "0")), lab.index(("0", "-1"))]
     assert tables["J_xy"][0, 1] + 2.0 * tables["v_p1"][0, 1] == pytest.approx(
@@ -313,8 +306,7 @@ def test_pair_matrix_properties(g_x, g_y, d_over_g, tx_frac, ty_frac):
     drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ,
                        delta=d_over_g * g_lo * KHZ, homogeneous=True)
     geo = uniform_pair(tx_frac * g_lo, ty_frac * g_lo)
-    pair = pair_effective_matrix(0, 1, geo, drive, manifold="half")
-    m2 = pair.second_order
+    _, m2, _ = one_pair(0, 1, geo, drive, "half")
     assert np.max(np.abs(m2 - m2.T)) == 0.0
     assert np.all(np.isfinite(m2))
     # K_xy is exactly bilinear in (t_x, t_y): the flip-flop element has no
@@ -407,9 +399,10 @@ def trap_crystal(n_ions, nu_z_khz=120.0):
 
 def reference_site(n, det_x, det_y, drive):
     """One site's energies and ladder matrix elements from its own eighs."""
-    energies, man_v = site_manifold_states(n, det_x, det_y, drive)
-    upper_e, upper_v = site_sector_eigh(n + 1, det_x, det_y, drive)
-    lower_e, lower_v = site_sector_eigh(n - 1, det_x, det_y, drive)
+    params = (det_x, det_y, drive.delta, drive.g_x, drive.g_y)
+    energies, man_v = site_manifold_states(n, *params)
+    upper_e, upper_v = site_sector_eigh(n + 1, *params)
+    lower_e, lower_v = site_sector_eigh(n - 1, *params)
     up, dn = site_sector_operators(n + 1), site_sector_operators(n)
     return {
         "e": energies,
@@ -465,10 +458,10 @@ def test_pair_matrix_matches_per_intermediate_reference(
     drive = make_drive(g_x=g_x * KHZ, g_y=g_y * KHZ,
                        delta=d_over_g * min(g_x, g_y) * KHZ,
                        homogeneous=homogeneous)
-    pair = pair_effective_matrix(j, k, geo, drive, manifold=manifold)
+    _, m2, _ = one_pair(j, k, geo, drive, manifold)
     ref = reference_second_order(j, k, geo, drive, manifold)
-    scale = np.max(np.abs(pair.second_order))
-    assert np.max(np.abs(pair.second_order - ref)) <= 1e-13 * scale
+    scale = np.max(np.abs(m2))
+    assert np.max(np.abs(m2 - ref)) <= 1e-13 * scale
 
 
 def test_pair_entries_match_model_tables():
@@ -485,15 +478,15 @@ def test_pair_entries_match_model_tables():
               "D_field": np.zeros(4)}
     det_x, det_y = local_detunings(geo, drive)
     for s in range(4):
-        e1, e0, em1 = site_manifold_states(2, det_x[s], det_y[s], drive)[0]
+        e1, e0, em1 = site_manifold_states(2, det_x[s], det_y[s], drive.delta,
+                                           drive.g_x, drive.g_y)[0]
         fields["B_field"][s] = 0.5 * (e1 - em1)
         fields["D_field"][s] = 0.5 * (e1 + em1 - 2.0 * e0)
     for j in range(4):
         for k in range(j + 1, 4):
             for manifold in ("half", "one"):
-                pair = pair_effective_matrix(j, k, geo, drive,
-                                             manifold=manifold)
-                for name, (for_j, for_k) in pair.couplings.items():
+                _, _, couplings = one_pair(j, k, geo, drive, manifold)
+                for name, (for_j, for_k) in couplings.items():
                     if name in tables:
                         assert for_j == for_k == tables[name][j, k]
                         assert tables[name][k, j] == tables[name][j, k]
@@ -544,14 +537,14 @@ def test_row_stacks_equal_single_pairs(manifold):
         if table.ndim == 2:  # a pair table; a site field adds zeroth order
             np.testing.assert_array_equal(table, tables[name])
     for j, k in itertools.combinations(range(7), 2):
-        pair = pair_effective_matrix(j, k, geo, drive, manifold=manifold)
-        assert set(pair.couplings) == set(tables)
-        for name, (for_j, for_k) in pair.couplings.items():
+        _, m2, couplings = one_pair(j, k, geo, drive, manifold)
+        assert set(couplings) == set(tables)
+        for name, (for_j, for_k) in couplings.items():
             assert tables[name][j, k] == for_j, (name, j, k)
             assert tables[name][k, j] == for_k, (name, j, k)
         ref = reference_second_order(j, k, geo, drive, manifold)
-        scale = np.max(np.abs(pair.second_order))
-        assert np.max(np.abs(pair.second_order - ref)) <= 1e-13 * scale
+        scale = np.max(np.abs(m2))
+        assert np.max(np.abs(m2 - ref)) <= 1e-13 * scale
 
 
 EPS = np.finfo(float).eps
@@ -622,8 +615,7 @@ def test_pair_terms_are_masked_pair_matrices(name):
         pair_terms = [(sites, m) for sites, m in model.terms if len(sites) == 2]
         assert [sites for sites, _ in pair_terms] == list(
             itertools.combinations(range(geo.n_ions), 2))
-        m2 = [pair_effective_matrix(j, k, geo, cfg.drive,
-                                    manifold=manifold).second_order
+        m2 = [one_pair(j, k, geo, cfg.drive, manifold)[1]
               for (j, k), _ in pair_terms]
         for (_, term), full in zip(pair_terms, m2):
             np.testing.assert_array_equal(term, full)
@@ -653,8 +645,8 @@ def test_x_changing_entries_are_zero(manifold, n_ions, aspect_x, g_x, g_y,
     for sites, term in model.terms:
         if len(sites) == 2:
             assert np.all(term[~keep] == 0.0), sites
-            pair = pair_effective_matrix(*sites, geo, drive, manifold=manifold)
-            assert np.all(pair.matrix[~keep] == 0.0), sites
+            matrix, _, _ = one_pair(*sites, geo, drive, manifold)
+            assert np.all(matrix[~keep] == 0.0), sites
 
 
 def x_gap(n, det_x, det_y, drive):
@@ -662,7 +654,8 @@ def x_gap(n, det_x, det_y, drive):
     of a stack of sites."""
     gap = np.inf
     for m in (n - 1, n + 1):
-        energies, _ = site_sector_eigh(m, det_x, det_y, drive)
+        energies, _ = site_sector_eigh(m, det_x, det_y, drive.delta, drive.g_x,
+                                       drive.g_y)
         for a, b in itertools.combinations(x_blocks(m), 2):
             gap = min(gap, np.min(np.abs(energies[..., a, None]
                                          - energies[..., None, b])))
@@ -722,7 +715,7 @@ def test_terms_keep_what_the_spin_one_tables_drop():
     geo, drive = trap_crystal(3), make_drive(**DRIVE_TRAP)
     model = spin_one_general(geo, drive)
     oracle = oracle_model("one", model.tables, table_offset("one", geo, drive))
-    m2 = pair_effective_matrix(0, 1, geo, drive, manifold="one").second_order
+    _, m2, _ = one_pair(0, 1, geo, drive, "one")
     letters = MANIFOLD_LABELS[2]
     whole = product_basis(dict.fromkeys(letters, 0), 3, 0)
     h, h_oracle = (build_spin_hamiltonian(m, whole).mat.toarray()
@@ -799,7 +792,7 @@ def test_model_build_names_first_failing_pair(chain, manifold):
     loop = []
     for j, k in itertools.combinations(range(geo.n_ions), 2):
         try:
-            pair_effective_matrix(j, k, geo, drive, manifold=manifold)
+            pair_effective_matrix(j, k, [geo], [drive], manifold)
         except (DegenerateIntermediateError, FloatingPointError) as exc:
             loop.append(exc)
     assert len(loop) > 1
@@ -829,7 +822,20 @@ def test_pair_stack_names_first_failing_point(order, error, manifold):
     geometries, drives = zip(*(points[name] for name in order))
     names = [f"point {p}" for p in range(len(order))]
     with pytest.raises(error, match=r"^point 1: pair \(0, 1\): "):
-        pair_stack(0, 1, geometries, drives, manifold, names)
+        pair_effective_matrix(0, 1, geometries, drives, manifold, names)
+
+
+@pytest.mark.parametrize("j, k, message", [
+    (-1, 2, "site index -1 outside 0..2"),  # would pair site 2 with itself
+    (-1, 0, "site index -1 outside 0..2"),  # would be pair (2, 0)
+    (0, 3, "site index 3 outside 0..2"),  # would run off the hopping table
+    (1, 1, "pair requires distinct sites"),
+])
+def test_pair_refuses_sites_outside_the_crystal(j, k, message):
+    cfg = parse_config((CONFIG_DIR / "three_ion_xxz.cfg").read_text())
+    with pytest.raises(ValueError) as info:
+        pair_effective_matrix(j, k, [geometry_from_config(cfg)], [cfg.drive])
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("manifold", ["half", "one"])
@@ -891,15 +897,16 @@ def sweep_points(sweep):
                                    "nu_z_khz:100:140:5", "n_ions:2:6:5"])
 def test_sweep_stack_equals_single_pairs(sweep, manifold):
     # one site table and one engine call for every point of a sweep give
-    # each point's pair_effective_matrix(0, 1) exactly
+    # each point's pair (0, 1) as a stack of one exactly
     geometries, drives = sweep_points(sweep)
-    e_pair, m2, couplings = pair_stack(0, 1, geometries, drives, manifold)
+    e_pair, m2, couplings = pair_effective_matrix(0, 1, geometries, drives,
+                                                  manifold)
     for p, (geo, drive) in enumerate(zip(geometries, drives)):
-        pair = pair_effective_matrix(0, 1, geo, drive, manifold=manifold)
-        np.testing.assert_array_equal(m2[p], pair.second_order)
-        np.testing.assert_array_equal(np.diag(e_pair[p]) + m2[p], pair.matrix)
-        assert set(couplings) == set(pair.couplings)
-        for name, (for_j, for_k) in pair.couplings.items():
+        single_matrix, single_m2, single = one_pair(0, 1, geo, drive, manifold)
+        np.testing.assert_array_equal(m2[p], single_m2)
+        np.testing.assert_array_equal(np.diag(e_pair[p]) + m2[p], single_matrix)
+        assert set(couplings) == set(single)
+        for name, (for_j, for_k) in single.items():
             assert couplings[name][0][p] == for_j and couplings[name][1][p] == for_k
 
 
@@ -925,7 +932,8 @@ def test_site_eighs_do_not_grow_with_the_stack(monkeypatch, manifold):
     drive = make_drive(**DRIVE_TRAP)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     counts = [eighs(BUILDERS[manifold], geo, drive) for geo in crystals]
-    counts += [eighs(pair_stack, 0, 1, geometries[:p], drives[:p], manifold)
+    counts += [eighs(pair_effective_matrix, 0, 1, geometries[:p], drives[:p],
+                     manifold)
                for p in (1, 29)]
     n = MANIFOLD_N[manifold]
     assert counts == [sum(len(x_blocks(m)) for m in (n - 1, n, n + 1))] * 4
