@@ -373,10 +373,12 @@ def cmd_couplings(cfg, args, out_dir):
     return outputs, residuals
 
 
-def _time_series_rows(times, labels, populations):
-    cols = ["t_ms"] + ["P_" + ".".join(lab) for lab in labels]
-    return cols, [tuple([t] + [populations[lab][i] for lab in labels])
-                  for i, t in enumerate(times)]
+def _write_traces(path, labels, result):
+    """One row per time: t and the population of every tracked label."""
+    import numpy as np
+
+    _write_csv(path, ["t_ms"] + ["P_" + ".".join(lab) for lab in labels],
+               np.column_stack([result.times, result.populations]))
 
 
 def _run_residuals(result):
@@ -394,57 +396,81 @@ def _run_residuals(result):
 
 def cmd_evolve(cfg, args, out_dir):
     """Exact full-model evolution in the conserved N_X block."""
+    import numpy as np
+
     from .dynamics import evolve_full_model
 
     run = evolve_full_model(cfg)
-    res, tracked = run.result, run.tracked
-    times = res.times
+    res = run.sides["full"]
 
     outputs = [os.path.join(out_dir, "evolution.csv")]
-    _write_csv(outputs[0], *_time_series_rows(times, tracked, res.populations))
+    _write_traces(outputs[0], run.labels, res)
     if args.svg:
-        series = [(".".join(lab), res.populations[lab]) for lab in tracked
-                  if res.populations[lab].max() > 0.01]
+        shown = np.flatnonzero(res.populations.max(axis=0) > 0.01)
+        series = [(".".join(run.labels[i]), res.populations[:, i]) for i in shown]
         svg = os.path.join(out_dir, "evolution.svg")
-        write_line_svg(svg, times, series, "t (ms)", "population",
+        write_line_svg(svg, res.times, series, "t (ms)", "population",
                        title="full-model dynamics")
         outputs.append(svg)
     return outputs, {**_run_residuals(res), "sector_dim": run.sector_dim}
 
 
 def cmd_compare(cfg, args, out_dir):
+    import numpy as np
+
     from .dynamics import compare_full_vs_effective
+    from .params import KHZ
 
-    rep = compare_full_vs_effective(cfg)
-    sides = (("full", rep.full), ("effective", rep.effective))
-    outputs = [os.path.join(out_dir, f"compare_{side}.csv") for side, _ in sides]
-    for path, (_, res) in zip(outputs, sides):
-        _write_csv(path, *_time_series_rows(rep.times, rep.labels, res.populations))
+    run = compare_full_vs_effective(cfg)
+    sides = run.sides.items()
+    full, effective = run.sides["full"], run.sides["effective"]
+    times = full.times
+    outputs = [os.path.join(out_dir, f"compare_{side}.csv") for side in run.sides]
+    for path, res in zip(outputs, run.sides.values()):
+        _write_traces(path, run.labels, res)
 
-    lines = [f"overall_max_deviation = {rep.overall_max_deviation:.6e}"]
-    lines += [f"{name}[{'.'.join(lab)}] = {dev[lab]:.6e}"
-              for name, dev in (("max_abs_deviation", rep.max_abs_deviation),
-                                ("l2_deviation", rep.l2_deviation))
-              for lab in rep.labels]
+    max_dev, l2_dev = run.deviations()
+    # np.max, unlike max, propagates a NaN wherever it sits
+    overall = float(np.max(max_dev))
+    parameters = {
+        "n_ions": len(run.initial_labels),
+        "manifold": run.model.manifold,
+        "g_x_khz": cfg.drive.g_x / KHZ,
+        "g_y_khz": cfg.drive.g_y / KHZ,
+        "delta_khz": cfg.drive.delta / KHZ,
+        "homogeneous": cfg.drive.homogeneous,
+        "sector_dim": run.sector_dim,
+        "block_dim": len(full.final_state),
+        "full_method": full.method,
+        "effective_method": effective.method,
+        "blocks": f"full {full.blocks}, effective {effective.blocks}",
+        "initial_state": ",".join(run.initial_labels),
+        "t_final_ms": float(times[-1]),
+        "n_steps": len(times),
+    }
+    lines = [f"overall_max_deviation = {overall:.6e}"]
+    lines += [f"{name}[{'.'.join(lab)}] = {value:.6e}"
+              for name, dev in (("max_abs_deviation", max_dev),
+                                ("l2_deviation", l2_dev))
+              for lab, value in zip(run.labels, dev)]
     lines += [f"{side}_{drift} = {getattr(res, drift):.6e}"
               for drift in ("norm_drift", "energy_drift") for side, res in sides]
-    lines += [f"parameters.{k} = {v}" for k, v in sorted(rep.parameters.items())]
+    lines += [f"parameters.{k} = {v}" for k, v in sorted(parameters.items())]
     outputs.append(os.path.join(out_dir, "compare_report.txt"))
     with open(outputs[-1], "w") as fh:
         fh.write("".join(line + "\n" for line in lines))
 
     if args.svg:
-        shown = [lab for lab in rep.labels
-                 if rep.full.populations[lab].max() > 0.01]
-        series = [(".".join(lab), rep.full.populations[lab]) for lab in shown]
-        series += [(".".join(lab) + " (eff)", rep.effective.populations[lab])
-                   for lab in shown]
+        shown = np.flatnonzero(full.populations.max(axis=0) > 0.01)
+        series = [(".".join(run.labels[i]) + suffix, res.populations[:, i])
+                  for suffix, res in (("", full), (" (eff)", effective))
+                  for i in shown]
         dashed = {name for name, _ in series if name.endswith("(eff)")}
         svg = os.path.join(out_dir, "compare.svg")
-        write_line_svg(svg, rep.times, series, "t (ms)", "population",
+        write_line_svg(svg, times, series, "t (ms)", "population",
                        title="full vs effective", dashed=dashed)
         outputs.append(svg)
-    residuals = {"overall_max_deviation": rep.overall_max_deviation}
+    residuals = {"overall_max_deviation": overall}
     for side, res in sides:
         residuals.update((f"{side}_{key}", val)
                          for key, val in _run_residuals(res).items())

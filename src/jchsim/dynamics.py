@@ -12,14 +12,15 @@ tail, a certified bound on the state error, falls below CHEBYSHEV_TOL.
 Either way the observables are recorded as the states pass, and no state
 array spans the grid. States are tracked through squared overlaps with
 dressed product labels (full model) or spin product labels (effective
-model), which makes the two sides directly comparable trace by trace.
-Both run in the block of the initial labels' X: N_X for the full model,
-total S_z for the effective one. Tracked labels outside it have
-population exactly 0.
+model), one (times x labels) array per side, so the two sides of a run
+compare column by column. Both run in the block of the initial labels'
+X: N_X for the full model, total S_z for the effective one. Tracked
+labels outside it have population exactly 0. A Run holds a config's
+tracked labels and one EvolutionResult per side.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +35,7 @@ from .jchv import (
     build_full,
     site_manifold_states,
 )
-from .params import KHZ, SimConfig
+from .params import SimConfig
 from .superexchange import (
     SpinModel,
     build_spin_hamiltonian,
@@ -64,8 +65,7 @@ class EvolutionResult:
     """Population traces of one trajectory plus conservation diagnostics."""
 
     times: np.ndarray  # ms
-    labels: tuple
-    populations: dict  # label tuple -> array over times
+    populations: np.ndarray  # (times, tracked states) squared overlaps
     norm_drift: float  # max |<psi|psi> - 1|
     energy_drift: float  # max relative drift of <psi|H|psi>
     final_state: np.ndarray
@@ -73,25 +73,6 @@ class EvolutionResult:
     products: int  # products with H, 0 for dense
     truncation_bound: float  # summed series tails bounding the state error
     blocks: tuple  # dims of the parity blocks diagonalised, () for chebyshev
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-label deviation between full-model and effective-model traces."""
-
-    times: np.ndarray
-    labels: tuple
-    full: EvolutionResult
-    effective: EvolutionResult
-    max_abs_deviation: dict
-    l2_deviation: dict
-    parameters: dict = field(default_factory=dict)
-
-    @property
-    def overall_max_deviation(self):
-        # np.max, unlike max, propagates a NaN wherever it sits
-        return (float(np.max(list(self.max_abs_deviation.values())))
-                if self.max_abs_deviation else 0.0)
 
 
 def _n_x(labels):
@@ -240,24 +221,27 @@ def _observables(h, psis, overlap_rows):
     return norms, pops, energies
 
 
-def evolve(h: SparseOperator, psi0, times, label_states=None,
-           dense_threshold=DENSE_THRESHOLD, mirror=None):
-    """Propagate psi0 over the time grid and record label populations.
+def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
+    """Propagate psi0 over the time grid and record the populations of
+    the tracked states, one dense state per row: their squared overlaps,
+    one column per row.
 
-    label_states maps label -> dense vector; populations are squared
-    overlaps. H must be real symmetric, as every Hamiltonian the program
-    builds is. The dense method diagonalises H by block_eigh in the even
-    and odd blocks of mirror, a zero-argument callable returning the
-    chain reflection of h's basis (SectorBasis.mirror), None for the
-    identity; it is called only by the dense method. It forms the states
-    of at most DENSE_CHUNK // dim time points at once (at least one), the
-    Chebyshev method one; each method records their observables as they
-    pass, so no state array spans the grid. Raises ValueError on an H not
-    stored float64, or non-finite or non-Hermitian, on one that mixes the
-    parity blocks, or on a bad or non-finite grid; FloatingPointError if
-    eps times the last time times the Gershgorin bound on |H|, the phases'
-    rounding error, exceeds PHASE_TOL (or overflows), or if the Chebyshev
-    method would need more than CHEBYSHEV_MAX_PRODUCTS products.
+    H must be real symmetric, as every Hamiltonian the program builds
+    is. Below dimension DENSE_THRESHOLD the dense method diagonalises H
+    by block_eigh in the even and odd blocks of mirror, a zero-argument
+    callable returning the chain reflection of h's basis
+    (SectorBasis.mirror), None for the identity; it is called only by
+    the dense method. From DENSE_THRESHOLD on, the Chebyshev method
+    propagates one grid interval at a time. The dense method forms the
+    states of at most DENSE_CHUNK // dim time points at once (at least
+    one), the Chebyshev method one; each method records their
+    observables as they pass, so no state array spans the grid. Raises
+    ValueError on an H not stored float64, or non-finite or
+    non-Hermitian, on one that mixes the parity blocks, or on a bad or
+    non-finite grid; FloatingPointError if eps times the last time times
+    the Gershgorin bound on |H|, the phases' rounding error, exceeds
+    PHASE_TOL (or overflows), or if the Chebyshev method would need more
+    than CHEBYSHEV_MAX_PRODUCTS products.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -287,12 +271,11 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
             "overflow" if np.isinf(rounding) else
             f"are rounded to {rounding:.3g} rad, above the limit of {PHASE_TOL:g} rad"))
 
-    labels = tuple(label_states or {})
-    overlap_rows = np.array([label_states[lab].conj() for lab in labels],
-                            dtype=complex).reshape(len(labels), h.dim)
+    overlap_rows = np.array(tracked, dtype=complex).reshape(len(tracked),
+                                                            h.dim).conj()
 
     products, truncation_bound, blocks, steps = 0, 0.0, (), []
-    if h.dim < dense_threshold:
+    if h.dim < DENSE_THRESHOLD:
         method = "dense"
         spectra = block_eigh(h, None if mirror is None else mirror())
         blocks = tuple(basis.shape[1] for basis, _, _ in spectra)
@@ -347,11 +330,9 @@ def evolve(h: SparseOperator, psi0, times, label_states=None,
         np.max(np.abs(energies - e0)) / max(abs(e0), scale, 1e-30)
     )
 
-    populations = {lab: pops[:, i] for i, lab in enumerate(labels)}
     return EvolutionResult(
         times=times,
-        labels=labels,
-        populations=populations,
+        populations=pops,
         norm_drift=norm_drift,
         energy_drift=energy_drift,
         final_state=final_state,
@@ -413,30 +394,42 @@ def _tracked_labels(manifold, n_sites, initial_labels):
 def _evolve_labels(h, basis, state_of, initial, tracked, times):
     """evolve state_of(initial) in h's block, that of the initial X, with
     the block's chain reflection; a tracked label with another X never
-    gains population: exact zeros."""
+    gains population: its column is exact zeros."""
     n_x = _n_x(initial)
+    inside = [i for i, lab in enumerate(tracked) if _n_x(lab) == n_x]
     result = evolve(h, state_of(initial), times,
-                    {lab: state_of(lab) for lab in tracked if _n_x(lab) == n_x},
+                    [state_of(tracked[i]) for i in inside],
                     mirror=basis.mirror)
-    populations = {lab: result.populations[lab] if lab in result.populations
-                   else np.zeros(len(result.times)) for lab in tracked}
-    return replace(result, labels=tuple(tracked), populations=populations)
+    populations = np.zeros((len(result.times), len(tracked)))
+    populations[:, inside] = result.populations
+    return replace(result, populations=populations)
 
 
 @dataclass(frozen=True)
-class FullRun:
-    """Exact full-model evolution of a config's run, with the effective
-    model of the same manifold if it was built, else None."""
+class Run:
+    """A config's run: its tracked product labels, the columns of every
+    side's populations, and one EvolutionResult per side, "full" and, in
+    a comparison, "effective", on one time grid."""
 
-    model: SpinModel | None
+    model: SpinModel | None  # the effective model, if it was built
     initial_labels: tuple
-    tracked: tuple
+    labels: tuple
     sector_dim: int  # the total-excitation sector, counted, not allocated
-    result: EvolutionResult
+    sides: dict
+
+    def deviations(self):
+        """Per-label max |full - effective| and root-mean-square deviation
+        of the populations, each reduced over one contiguous row per label,
+        so every bit is that of the label's 1-D np.max and np.mean."""
+        diff = np.ascontiguousarray((self.sides["full"].populations
+                                     - self.sides["effective"].populations).T)
+        return (np.max(np.abs(diff), axis=1),
+                np.sqrt(np.mean(diff**2, axis=1)))
 
 
 def evolve_full_model(cfg: SimConfig, with_model=False):
-    """Evolve the dressed initial product state in its conserved N_X block.
+    """The Run of the dressed initial product state in its conserved N_X
+    block, its one side "full".
 
     Checks that every initial label lives in the n_excitations manifold,
     builds that manifold's effective model if the default horizon needs
@@ -472,61 +465,26 @@ def evolve_full_model(cfg: SimConfig, with_model=False):
     det_x, det_y = local_detunings(geometry, drive)
     _, vectors = site_manifold_states(n_per_site, det_x, det_y, drive.delta,
                                       drive.g_x, drive.g_y)
-    result = _evolve_labels(
+    full = _evolve_labels(
         h_full, basis, lambda lab: dressed_product_state(lab, vectors, basis),
         labels0, tracked, times)
-    return FullRun(model=model, initial_labels=labels0, tracked=tracked,
-                   sector_dim=sector_dim(geometry.n_ions,
-                                         geometry.n_ions * n_per_site),
-                   result=result)
+    return Run(model=model, initial_labels=labels0, labels=tracked,
+               sector_dim=sector_dim(geometry.n_ions,
+                                     geometry.n_ions * n_per_site),
+               sides={"full": full})
 
 
 def compare_full_vs_effective(cfg: SimConfig):
-    """Run matched full-model and effective-spin evolutions.
+    """The Run of evolve_full_model with the effective side added.
 
-    The full model evolves as in evolve_full_model; the effective model
-    evolves the coupling-table Hamiltonian in the initial labels' S_z
-    block (spin_block), on the same time grid and tracked labels.
+    The effective model evolves the coupling-table Hamiltonian in the
+    initial labels' S_z block (spin_block), on the full side's time grid
+    and tracked labels.
     """
-    drive = cfg.drive
     run = evolve_full_model(cfg, with_model=True)
-    res_full = run.result
-    times = res_full.times
-
     basis = spin_block(run.model.manifold, run.initial_labels)
-    res_eff = _evolve_labels(
+    effective = _evolve_labels(
         build_spin_hamiltonian(run.model, basis), basis,
         lambda lab: basis.product_vector([[(s, 1.0)] for s in lab]),
-        run.initial_labels, run.tracked, times)
-
-    max_dev = {}
-    l2_dev = {}
-    for lab in run.tracked:
-        diff = res_full.populations[lab] - res_eff.populations[lab]
-        max_dev[lab] = float(np.max(np.abs(diff)))
-        l2_dev[lab] = float(np.sqrt(np.mean(diff**2)))
-    parameters = {
-        "n_ions": len(run.initial_labels),
-        "manifold": run.model.manifold,
-        "g_x_khz": drive.g_x / KHZ,
-        "g_y_khz": drive.g_y / KHZ,
-        "delta_khz": drive.delta / KHZ,
-        "homogeneous": drive.homogeneous,
-        "sector_dim": run.sector_dim,
-        "block_dim": len(res_full.final_state),
-        "full_method": res_full.method,
-        "effective_method": res_eff.method,
-        "blocks": f"full {res_full.blocks}, effective {res_eff.blocks}",
-        "initial_state": ",".join(run.initial_labels),
-        "t_final_ms": float(times[-1]),
-        "n_steps": len(times),
-    }
-    return ComparisonReport(
-        times=times,
-        labels=run.tracked,
-        full=res_full,
-        effective=res_eff,
-        max_abs_deviation=max_dev,
-        l2_deviation=l2_dev,
-        parameters=parameters,
-    )
+        run.initial_labels, run.labels, run.sides["full"].times)
+    return replace(run, sides={**run.sides, "effective": effective})

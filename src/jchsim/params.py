@@ -316,6 +316,10 @@ def parse_config(text) -> SimConfig:
         homogeneous=_get(raw, "homogeneous", _bool, default=False),
     )
 
+    dim_cap = _get(raw, "dim_cap", int, default=DEFAULT_DIM_CAP)
+    if dim_cap < 1:
+        raise ConfigError("dim_cap must be a positive integer")
+
     initial = _get(raw, "initial_state", str)
     run = RunConfig(
         n_excitations=_get(raw, "n_excitations", int, default=1),
@@ -331,6 +335,6 @@ def parse_config(text) -> SimConfig:
         trap=trap,
         t_x=None if not explicit_t else _get(raw, "t_x_khz", _khz, required=True),
         t_y=None if not explicit_t else _get(raw, "t_y_khz", _khz, required=True),
-        dim_cap=_get(raw, "dim_cap", int, default=DEFAULT_DIM_CAP),
+        dim_cap=dim_cap,
         raw=raw,
     )

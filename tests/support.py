@@ -2,15 +2,17 @@
 
 The spin operators here are the textbook form of each coupling table:
 the oracle Hamiltonian sums them, weighted by a model's tables, plus the
-spin-independent constant of the table form. The views read records of
-the library (a basis's states, a run's populations) in the shapes the
-tests compare.
+spin-independent constant of the table form. The views read a basis's
+states in the shapes the tests compare; forced_method picks evolve's
+method.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 
+import jchsim.dynamics as dynamics
 from jchsim.crystal import local_detunings
 from jchsim.fock import site_sector_operators
 from jchsim.jchv import (
@@ -128,9 +130,11 @@ def whole_sector_ladder_stack(n, det_x, det_y, omega0, g_x, g_y):
               for a in ("a_x", "a_y")))
 
 
-def population_matrix(result):
-    """An EvolutionResult's populations, one row per tracked label."""
-    return np.array([result.populations[lab] for lab in result.labels])
+def forced_method(method):
+    """A context in which evolve takes method, "dense" or "chebyshev",
+    whatever the dimension of H: dynamics.DENSE_THRESHOLD patched."""
+    threshold = {"dense": math.inf, "chebyshev": 0}[method]
+    return mock.patch.object(dynamics, "DENSE_THRESHOLD", threshold)
 
 
 def basis_states(basis):

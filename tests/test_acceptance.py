@@ -38,8 +38,6 @@ from jchsim.superexchange import (
     spin_half_general,
     spin_one_general,
 )
-from support import population_matrix
-
 from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -58,13 +56,13 @@ def _report(num, name, ok, detail, t0, budget=None):
 
 
 @pytest.fixture(scope="module")
-def three_ion_report():
+def three_ion_run():
     cfg = parse_config((CONFIG_DIR / "three_ion_xxz.cfg").read_text())
     return cfg, compare_full_vs_effective(cfg)
 
 
 @pytest.fixture(scope="module")
-def spin_one_reports():
+def spin_one_runs():
     out = {}
     for tag in ("aniso", "iso"):
         cfg = parse_config(
@@ -166,12 +164,13 @@ def test_criterion_4_spin_one_closed_forms():
             budget=10.0)
 
 
-def test_criterion_5_three_ion_dynamics(three_ion_report):
+def test_criterion_5_three_ion_dynamics(three_ion_run):
     t0 = time.perf_counter()
-    _, rep = three_ion_report
-    dev = rep.overall_max_deviation
-    uud = rep.full.populations[("up", "up", "down")]
-    duu = rep.full.populations[("down", "up", "up")]
+    _, run = three_ion_run
+    dev = np.max(run.deviations()[0])
+    full = run.sides["full"].populations
+    uud = full[:, run.labels.index(("up", "up", "down"))]
+    duu = full[:, run.labels.index(("down", "up", "up"))]
     mirror = float(np.max(np.abs(uud - duu)))
     peak = float(uud.max())
     # transfer out of the initial product state and back
@@ -179,19 +178,20 @@ def test_criterion_5_three_ion_dynamics(three_ion_report):
     ok = dev <= 0.1 and mirror < 1e-9 and oscillates
     detail = (f"max dev full vs effective {dev:.4f} (tol 0.1), "
               f"peak P(up.up.down) {peak:.4f}, mirror asym {mirror:.2e} "
-              f"(tol 1e-9), sector dim {rep.parameters['sector_dim']}")
+              f"(tol 1e-9), sector dim {run.sector_dim}")
     _report(5, "three-ion superexchange dynamics", ok, detail, t0,
             budget=60.0)
 
 
-def test_criterion_6_spin_one_dynamics(spin_one_reports):
+def test_criterion_6_spin_one_dynamics(spin_one_runs):
     t0 = time.perf_counter()
     details = []
     ok = True
-    for tag, rep in spin_one_reports.items():
-        dev = rep.overall_max_deviation
-        p00 = float(rep.full.populations[("0", "0")].max())
-        pm11 = float(rep.full.populations[("-1", "1")].max())
+    for tag, run in spin_one_runs.items():
+        dev = np.max(run.deviations()[0])
+        full = run.sides["full"].populations
+        p00 = float(full[:, run.labels.index(("0", "0"))].max())
+        pm11 = float(full[:, run.labels.index(("-1", "1"))].max())
         ok = ok and dev <= 0.1 and p00 > 0.1 and pm11 > 0.5
         details.append(f"{tag}: dev {dev:.4f} (tol 0.1), "
                        f"peaks P(0.0) {p00:.3f} P(-1.1) {pm11:.3f}")
@@ -199,9 +199,9 @@ def test_criterion_6_spin_one_dynamics(spin_one_reports):
             budget=60.0)
 
 
-def test_criterion_7_conservation(three_ion_report):
+def test_criterion_7_conservation(three_ion_run):
     t0 = time.perf_counter()
-    cfg, rep = three_ion_report
+    cfg, run = three_ion_run
     geo = geometry_from_config(cfg)
     drive = cfg.drive
 
@@ -220,8 +220,8 @@ def test_criterion_7_conservation(three_ion_report):
         comm_worst = max(comm_worst,
                          np.max(np.abs(comm.toarray())) if comm.nnz else 0.0)
 
-    norm_drift = max(rep.full.norm_drift, rep.effective.norm_drift)
-    energy_drift = max(rep.full.energy_drift, rep.effective.energy_drift)
+    norm_drift = max(res.norm_drift for res in run.sides.values())
+    energy_drift = max(res.energy_drift for res in run.sides.values())
 
     basis = enumerate_sector(3, 3)
     times = np.linspace(0.0, 6.0, 30)
@@ -232,11 +232,9 @@ def test_criterion_7_conservation(three_ion_report):
         _, vectors = site_manifold_states(1, det_x, det_y, d.delta, d.g_x,
                                           d.g_y)
         psi0 = dressed_product_state(("up", "down", "up"), vectors, basis)
-        tracked = {
-            lab: dressed_product_state(lab, vectors, basis)
-            for lab in [("up", "down", "up"), ("down", "up", "up")]
-        }
-        return population_matrix(evolve(h, psi0, times, tracked))
+        tracked = [dressed_product_state(lab, vectors, basis)
+                   for lab in [("up", "down", "up"), ("down", "up", "up")]]
+        return evolve(h, psi0, times, tracked).populations
 
     # a common detuning Delta given with delta leaves the drive, and every
     # trace, exactly as it was

@@ -466,6 +466,17 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_exit_code_dim_cap_below_one(tmp_path, capsys, command):
+    # refused as the config is read: no geometry, no basis count, no output
+    cfg = write_cfg(tmp_path, ISO_PAIR + "dim_cap = -3\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: dim_cap must be a positive integer\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub", ["", "sub"])
 def test_exit_code_unwritable_out(tmp_path, capsys, sub):
     # --out names a regular file, or a directory below one

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ import jchsim.dynamics as dynamics
 from jchsim.dynamics import (
     CHEBYSHEV_TOL,
     DENSE_THRESHOLD,
-    ComparisonReport,
+    Run,
     _chebyshev_terms,
     bessel_j,
     block_eigh,
@@ -45,7 +46,7 @@ from jchsim.superexchange import (
     spin_half_general,
     spin_one_general,
 )
-from support import oracle_model, population_matrix
+from support import forced_method, oracle_model
 
 DRIVE = make_drive(g_x=19.0 * KHZ, g_y=20.0 * KHZ, delta=-0.22 * KHZ)
 
@@ -152,50 +153,52 @@ def test_evolve_input_validation():
             evolve(bad, psi0, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("dense_threshold", [DENSE_THRESHOLD, 1])
-def test_evolve_refuses_overflowing_horizon(dense_threshold):
+@pytest.mark.parametrize("method", ["dense", "chebyshev"])
+def test_evolve_refuses_overflowing_horizon(method):
     # 20 * 1e307 overflows; the dense phases would read NaN, and the
     # Chebyshev split count would be unbounded
     h = SparseOperator(2, sp.csr_matrix(np.diag([1.0, 20.0])))
     psi0 = np.array([1.0, 0.0])
-    with pytest.raises(FloatingPointError, match="overflow"):
-        evolve(h, psi0, [0.0, 1e307], dense_threshold=dense_threshold)
-    # finite, but phases rounded to about 4e291 rad
-    with pytest.raises(FloatingPointError, match="rounded"):
-        evolve(h, psi0, [0.0, 1e306], dense_threshold=dense_threshold)
+    with forced_method(method):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            evolve(h, psi0, [0.0, 1e307])
+        # finite, but phases rounded to about 4e291 rad
+        with pytest.raises(FloatingPointError, match="rounded"):
+            evolve(h, psi0, [0.0, 1e306])
 
 
-@pytest.mark.parametrize("dense_threshold", [DENSE_THRESHOLD, 1])
-def test_evolve_phase_rounding_boundary(dense_threshold):
+@pytest.mark.parametrize("method", ["dense", "chebyshev"])
+def test_evolve_phase_rounding_boundary(method):
     # eps |E| t crosses PHASE_TOL at t_edge; the spectrum is narrow, so the
     # Chebyshev method needs few products to get there
     h = SparseOperator(2, sp.csr_matrix(np.diag([1e3, 1e3 + 2e-3])))
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     t_edge = dynamics.PHASE_TOL / (np.finfo(float).eps * (1e3 + 2e-3))
-    res = evolve(h, psi0, [0.0, t_edge * (1.0 - 1e-9)],
-                 {"psi0": psi0}, dense_threshold=dense_threshold)
-    assert res.method == ("dense" if dense_threshold > 2 else "chebyshev")
+    with forced_method(method):
+        res = evolve(h, psi0, [0.0, t_edge * (1.0 - 1e-9)], [psi0])
+    assert res.method == method
     t = res.times[-1]
     exact = np.cos(0.5 * ((1e3 + 2e-3) - 1e3) * t) ** 2
-    assert abs(res.populations["psi0"][-1] - exact) < dynamics.PHASE_TOL
+    assert abs(res.populations[-1, 0] - exact) < dynamics.PHASE_TOL
     assert res.norm_drift < dynamics.PHASE_TOL
     if res.method == "chebyshev":
         # H is shifted and scaled onto [-1, 1] once, a Hermitian rounding,
         # so the 4 935 products keep the error within the truncation bound
         assert res.products == 4935
-        assert abs(res.populations["psi0"][-1] - exact) <= res.truncation_bound
-    with pytest.raises(FloatingPointError, match="rounded to 1e-06 rad"):
-        evolve(h, psi0, [0.0, t_edge * (1.0 + 1e-9)],
-               dense_threshold=dense_threshold)
+        assert abs(res.populations[-1, 0] - exact) <= res.truncation_bound
+    with forced_method(method), pytest.raises(FloatingPointError,
+                                              match="rounded to 1e-06 rad"):
+        evolve(h, psi0, [0.0, t_edge * (1.0 + 1e-9)])
 
 
 def test_evolve_refuses_unbounded_chebyshev_work():
     # phases rounded to 4.4e-7 rad, under PHASE_TOL, but 2e9 products:
     # refused before the first one
     h = SparseOperator(2, sp.csr_matrix(np.diag([-10.0, 10.0])))
-    with mock.patch.object(dynamics, "_chebyshev_propagate") as propagate:
+    with (mock.patch.object(dynamics, "_chebyshev_propagate") as propagate,
+          forced_method("chebyshev")):
         with pytest.raises(FloatingPointError, match="2e[+]09 products"):
-            evolve(h, np.array([1.0, 0.0]), [0.0, 2e8], dense_threshold=1)
+            evolve(h, np.array([1.0, 0.0]), [0.0, 2e8])
     propagate.assert_not_called()
 
 
@@ -204,11 +207,11 @@ def test_initial_populations_are_overlaps():
     psi0 = bare_state(("up", "down"), DRIVE, basis)
     geo = CrystalGeometry.from_uniform_hoppings(2, 0.05 * KHZ, 0.07 * KHZ)
     h = build_full(basis, geo, replace(DRIVE, homogeneous=True))
-    tracked = {lab: bare_state(lab, DRIVE, basis)
-               for lab in [("up", "down"), ("down", "up")]}
+    tracked = [bare_state(lab, DRIVE, basis)
+               for lab in [("up", "down"), ("down", "up")]]
     res = evolve(h, psi0, [0.0], tracked)
-    assert res.populations[("up", "down")][0] == pytest.approx(1.0, abs=1e-12)
-    assert res.populations[("down", "up")][0] == pytest.approx(0.0, abs=1e-12)
+    assert res.populations[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert res.populations[0, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_flip_flop_rabi_formula():
@@ -219,9 +222,9 @@ def test_flip_flop_rabi_formula():
     psi0 = basis.product_vector([[("up", 1.0)], [("down", 1.0)]])
     target = basis.product_vector([[("down", 1.0)], [("up", 1.0)]])
     times = np.linspace(0.0, 20.0, 201)
-    res = evolve(h, psi0, times, {("down", "up"): target})
+    res = evolve(h, psi0, times, [target])
     expected = np.sin(2.0 * k * KHZ * times) ** 2
-    assert np.max(np.abs(res.populations[("down", "up")] - expected)) < 1e-10
+    assert np.max(np.abs(res.populations[:, 0] - expected)) < 1e-10
     # transfer time = pi / (4 |K|)
     assert estimate_period(model, ("up", "down")) == pytest.approx(
         np.pi / (4.0 * abs(k) * KHZ), rel=1e-12)
@@ -237,12 +240,12 @@ def test_dense_peak_does_not_grow_with_the_grid(monkeypatch):
     rng = np.random.default_rng(41)
     a = rng.normal(size=(300, 300))
     h = SparseOperator(300, sp.csr_matrix(a + a.T))
-    tracked = {str(i): np.eye(300)[i] for i in range(4)}
+    tracked = np.eye(300)[:4]
     peaks = []
     for n_times in (200, 4000):
         tracemalloc.start()
         try:
-            result = evolve(h, tracked["0"], np.linspace(0.0, 1.0, n_times),
+            result = evolve(h, tracked[0], np.linspace(0.0, 1.0, n_times),
                             tracked)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -256,17 +259,15 @@ def test_dense_chunks_agree_with_one_chunk(monkeypatch):
     cfg = parse_config(THREE_ION_CFG)
     basis = enumerate_sector(3, 3)
     h = build_full(basis, geometry_from_config(cfg), cfg.drive)
-    tracked = {lab: bare_state(lab, cfg.drive, basis)
-               for lab in [("up", "down", "up"), ("down", "up", "up")]}
-    psi0 = tracked[("up", "down", "up")]
+    tracked = [bare_state(lab, cfg.drive, basis)
+               for lab in [("up", "down", "up"), ("down", "up", "up")]]
+    psi0 = tracked[0]
     times = np.linspace(0.0, 4.0, 45)
     whole = evolve(h, psi0, times, tracked, mirror=basis.mirror)
     monkeypatch.setattr(dynamics, "DENSE_CHUNK", 7 * basis.dim)
     chunked = evolve(h, psi0, times, tracked, mirror=basis.mirror)
     assert len(whole.blocks) == 2 and chunked.blocks == whole.blocks
-    for lab in tracked:
-        assert np.max(np.abs(chunked.populations[lab]
-                             - whole.populations[lab])) < 1e-12
+    assert np.max(np.abs(chunked.populations - whole.populations)) < 1e-12
     assert abs(chunked.norm_drift - whole.norm_drift) < 1e-12
     assert abs(chunked.energy_drift - whole.energy_drift) < 1e-12
     assert np.max(np.abs(chunked.final_state - whole.final_state)) < 1e-12
@@ -278,14 +279,13 @@ def test_dense_hamiltonian_matches_expm():
     h = SparseOperator(20, sp.csr_matrix(a + a.T))
     psi0 = rng.normal(size=20) + 1j * rng.normal(size=20)
     psi0 /= np.linalg.norm(psi0)
-    tracked = {("e", str(i)): np.eye(20)[i] for i in range(20)}
     times = np.linspace(0.0, 0.7, 8)
-    res = evolve(h, psi0, times, tracked)
+    res = evolve(h, psi0, times, np.eye(20))
     assert res.method == "dense"
     exact = np.array([scipy.linalg.expm(-1j * t * h.mat.toarray()) @ psi0
                       for t in times])
     assert np.max(np.abs(res.final_state - exact[-1])) < 1e-10
-    assert np.max(np.abs(population_matrix(res) - np.abs(exact.T) ** 2)) < 1e-10
+    assert np.max(np.abs(res.populations - np.abs(exact) ** 2)) < 1e-10
 
 
 def test_dense_degenerate_parity_blocks_match_expm():
@@ -307,27 +307,57 @@ def test_dense_degenerate_parity_blocks_match_expm():
     op = SparseOperator(dim, sp.csr_matrix(h))
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
-    tracked = {("e", str(i)): np.eye(dim)[i] for i in range(dim)}
     times = np.linspace(0.0, 3.0, 9)
-    res = evolve(op, psi0, times, tracked, mirror=lambda: reverse)
+    res = evolve(op, psi0, times, np.eye(dim), mirror=lambda: reverse)
     assert res.method == "dense" and res.blocks == (4, 3)
     exact = np.array([scipy.linalg.expm(-1j * t * h) @ psi0 for t in times])
     assert np.max(np.abs(res.final_state - exact[-1])) < 1e-10
-    assert np.max(np.abs(population_matrix(res)
-                         - np.abs(exact.T) ** 2)) < 1e-10
+    assert np.max(np.abs(res.populations - np.abs(exact) ** 2)) < 1e-10
     assert res.norm_drift < 1e-12 and res.energy_drift < 1e-12
 
 
+def two_sided(full, effective):
+    """A Run of two sides that hold only the population arrays given."""
+    labels = tuple((str(i),) for i in range(np.shape(full)[1]))
+    return Run(model=None, initial_labels=labels[0], labels=labels,
+               sector_dim=0, sides={
+                   "full": SimpleNamespace(populations=np.asarray(full)),
+                   "effective": SimpleNamespace(populations=np.asarray(effective))})
+
+
+def test_deviations_are_the_per_label_reductions():
+    # bit for bit the 1-D reductions of each label's trace, on a compare
+    # run and on a wide random pair, where a reduction over the time axis
+    # of the (times x labels) array moves the last bits of the RMS
+    cfg = parse_config(THREE_ION_CFG + "t_final_ms = 5.0\nn_steps = 120\n")
+    rng = np.random.default_rng(7)
+    for run in (compare_full_vs_effective(cfg),
+                two_sided(rng.random((400, 81)), rng.random((400, 81)))):
+        full, effective = (run.sides[side].populations
+                           for side in ("full", "effective"))
+        assert full.shape[0] >= 100 and full.shape[1] >= 2
+        diffs = [full[:, i] - effective[:, i] for i in range(full.shape[1])]
+        max_dev, rms_dev = run.deviations()
+        assert max_dev.tobytes() == np.array(
+            [np.max(np.abs(d)) for d in diffs]).tobytes()
+        assert rms_dev.tobytes() == np.array(
+            [np.sqrt(np.mean(d**2)) for d in diffs]).tobytes()
+
+
 def test_overall_max_deviation_propagates_nan():
-    def report(devs):
-        return ComparisonReport(times=np.zeros(1), labels=(), full=None,
-                                effective=None, max_abs_deviation=devs,
-                                l2_deviation={})
-    assert report({}).overall_max_deviation == 0.0
-    assert report({"a": 0.1, "b": 0.3}).overall_max_deviation == 0.3
-    # Python's max keeps 0.1 when the NaN comes second
-    assert np.isnan(report({"a": 0.1, "b": np.nan}).overall_max_deviation)
-    assert np.isnan(report({"a": np.nan, "b": 0.1}).overall_max_deviation)
+    # a NaN anywhere in a label's trace is that label's deviation, and the
+    # overall deviation, np.max over the labels, keeps it where Python's
+    # max keeps 0.1 when the NaN comes second
+    def deviations(*columns):
+        full = np.array(columns).T
+        return two_sided(full, np.zeros_like(full)).deviations()
+
+    max_dev, rms_dev = deviations([0.1, -0.05], [0.0, 0.3])
+    assert list(max_dev) == [0.1, 0.3] and np.max(max_dev) == 0.3
+    for columns in (([0.1, 0.0], [0.0, np.nan]), ([np.nan, 0.0], [0.1, 0.0])):
+        max_dev, rms_dev = deviations(*columns)
+        assert np.isnan(max_dev).sum() == 1 == np.isnan(rms_dev).sum()
+        assert np.isnan(np.max(max_dev))
 
 
 def test_diagonal_hamiltonian_freezes_populations():
@@ -336,9 +366,8 @@ def test_diagonal_hamiltonian_freezes_populations():
     h = SparseOperator(8, sp.csr_matrix(np.diag(d)))
     psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi0 /= np.linalg.norm(psi0)
-    tracked = {("e", str(i)): np.eye(8)[i] for i in range(8)}
-    res = evolve(h, psi0, np.linspace(0.0, 7.0, 40), tracked)
-    for lab, trace in res.populations.items():
+    res = evolve(h, psi0, np.linspace(0.0, 7.0, 40), np.eye(8))
+    for trace in res.populations.T:
         assert np.max(np.abs(trace - trace[0])) < 1e-12
     assert res.norm_drift < 1e-12
     assert res.energy_drift < 1e-12
@@ -350,13 +379,13 @@ def test_chebyshev_matches_dense():
     basis = enumerate_sector(3, 3)
     h = build_full(basis, geo, cfg.drive)
     psi0 = bare_state(("up", "down", "up"), cfg.drive, basis)
-    tracked = {("up", "down", "up"): psi0}
     times = np.linspace(0.0, 4.0, 25)
-    dense = evolve(h, psi0, times, tracked, dense_threshold=10**9)
-    cheb = evolve(h, psi0, times, tracked, dense_threshold=1)
+    with forced_method("dense"):
+        dense = evolve(h, psi0, times, [psi0])
+    with forced_method("chebyshev"):
+        cheb = evolve(h, psi0, times, [psi0])
     assert cheb.method == "chebyshev"
-    diff = np.abs(dense.populations[("up", "down", "up")]
-                  - cheb.populations[("up", "down", "up")])
+    diff = np.abs(dense.populations[:, 0] - cheb.populations[:, 0])
     assert np.max(diff) < 1e-8
     assert np.max(np.abs(dense.final_state - cheb.final_state)) < 1e-8
     assert cheb.norm_drift < 1e-9
@@ -384,11 +413,13 @@ def test_chebyshev_error_within_bound(dim, seed, gaps, tol):
     h = random_symmetric(rng, dim)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
-    tracked = {("e", str(i)): np.eye(dim)[i] for i in range(dim)}
+    tracked = np.eye(dim)
     times = np.cumsum(gaps)
-    with mock.patch.object(dynamics, "CHEBYSHEV_TOL", tol):
-        cheb = evolve(h, psi0, times, tracked, dense_threshold=1)
-    dense = evolve(h, psi0, times, tracked, dense_threshold=10**9)
+    with (mock.patch.object(dynamics, "CHEBYSHEV_TOL", tol),
+          forced_method("chebyshev")):
+        cheb = evolve(h, psi0, times, tracked)
+    with forced_method("dense"):
+        dense = evolve(h, psi0, times, tracked)
     assert cheb.method == "chebyshev"
     # one tail per expansion; an interval is split into expansions of
     # half * gap <= CHEBYSHEV_MAX_X
@@ -403,7 +434,7 @@ def test_chebyshev_error_within_bound(dim, seed, gaps, tol):
     err = np.linalg.norm(cheb.final_state - dense.final_state)
     assert err <= cheb.truncation_bound + roundoff
     # |P - P'| <= (|a| + |a'|) |a - a'| at every point, each within the bound
-    pop_err = np.abs(population_matrix(cheb) - population_matrix(dense))
+    pop_err = np.abs(cheb.populations - dense.populations)
     assert np.max(pop_err) <= 2.0 * cheb.truncation_bound + roundoff
 
 
@@ -416,8 +447,10 @@ def test_long_interval_is_split():
     dt = 2500.0 / half
     psi0 = rng.normal(size=30) + 1j * rng.normal(size=30)
     psi0 /= np.linalg.norm(psi0)
-    cheb = evolve(h, psi0, [0.0, dt], dense_threshold=1)
-    dense = evolve(h, psi0, [0.0, dt], dense_threshold=10**9)
+    with forced_method("chebyshev"):
+        cheb = evolve(h, psi0, [0.0, dt])
+    with forced_method("dense"):
+        dense = evolve(h, psi0, [0.0, dt])
     j, tail = _chebyshev_terms(half * dt / 3)
     assert cheb.products == 3 * (len(j) - 1)
     assert cheb.truncation_bound == pytest.approx(3 * tail)
@@ -481,14 +514,12 @@ def test_parity_blocks_match_one_block(dim, seed, pairs):
     h = SparseOperator(dim, sp.csr_matrix(0.5 * (a + a[np.ix_(m, m)])))
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
-    tracked = {("e", str(i)): np.eye(dim)[i] for i in range(dim)}
     times = np.linspace(0.0, rng.uniform(0.1, 2.0), 7)
-    whole = evolve(h, psi0, times, tracked)
-    split = evolve(h, psi0, times, tracked, mirror=lambda: m)
+    whole = evolve(h, psi0, times, np.eye(dim))
+    split = evolve(h, psi0, times, np.eye(dim), mirror=lambda: m)
     assert whole.blocks == (dim,)
     assert split.blocks == ((dim - n_pairs, n_pairs) if n_pairs else (dim,))
-    assert np.max(np.abs(population_matrix(split)
-                         - population_matrix(whole))) < 1e-10
+    assert np.max(np.abs(split.populations - whole.populations)) < 1e-10
     assert np.max(np.abs(split.final_state - whole.final_state)) < 1e-10
     assert abs(split.norm_drift - whole.norm_drift) < 1e-10
     assert abs(split.energy_drift - whole.energy_drift) < 1e-10
@@ -509,8 +540,8 @@ def test_evolve_checks_the_mirror():
             evolve(h, psi0, [0.0, 1.0], mirror=lambda: np.array(bad))
     # the Chebyshev method never asks for the map
     mirror = mock.Mock()
-    assert evolve(h, psi0, [0.0, 1.0], dense_threshold=1,
-                  mirror=mirror).blocks == ()
+    with forced_method("chebyshev"):
+        assert evolve(h, psi0, [0.0, 1.0], mirror=mirror).blocks == ()
     mirror.assert_not_called()
 
 
@@ -541,21 +572,18 @@ def test_chebyshev_matches_dense_above_threshold():
     vectors = site_vectors(1, *local_detunings(geo, cfg.drive), cfg.drive)
     labels = [tuple("up" if i == j else "down" for i in range(5))
               for j in range(5)]
-    states = {lab: dressed_product_state(lab, vectors, basis) for lab in labels}
+    states = [dressed_product_state(lab, vectors, basis) for lab in labels]
     times = np.linspace(0.0, 2.0, 11)
-    cheb = evolve(h, states[labels[0]], times, states)
-    dense = evolve(h, states[labels[0]], times, states,
-                   dense_threshold=10**9)
-    split = evolve(h, states[labels[0]], times, states,
-                   dense_threshold=10**9, mirror=basis.mirror)
+    cheb = evolve(h, states[0], times, states)
+    with forced_method("dense"):
+        dense = evolve(h, states[0], times, states)
+        split = evolve(h, states[0], times, states, mirror=basis.mirror)
     assert (cheb.method, dense.method) == ("chebyshev", "dense")
-    assert np.max(np.abs(population_matrix(cheb)
-                         - population_matrix(dense))) < 1e-9
+    assert np.max(np.abs(cheb.populations - dense.populations)) < 1e-9
     assert np.max(np.abs(cheb.final_state - dense.final_state)) < 1e-9
     assert cheb.truncation_bound < 1e-9
     assert sum(split.blocks) == basis.dim and len(split.blocks) == 2
-    assert np.max(np.abs(population_matrix(split)
-                         - population_matrix(dense))) < 1e-9
+    assert np.max(np.abs(split.populations - dense.populations)) < 1e-9
     assert np.max(np.abs(split.final_state - dense.final_state)) < 1e-9
 
 
@@ -568,11 +596,9 @@ def test_joint_detuning_offset_invariance():
     def traces(drive):
         h = build_full(basis, geo, drive)
         psi0 = bare_state(("up", "down", "up"), drive, basis)
-        tracked = {
-            lab: bare_state(lab, drive, basis)
-            for lab in [("up", "down", "up"), ("down", "up", "up")]
-        }
-        return population_matrix(evolve(h, psi0, times, tracked))
+        tracked = [bare_state(lab, drive, basis)
+                   for lab in [("up", "down", "up"), ("down", "up", "up")]]
+        return evolve(h, psi0, times, tracked).populations
 
     # a common detuning Delta in the config leaves every trace exactly
     # as it was
@@ -584,22 +610,23 @@ def test_compare_zero_hopping_is_trivial():
     cfg = parse_config("n_ions = 2\nt_x_khz = 0.0\nt_y_khz = 0.0\n"
                        "g_x_khz = 20.0\ng_y_khz = 26.0\ndelta_khz = 0.1\n"
                        "n_excitations = 1\ninitial_state = up,down\n")
-    report = compare_full_vs_effective(cfg)
-    assert isinstance(report, ComparisonReport)
-    assert report.overall_max_deviation < 1e-10
-    trace = report.full.populations[("up", "down")]
+    run = compare_full_vs_effective(cfg)
+    assert isinstance(run, Run)
+    assert np.max(run.deviations()[0]) < 1e-10
+    trace = run.sides["full"].populations[:, run.labels.index(("up", "down"))]
     assert np.max(np.abs(trace - 1.0)) < 1e-10
 
 
 def test_compare_three_ion_window():
     cfg = parse_config(THREE_ION_CFG + "t_final_ms = 5.0\nn_steps = 60\n")
-    report = compare_full_vs_effective(cfg)
-    assert report.overall_max_deviation < 0.1
-    assert report.parameters["sector_dim"] == 262
-    assert report.parameters["block_dim"] == 93
+    run = compare_full_vs_effective(cfg)
+    full = run.sides["full"]
+    assert np.max(run.deviations()[0]) < 0.1
+    assert run.sector_dim == 262
+    assert len(full.final_state) == 93
     # reflection symmetry of the crystal about the center ion
-    mirror = np.abs(report.full.populations[("down", "up", "up")]
-                    - report.full.populations[("up", "up", "down")])
+    mirror = np.abs(full.populations[:, run.labels.index(("down", "up", "up"))]
+                    - full.populations[:, run.labels.index(("up", "up", "down"))])
     assert np.max(mirror) < 1e-9
 
 
@@ -684,25 +711,26 @@ def run_config(n_ions, n, trap, labels, homogeneous=None, t_final_ms=None,
 def test_block_run_matches_full_sector(n_ions, n, labels, trap):
     cfg = run_config(n_ions, n, trap, labels, t_final_ms=200.0, n_steps=30)
     run = evolve_full_model(cfg)
-    times = run.result.times
+    full = run.sides["full"]
+    times = full.times
     assert np.array_equal(times, np.linspace(0.0, 200.0, 30))
     assert run.sector_dim == enumerate_sector(n_ions, n_ions * n).dim
-    assert len(run.result.final_state) < run.sector_dim
+    assert len(full.final_state) < run.sector_dim
 
     # reference: the whole total-excitation sector
     geo = geometry_from_config(cfg)
     basis = enumerate_sector(n_ions, n_ions * n)
     vectors = site_vectors(n, *local_detunings(geo, cfg.drive), cfg.drive)
-    states = {lab: dressed_product_state(lab, vectors, basis)
-              for lab in run.tracked}
     ref = evolve(build_full(basis, geo, cfg.drive),
-                 states[run.initial_labels], times, states)
+                 dressed_product_state(run.initial_labels, vectors, basis),
+                 times, [dressed_product_state(lab, vectors, basis)
+                         for lab in run.labels])
     n_x = sum(LABEL_X[s] for s in run.initial_labels)
-    assert run.result.labels == run.tracked
-    for lab in run.tracked:
-        trace = run.result.populations[lab]
+    assert full.populations.shape == (len(times), len(run.labels))
+    for lab, trace, ref_trace in zip(run.labels, full.populations.T,
+                                     ref.populations.T):
         if sum(LABEL_X[s] for s in lab) == n_x:
-            assert np.max(np.abs(trace - ref.populations[lab])) < 1e-10
+            assert np.max(np.abs(trace - ref_trace)) < 1e-10
         else:
             assert np.all(trace == 0.0)
 
@@ -730,10 +758,10 @@ def test_hamiltonians_are_reflection_symmetric(size, trap, homogeneous, data):
 def test_compare_n4_parity_blocks():
     cfg = run_config(4, 1, False, "up,down,up,down", t_final_ms=1.0,
                      n_steps=3)
-    report = compare_full_vs_effective(cfg)
+    run = compare_full_vs_effective(cfg)
     # 834 N_X = 2 states, 14 their own reflection; 6 S_z = 0 spin states
-    assert report.full.blocks == (424, 410)
-    assert report.effective.blocks == (4, 2)
+    assert run.sides["full"].blocks == (424, 410)
+    assert run.sides["effective"].blocks == (4, 2)
 
 
 def whole_space_basis(manifold, n_sites):
@@ -751,11 +779,11 @@ def one_hot(basis, labels):
                                              (2, 2, "1,-1")])
 def test_effective_block_run_matches_whole_space(n_ions, n, labels, trap):
     cfg = run_config(n_ions, n, trap, labels, t_final_ms=200.0, n_steps=30)
-    report = compare_full_vs_effective(cfg)
-    times = report.times
-    eff = report.effective
+    run = compare_full_vs_effective(cfg)
+    eff = run.sides["effective"]
+    times = eff.times
     initial = tuple(labels.split(","))
-    manifold = report.parameters["manifold"]
+    manifold = run.model.manifold
     assert len(eff.final_state) == spin_block(manifold, initial).dim
     assert len(eff.final_state) < len(MANIFOLD_LABELS[n]) ** n_ions
 
@@ -763,15 +791,14 @@ def test_effective_block_run_matches_whole_space(n_ions, n, labels, trap):
     build = spin_half_general if n == 1 else spin_one_general
     model = build(geometry_from_config(cfg), cfg.drive)
     whole = whole_space_basis(manifold, n_ions)
-    states = {lab: one_hot(whole, lab) for lab in report.labels}
-    ref = evolve(build_spin_hamiltonian(model, whole), states[initial], times,
-                 states)
+    ref = evolve(build_spin_hamiltonian(model, whole), one_hot(whole, initial),
+                 times, [one_hot(whole, lab) for lab in run.labels])
     n_x = sum(LABEL_X[s] for s in initial)
-    assert eff.labels == report.labels
-    for lab in report.labels:
-        trace = eff.populations[lab]
+    assert eff.populations.shape == (len(times), len(run.labels))
+    for lab, trace, ref_trace in zip(run.labels, eff.populations.T,
+                                     ref.populations.T):
         if sum(LABEL_X[s] for s in lab) == n_x:
-            assert np.max(np.abs(trace - ref.populations[lab])) < 1e-10
+            assert np.max(np.abs(trace - ref_trace)) < 1e-10
         else:
             assert np.all(trace == 0.0)
 

@@ -244,3 +244,10 @@ def test_parse_config_refuses_overflowed_conversion(key):
     lines = [ln for ln in CONFIG.splitlines() if not ln.startswith(key)]
     with pytest.raises(ConfigError, match=f"non-finite value for {key}"):
         parse_config("\n".join(lines) + f"\n{key} = 1e308\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_dim_cap_must_be_positive(value):
+    with pytest.raises(ConfigError, match="dim_cap must be a positive integer"):
+        parse_config(CONFIG + f"\ndim_cap = {value}\n")
+    assert parse_config(CONFIG + "\ndim_cap = 1\n").dim_cap == 1
