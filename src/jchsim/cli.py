@@ -429,7 +429,7 @@ def cmd_compare(cfg, args, out_dir):
     for path, res in zip(outputs, run.sides.values()):
         _write_traces(path, run.labels, res)
 
-    max_dev, l2_dev = run.deviations()
+    max_dev, rms_dev = run.deviations()
     # np.max, unlike max, propagates a NaN wherever it sits
     overall = float(np.max(max_dev))
     parameters = {
@@ -451,7 +451,7 @@ def cmd_compare(cfg, args, out_dir):
     lines = [f"overall_max_deviation = {overall:.6e}"]
     lines += [f"{name}[{'.'.join(lab)}] = {value:.6e}"
               for name, dev in (("max_abs_deviation", max_dev),
-                                ("l2_deviation", l2_dev))
+                                ("rms_deviation", rms_dev))
               for lab, value in zip(run.labels, dev)]
     lines += [f"{side}_{drift} = {getattr(res, drift):.6e}"
               for drift in ("norm_drift", "energy_drift") for side, res in sides]

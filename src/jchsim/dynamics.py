@@ -3,14 +3,16 @@
 Evolution is unitary: dense eigendecomposition below a dimension
 threshold, one real divide-and-conquer eigh (LAPACK syevd, through
 numpy.linalg; the program loads no SciPy linear algebra module) per
-chain-reflection parity block, the states formed one chunk of the time
-grid at a time; above it, a Chebyshev expansion of exp(-i H dt) per grid
-interval (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) on the
-Gershgorin interval of H, mapped onto [-1, 1] once, each term one
+chain-reflection parity block, one block's eigenvectors in memory at a
+time, every grid time read from the eigencoefficients of the initial
+and tracked states; above it, a Chebyshev expansion of exp(-i H dt) per
+grid interval (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) on
+the Gershgorin interval of H, mapped onto [-1, 1] once, each term one
 product of the mapped H with the complex state, cut where the series
 tail, a certified bound on the state error, falls below CHEBYSHEV_TOL.
-Either way the observables are recorded as the states pass, and no state
-array spans the grid. States are tracked through squared overlaps with
+Neither method holds an array of states over the grid: the dense one
+forms only the final state, the Chebyshev one records the observables
+as its state passes. States are tracked through squared overlaps with
 dressed product labels (full model) or spin product labels (effective
 model), one (times x labels) array per side, so the two sides of a run
 compare column by column. Both run in the block of the initial labels'
@@ -45,7 +47,7 @@ from .superexchange import (
 )
 
 DENSE_THRESHOLD = 2000
-DENSE_CHUNK = 2**20  # most state entries the dense method forms at once
+DENSE_CHUNK = 2**20  # most phase entries e^{-iwt} the dense method forms at once
 CHEBYSHEV_TOL = 1e-12  # truncation bound per expansion
 # largest half-width x time of one expansion: a longer grid interval is
 # split, so the series' order, and its coefficient arrays, stay small
@@ -62,12 +64,20 @@ TRACK_CAP = 512  # track every product label while there are at most this many
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Population traces of one trajectory plus conservation diagnostics."""
+    """Population traces of one trajectory plus conservation diagnostics.
+
+    The Chebyshev method measures the drifts on its state at every grid
+    time. The dense method's are one-time checks, constant in exact
+    arithmetic, of the initial state's eigencoefficients c0 summed over
+    the parity blocks: norm_drift = |sum |c0|^2 - 1| and energy_drift =
+    |sum w |c0|^2 - <psi0|H|psi0>| / max(|E0|, max |H_ij|, 1e-30); a
+    missed block or a wrong eigenpair shows in them.
+    """
 
     times: np.ndarray  # ms
     populations: np.ndarray  # (times, tracked states) squared overlaps
-    norm_drift: float  # max |<psi|psi> - 1|
-    energy_drift: float  # max relative drift of <psi|H|psi>
+    norm_drift: float  # |<psi|psi> - 1|, per method as above
+    energy_drift: float  # relative drift of <psi|H|psi>, per method as above
     final_state: np.ndarray
     method: str  # "dense" or "chebyshev"
     products: int  # products with H, 0 for dense
@@ -164,17 +174,20 @@ def _chebyshev_propagate(h: SparseOperator, psi, x):
 
 
 def block_eigh(h: SparseOperator, mirror=None):
-    """[(basis, w, v)] of the real symmetric h per non-empty even and odd
-    block of a basis involution m, mirror (SectorBasis.mirror's array);
-    None is the identity, with one even block.
+    """Yield (basis, w, v) of the real symmetric h per non-empty even and
+    odd block of a basis involution m, mirror (SectorBasis.mirror's
+    array); None is the identity, with one even block.
 
     The bases are real, orthonormal and sparse (dim, k): e_i for each row
     with m(i) = i, and (e_i + e_m(i)) / sqrt(2), (e_i - e_m(i)) / sqrt(2)
     for each pair i < m(i). Each block takes one real divide-and-conquer
-    eigh (numpy.linalg.eigh, LAPACK syevd); under the identity its array
-    is h's own, so every bit is np.linalg.eigh(h.mat.toarray())'s. Raises
-    ValueError if mirror is no involution of the basis or h mixes the
-    blocks; numpy.linalg.LinAlgError on a LAPACK failure.
+    eigh (numpy.linalg.eigh, LAPACK syevd), run only when the block is
+    asked for, so a caller that drops a block's v before the next holds
+    one block's eigenvectors at a time; under the identity its array is
+    h's own, so every bit is np.linalg.eigh(h.mat.toarray())'s. Raises,
+    at the first block, ValueError if mirror is no involution of the
+    basis or h mixes the blocks; numpy.linalg.LinAlgError on a LAPACK
+    failure.
     """
     dim = h.dim
     rows = np.arange(dim)
@@ -203,10 +216,10 @@ def block_eigh(h: SparseOperator, mirror=None):
                       > HERMITICITY_TOL * max(1.0, scale)):
         raise ValueError("Hamiltonian fails the reflection-symmetry "
                          "pre-check")
-    return [(basis, *np.linalg.eigh(h_block.toarray()))
-            for basis, h_block in ((even, even.T @ h_even),
-                                   (odd, odd.T @ h.mat @ odd))
-            if basis.shape[1]]
+    for basis, h_block in ((even, even.T @ h_even),
+                           (odd, odd.T @ h.mat @ odd)):
+        if basis.shape[1]:
+            yield basis, *np.linalg.eigh(h_block.toarray())
 
 
 def _observables(h, psis, overlap_rows):
@@ -231,11 +244,15 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
     by block_eigh in the even and odd blocks of mirror, a zero-argument
     callable returning the chain reflection of h's basis
     (SectorBasis.mirror), None for the identity; it is called only by
-    the dense method. From DENSE_THRESHOLD on, the Chebyshev method
-    propagates one grid interval at a time. The dense method forms the
-    states of at most DENSE_CHUNK // dim time points at once (at least
-    one), the Chebyshev method one; each method records their
-    observables as they pass, so no state array spans the grid. Raises
+    the dense method. Per block it projects psi0 and the tracked rows
+    onto the eigenvectors once, adds the block's part of the final
+    state, and drops the eigenvectors before the next block's eigh; the
+    tracked amplitudes at every grid time are then sums over the blocks
+    of (e^{-iwt} c0) @ R^T, at most DENSE_CHUNK phase entries at once,
+    and no other state is formed. Its drifts are one-time checks of the
+    eigencoefficients (EvolutionResult). From DENSE_THRESHOLD on, the
+    Chebyshev method propagates one grid interval at a time and records
+    the observables of its one state at every grid time. Raises
     ValueError on an H not stored float64, or non-finite or
     non-Hermitian, on one that mixes the parity blocks, or on a bad or
     non-finite grid; FloatingPointError if eps times the last time times
@@ -274,25 +291,43 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
     overlap_rows = np.array(tracked, dtype=complex).reshape(len(tracked),
                                                             h.dim).conj()
 
-    products, truncation_bound, blocks, steps = 0, 0.0, (), []
+    products, truncation_bound, blocks = 0, 0.0, ()
     if h.dim < DENSE_THRESHOLD:
         method = "dense"
-        spectra = block_eigh(h, None if mirror is None else mirror())
-        blocks = tuple(basis.shape[1] for basis, _, _ in spectra)
+        # real H on the real and imaginary parts: <psi0|H|psi0> has no
+        # cross term
+        e0 = float(psi0.real @ (h.mat @ psi0.real)
+                   + psi0.imag @ (h.mat @ psi0.imag))
+        norm = energy = 0.0  # sum |c0|^2 and sum w |c0|^2 over the blocks
+        final_state = np.zeros(h.dim, dtype=complex)
+        spectra = []  # (w, c0, R) per block: v is dropped before the next eigh
+        for basis, w, v in block_eigh(h, None if mirror is None else mirror()):
+            # v stays real, and is applied to the real and imaginary parts
+            # apart so that it is never upcast
+            projected = basis.T @ np.column_stack([psi0, overlap_rows.T])
+            coeffs = v.T @ projected.real + 1j * (v.T @ projected.imag)
+            c0, r = coeffs[:, 0], coeffs[:, 1:].T
+            weights = np.abs(c0) ** 2
+            norm += float(np.sum(weights))
+            energy += float(w @ weights)
+            c_final = np.exp(-1j * times[-1] * w) * c0
+            final_state += basis @ (v @ c_final.real + 1j * (v @ c_final.imag))
+            spectra.append((w, c0, r))
+            blocks += (len(w),)
+            del v
+        norm_drift = abs(norm - 1.0)
+        energy_drift = abs(energy - e0) / max(abs(e0), scale, 1e-30)
+        # one block's phases at rows time points: at most rows x dim entries
         rows = max(1, DENSE_CHUNK // h.dim)
+        pops = np.empty((len(times), len(overlap_rows)))
         for start in range(0, len(times), rows):
-            chunk = times[start:start + rows]
-            psis = np.zeros((len(chunk), h.dim), dtype=complex)
-            for basis, w, v in spectra:
-                # v stays real, and is applied to the real and imaginary
-                # parts apart so that it is never upcast
-                c0 = (v.T @ (basis.T @ psi0.real)
-                      + 1j * (v.T @ (basis.T @ psi0.imag)))
-                coeffs = np.exp(-1j * np.outer(chunk, w)) * c0
-                psis.real += (basis @ (v @ coeffs.real.T)).T
-                psis.imag += (basis @ (v @ coeffs.imag.T)).T
-            steps.append(_observables(h, psis, overlap_rows))
-        final_state = psis[-1].copy()
+            amplitudes = 0.0
+            for w, c0, r in spectra:
+                phased = np.outer(times[start:start + rows], -1j * w)
+                np.exp(phased, out=phased)
+                phased *= c0
+                amplitudes = amplitudes + phased @ r.T
+            pops[start:start + rows] = np.abs(amplitudes) ** 2
     else:
         method = "chebyshev"
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -310,7 +345,7 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
         h_unit = SparseOperator(h.dim, sp.csr_matrix(
             (h_unit.data.astype(complex), h_unit.indices, h_unit.indptr),
             shape=h_unit.shape))
-        psi = psi0.copy()
+        psi, steps = psi0.copy(), []
         for dt in np.diff(times, prepend=0.0):
             n_split = max(1, int(np.ceil(half * dt / CHEBYSHEV_MAX_X)))
             for _ in range(n_split):
@@ -322,13 +357,11 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
             psi *= np.exp(-1j * mid * dt)
             steps.append(_observables(h, psi[None, :], overlap_rows))
         final_state = psi
-    norms, pops, energies = (np.concatenate(obs) for obs in zip(*steps))
-
-    norm_drift = float(np.max(np.abs(norms - 1.0)))
-    e0 = energies[0]
-    energy_drift = float(
-        np.max(np.abs(energies - e0)) / max(abs(e0), scale, 1e-30)
-    )
+        norms, pops, energies = (np.concatenate(obs) for obs in zip(*steps))
+        norm_drift = float(np.max(np.abs(norms - 1.0)))
+        e0 = energies[0]
+        energy_drift = float(
+            np.max(np.abs(energies - e0)) / max(abs(e0), scale, 1e-30))
 
     return EvolutionResult(
         times=times,

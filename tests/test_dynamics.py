@@ -231,11 +231,10 @@ def test_flip_flop_rabi_formula():
 
 
 def test_dense_peak_does_not_grow_with_the_grid(monkeypatch):
-    # states are formed 20 time points at a time: a grid 20 times longer
-    # adds to the traced peak no more than its outputs, the norms,
-    # energies and populations, held twice (per chunk and concatenated);
-    # a state array over the grid would add 16 bytes per entry, 4 800 per
-    # time point
+    # phases are formed 20 time points at a time: a grid 20 times longer
+    # adds to the traced peak no more than its outputs, the times,
+    # amplitudes and populations; a state array over the grid would add
+    # 16 bytes per entry, 4 800 per time point
     monkeypatch.setattr(dynamics, "DENSE_CHUNK", 300 * 20)
     rng = np.random.default_rng(41)
     a = rng.normal(size=(300, 300))
@@ -273,6 +272,112 @@ def test_dense_chunks_agree_with_one_chunk(monkeypatch):
     assert np.max(np.abs(chunked.final_state - whole.final_state)) < 1e-12
 
 
+def reference_states(h, psi0, times, mirror):
+    """psi(t) = sum over the parity blocks of basis v e^{-iwt} v^T basis^T
+    psi0, one whole state per grid time."""
+    states = np.zeros((len(times), h.dim), dtype=complex)
+    for basis, w, v in block_eigh(h, mirror):
+        u = basis.toarray() @ v
+        states += (np.exp(-1j * np.outer(times, w)) * (u.T @ psi0)) @ u.T
+    return states
+
+
+def degenerate_hamiltonian(rng, m):
+    """A real symmetric H that commutes with the involution m and repeats
+    its eigenvalues exactly, within each parity block and across them."""
+    dim = len(m)
+    zero = SparseOperator(dim, sp.csr_matrix((dim, dim)))
+    h = np.zeros((dim, dim))
+    for basis, _, _ in block_eigh(zero, m):
+        spectrum = np.resize([1.5, 1.5, -2.0, 1.5, 3.0], basis.shape[1])
+        q, _ = np.linalg.qr(rng.normal(size=(len(spectrum),) * 2))
+        b = basis.toarray()
+        h += b @ (q * spectrum) @ q.T @ b.T
+    return 0.5 * (h + h.T)
+
+
+@pytest.mark.parametrize("spectrum", ["random", "degenerate"])
+def test_dense_matches_the_state_by_state_formula(monkeypatch, spectrum):
+    # a random involution with fixed points, a complex psi0 and complex
+    # tracked rows; 5 time points per chunk, so the 23-point grid crosses
+    # four chunk boundaries and ends on a short chunk
+    rng = np.random.default_rng(29)
+    dim = 14
+    m = random_involution(rng, dim, 4)
+    if spectrum == "random":
+        a = random_symmetric(rng, dim).mat.toarray()
+        h = 0.5 * (a + a[np.ix_(m, m)])
+    else:
+        h = degenerate_hamiltonian(rng, m)
+    h = SparseOperator(dim, sp.csr_matrix(h))
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    tracked = np.vstack([np.eye(dim),
+                         rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))])
+    times = np.linspace(0.0, 2.0, 23)
+    monkeypatch.setattr(dynamics, "DENSE_CHUNK", 5 * dim)
+    res = evolve(h, psi0, times, tracked, mirror=lambda: m)
+    assert res.method == "dense" and res.blocks == (10, 4)
+    states = reference_states(h, psi0, times, m)
+    assert np.max(np.abs(res.populations
+                         - np.abs(states @ tracked.conj().T) ** 2)) < 1e-12
+    assert np.max(np.abs(res.final_state - states[-1])) < 1e-12
+    assert res.norm_drift < 1e-12 and res.energy_drift < 1e-12
+
+    # a skipped parity block, or a wrong eigenvalue, shows in the drifts
+    def skipping(skip):
+        def spectra(h, mirror):
+            return (s for i, s in enumerate(block_eigh(h, mirror)) if i != skip)
+        return spectra
+
+    for skip in (0, 1):
+        with mock.patch.object(dynamics, "block_eigh", skipping(skip)):
+            assert evolve(h, psi0, times, tracked,
+                          mirror=lambda: m).norm_drift > 0.1
+
+    def shifted(h, mirror):
+        for i, (basis, w, v) in enumerate(block_eigh(h, mirror)):
+            yield basis, w + (i == 1), v
+
+    with mock.patch.object(dynamics, "block_eigh", shifted):
+        assert evolve(h, psi0, times, tracked,
+                      mirror=lambda: m).energy_drift > 1e-3
+
+
+def test_dense_peak_holds_one_parity_block():
+    # dim 1 600 under the reversal, two blocks of 800: the traced peak is
+    # one block's eigh, its dense array and eigenvectors, with its
+    # projections, the inputs and outputs, and block_eigh's sparse
+    # operators, a few copies of H's nonzeros. Keeping the first block's
+    # eigenvectors through the second eigh would add 5.1 MB, forming the
+    # (times x dim) states 2.6 MB
+    dim, n_times, k = 1600, 100, 4
+    rng = np.random.default_rng(43)
+    reverse = np.arange(dim)[::-1].copy()
+    a = sp.random(dim, dim, density=3.0 / dim, random_state=rng)
+    a = a + a.T
+    h = SparseOperator(dim, sp.csr_matrix(a + a[reverse][:, reverse]))
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    tracked = np.eye(dim)[:k]
+    times = np.linspace(0.0, 1.0, n_times)
+    tracemalloc.start()
+    try:
+        result = evolve(h, psi0, times, tracked, mirror=lambda: reverse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.method == "dense" and result.blocks == (dim // 2, dim // 2)
+    n_block = dim // 2
+    csr_bytes = h.mat.data.nbytes + h.mat.indices.nbytes + h.mat.indptr.nbytes
+    bound = (2 * 8 * n_block**2  # the block's dense array and eigenvectors
+             + 16 * (k + 1) * n_block  # its projections c0 and R
+             + 16 * k * dim  # the tracked rows, conjugated
+             + 8 * n_times * k + 16 * dim  # populations and final state
+             + 4 * csr_bytes)  # block_eigh's sparse operators
+    assert peak < bound
+
+
 def test_dense_hamiltonian_matches_expm():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(20, 20))
@@ -293,16 +398,8 @@ def test_dense_degenerate_parity_blocks_match_expm():
     # the dense branch must not depend on how eigh picks a degenerate basis
     dim = 7
     reverse = np.arange(dim)[::-1].copy()
-    zero = SparseOperator(dim, sp.csr_matrix((dim, dim)))
-    even, odd = (basis for basis, _, _ in block_eigh(zero, reverse))
     rng = np.random.default_rng(17)
-    h = np.zeros((dim, dim))
-    for basis, spectrum in ((even, [1.5, 1.5, 1.5, -2.0]),
-                            (odd, [1.5, 1.5, 3.0])):
-        q, _ = np.linalg.qr(rng.normal(size=(len(spectrum),) * 2))
-        b = basis.toarray()
-        h += b @ (q * spectrum) @ q.T @ b.T
-    h = 0.5 * (h + h.T)
+    h = degenerate_hamiltonian(rng, reverse)
     assert np.max(np.abs(h - h[np.ix_(reverse, reverse)])) < 1e-14
     op = SparseOperator(dim, sp.csr_matrix(h))
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
