@@ -180,10 +180,11 @@ def block_eigh(h: SparseOperator, mirror=None):
 
     The bases are real, orthonormal and sparse (dim, k): e_i for each row
     with m(i) = i, and (e_i + e_m(i)) / sqrt(2), (e_i - e_m(i)) / sqrt(2)
-    for each pair i < m(i). Each block takes one real divide-and-conquer
-    eigh (numpy.linalg.eigh, LAPACK syevd), run only when the block is
-    asked for, so a caller that drops a block's v before the next holds
-    one block's eigenvectors at a time; under the identity its array is
+    for each pair i < m(i). The pre-check's odd^T h even is dropped before
+    the first eigh. Each block's basis^T h basis is formed, and its real
+    divide-and-conquer eigh (numpy.linalg.eigh, LAPACK syevd) run, only
+    when the block is asked for, so a caller that drops a block's v before
+    the next holds one block at a time; under the identity its array is
     h's own, so every bit is np.linalg.eigh(h.mat.toarray())'s. Raises,
     at the first block, ValueError if mirror is no involution of the
     basis or h mixes the blocks; numpy.linalg.LinAlgError on a LAPACK
@@ -209,29 +210,16 @@ def block_eigh(h: SparseOperator, mirror=None):
         (np.r_[np.full(n_pairs, s), np.full(n_pairs, -s)],
          (np.r_[lead, m[lead]], np.r_[pair_cols, pair_cols])),
         shape=(dim, n_pairs))
-    h_even = h.mat @ even
-    cross = odd.T @ h_even
+    cross = odd.T @ (h.mat @ even)
     scale = np.max(np.abs(h.mat.data)) if h.mat.nnz else 0.0
     if cross.nnz and (np.max(np.abs(cross.data))
                       > HERMITICITY_TOL * max(1.0, scale)):
         raise ValueError("Hamiltonian fails the reflection-symmetry "
                          "pre-check")
-    for basis, h_block in ((even, even.T @ h_even),
-                           (odd, odd.T @ h.mat @ odd)):
+    del cross
+    for basis in (even, odd):
         if basis.shape[1]:
-            yield basis, *np.linalg.eigh(h_block.toarray())
-
-
-def _observables(h, psis, overlap_rows):
-    """Norms, label populations and energies of the state rows psis; H psi
-    is the real h.mat on the real and imaginary parts: no complex H."""
-    norms = np.einsum("ij,ij->i", psis.conj(), psis).real
-    pops = np.abs(psis @ overlap_rows.T) ** 2
-    h_psis = np.empty_like(psis)
-    h_psis.real = (h.mat @ psis.real.T).T
-    h_psis.imag = (h.mat @ psis.imag.T).T
-    energies = np.einsum("ij,ij->i", psis.conj(), h_psis).real
-    return norms, pops, energies
+            yield basis, *np.linalg.eigh((basis.T @ (h.mat @ basis)).toarray())
 
 
 def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
@@ -345,8 +333,10 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
         h_unit = SparseOperator(h.dim, sp.csr_matrix(
             (h_unit.data.astype(complex), h_unit.indices, h_unit.indptr),
             shape=h_unit.shape))
-        psi, steps = psi0.copy(), []
-        for dt in np.diff(times, prepend=0.0):
+        psi, h_psi = psi0.copy(), np.empty((1, h.dim), dtype=complex)
+        norms, energies = np.empty((2, len(times)))
+        pops = np.empty((len(times), len(overlap_rows)))
+        for i, dt in enumerate(np.diff(times, prepend=0.0)):
             n_split = max(1, int(np.ceil(half * dt / CHEBYSHEV_MAX_X)))
             for _ in range(n_split):
                 # half = 0 gives x = 0: the series is J_0 = 1, no product
@@ -355,9 +345,14 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
                 products += n_products
                 truncation_bound += tail
             psi *= np.exp(-1j * mid * dt)
-            steps.append(_observables(h, psi[None, :], overlap_rows))
+            # one-row psi; H psi is the real h.mat on its real and imaginary parts
+            row = psi[None]
+            norms[i] = np.einsum("ij,ij->i", row.conj(), row).real[0]
+            pops[i] = np.abs(row @ overlap_rows.T)[0] ** 2
+            h_psi.real = (h.mat @ row.real.T).T
+            h_psi.imag = (h.mat @ row.imag.T).T
+            energies[i] = np.einsum("ij,ij->i", row.conj(), h_psi).real[0]
         final_state = psi
-        norms, pops, energies = (np.concatenate(obs) for obs in zip(*steps))
         norm_drift = float(np.max(np.abs(norms - 1.0)))
         e0 = energies[0]
         energy_drift = float(
@@ -426,13 +421,14 @@ def _tracked_labels(manifold, n_sites, initial_labels):
 
 def _evolve_labels(h, basis, state_of, initial, tracked, times):
     """evolve state_of(initial) in h's block, that of the initial X, with
-    the block's chain reflection; a tracked label with another X never
-    gains population: its column is exact zeros."""
+    the block's chain reflection, its state one of the tracked ones; a
+    tracked label with another X never gains population: its column is
+    exact zeros."""
     n_x = _n_x(initial)
     inside = [i for i, lab in enumerate(tracked) if _n_x(lab) == n_x]
-    result = evolve(h, state_of(initial), times,
-                    [state_of(tracked[i]) for i in inside],
-                    mirror=basis.mirror)
+    states = [state_of(tracked[i]) for i in inside]
+    result = evolve(h, states[inside.index(tracked.index(initial))], times,
+                    states, mirror=basis.mirror)
     populations = np.zeros((len(result.times), len(tracked)))
     populations[:, inside] = result.populations
     return replace(result, populations=populations)

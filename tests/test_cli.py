@@ -88,6 +88,16 @@ def test_crystal_command(tmp_path):
     assert tree.getroot().tag.endswith("svg")
 
 
+def test_crystal_uniform_hoppings_report_no_force_residual(tmp_path):
+    # explicit hoppings place the ions on a unit lattice, not at a solved
+    # force balance: the manifest has no residual to report
+    out = tmp_path / "o"
+    assert main(["crystal", "--config", write_cfg(tmp_path, ISO_PAIR),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "crystal_manifest.json").read_text())
+    assert manifest["residuals"] == {"force_residual": None}
+
+
 def test_spectrum_isotropic_point(tmp_path):
     cfg = write_cfg(tmp_path, ISO_PAIR)
     out = tmp_path / "o"

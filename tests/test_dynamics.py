@@ -348,7 +348,7 @@ def test_dense_peak_holds_one_parity_block():
     # dim 1 600 under the reversal, two blocks of 800: the traced peak is
     # one block's eigh, its dense array and eigenvectors, with its
     # projections, the inputs and outputs, and block_eigh's sparse
-    # operators, a few copies of H's nonzeros. Keeping the first block's
+    # operators, within two copies of H's nonzeros. Keeping the first block's
     # eigenvectors through the second eigh would add 5.1 MB, forming the
     # (times x dim) states 2.6 MB
     dim, n_times, k = 1600, 100, 4
@@ -374,7 +374,7 @@ def test_dense_peak_holds_one_parity_block():
              + 16 * (k + 1) * n_block  # its projections c0 and R
              + 16 * k * dim  # the tracked rows, conjugated
              + 8 * n_times * k + 16 * dim  # populations and final state
-             + 4 * csr_bytes)  # block_eigh's sparse operators
+             + 2 * csr_bytes)  # block_eigh's sparse operators
     assert peak < bound
 
 
@@ -744,6 +744,22 @@ def test_tracked_labels_cap():
     assert len(_tracked_labels("one", 2, ("1", "-1"))) == 9
     only = _tracked_labels("one", 6, ("1", "0", "0", "0", "0", "-1"))
     assert only == (("1", "0", "0", "0", "0", "-1"),)
+
+
+def test_each_tracked_state_is_built_once(monkeypatch):
+    # the initial label is tracked: its state is the tracked one, not a
+    # second build. three_ion_xxz's up,down,up block holds 3 of 8 labels
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return dressed_product_state(*args)
+
+    monkeypatch.setattr(dynamics, "dressed_product_state", counted)
+    run = evolve_full_model(parse_config(THREE_ION_CFG))
+    assert len(run.labels) == 8
+    assert sorted(calls) == sorted(lab for lab in run.labels
+                                   if lab.count("up") == 2)
 
 
 def test_compare_rejects_wrong_manifold_labels():
