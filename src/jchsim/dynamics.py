@@ -5,20 +5,23 @@ threshold, one real divide-and-conquer eigh (LAPACK syevd, through
 numpy.linalg; the program loads no SciPy linear algebra module) per
 chain-reflection parity block, one block's eigenvectors in memory at a
 time, every grid time read from the eigencoefficients of the initial
-and tracked states; above it, a Chebyshev expansion of exp(-i H dt) per
-grid interval (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) on
-the Gershgorin interval of H, mapped onto [-1, 1] once, each term one
-product of the mapped H with the complex state, cut where the series
-tail, a certified bound on the state error, falls below CHEBYSHEV_TOL.
-Neither method holds an array of states over the grid: the dense one
-forms only the final state, the Chebyshev one records the observables
-as its state passes. States are tracked through squared overlaps with
-dressed product labels (full model) or spin product labels (effective
-model), one (times x labels) array per side, so the two sides of a run
-compare column by column. Both run in the block of the initial labels'
-X: N_X for the full model, total S_z for the effective one. Tracked
-labels outside it have population exactly 0. A Run holds a config's
-tracked labels and one EvolutionResult per side.
+and tracked states; above it, Chebyshev series of exp(-i H t)
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) on the Gershgorin
+interval of H, mapped onto [-1, 1] once, each term one product of the
+mapped H with the complex state. One series serves a span of grid
+times: started from the state at the span's start, it builds every
+time's state from the same terms, and is cut where the tail at the
+span's last time, a certified bound on the error of every state in the
+span, falls below CHEBYSHEV_TOL. Neither method holds an array of states
+over the grid: the dense one forms only the final state, the Chebyshev
+one the states of one span, no more entries than the mapped H's data.
+States are tracked through squared overlaps with dressed product labels
+(full model) or spin product labels (effective model), one (times x
+labels) array per side, so the two sides of a run compare column by
+column. Both run in the block of the initial labels' X: N_X for the
+full model, total S_z for the effective one. Tracked labels outside it
+have population exactly 0. A Run holds a config's tracked labels and
+one EvolutionResult per side.
 """
 
 import itertools
@@ -48,9 +51,10 @@ from .superexchange import (
 
 DENSE_THRESHOLD = 2000
 DENSE_CHUNK = 2**20  # most phase entries e^{-iwt} the dense method forms at once
-CHEBYSHEV_TOL = 1e-12  # truncation bound per expansion
-# largest half-width x time of one expansion: a longer grid interval is
-# split, so the series' order, and its coefficient arrays, stay small
+CHEBYSHEV_TOL = 1e-12  # truncation bound per series
+# largest half-width x time of one series: a span of grid times ends
+# before it, and a longer grid interval is split into equal series, so
+# the series' order, and its coefficient arrays, stay small
 CHEBYSHEV_MAX_X = 1000.0
 # an expansion of argument x takes at least x products, so a run needs at
 # least half-width x horizon of them; more than this is refused up front
@@ -80,8 +84,13 @@ class EvolutionResult:
     energy_drift: float  # relative drift of <psi|H|psi>, per method as above
     final_state: np.ndarray
     method: str  # "dense" or "chebyshev"
-    products: int  # products with H, 0 for dense
-    truncation_bound: float  # summed series tails bounding the state error
+    # products with H, 0 for dense: one series per span of grid times,
+    # its order the cut of the span's last time
+    products: int
+    # the series tails, one per span at its last time, summed: each bounds
+    # the error of every state of its span, so the sum up to a grid time
+    # bounds that time's state error
+    truncation_bound: float
     blocks: tuple  # dims of the parity blocks diagonalised, () for chebyshev
 
 
@@ -150,27 +159,40 @@ def gershgorin_interval(h: SparseOperator):
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
-def _chebyshev_propagate(h: SparseOperator, psi, x):
-    """exp(-i x h) psi for an h whose spectrum lies in [-1, 1], as
-    sum_k c_k T_k(h) psi with c_0 = J_0(x), c_k = 2 (-i)^k J_k(x).
+def _chebyshev_span(h: SparseOperator, psi, xs):
+    """exp(-i x h) psi for every x of the ascending xs, for an h whose
+    spectrum lies in [-1, 1], from one series: sum_k c_k(x) T_k(h) psi
+    with c_0 = J_0(x), c_k = 2 (-i)^k J_k(x).
 
     T_1 = h psi and T_k+1 = 2 h T_k - T_k-1, so every term costs one
-    product of h with the complex state. Returns the state, the product
-    count and the truncation bound sum_{k>K} |c_k|.
+    product of h with the complex state, and is added to each state whose
+    coefficient is not 0. The series stops at K, the cut of the last x
+    (_chebyshev_terms). For k > K > x, J_k(x) grows with x (its first
+    maximum lies beyond k), so an earlier x's tail beyond K is at most
+    the last one's. Returns the (len(xs), dim) states, the product count
+    K and that tail, a bound on the error of every state.
     """
-    j, tail = _chebyshev_terms(x)
-    c = 2.0 * j * np.array([1.0, -1j, -1.0, 1j])[np.arange(len(j)) % 4]
-    c[0] = j[0]
-    out = c[0] * psi
+    j, tail = _chebyshev_terms(xs[-1])
+    n_terms = len(j)
+    # (terms, xs); bessel_j stops below 1e-30, the orders past it are 0
+    c = np.zeros((n_terms, len(xs)), dtype=complex)
+    for r, x in enumerate(xs[:-1]):
+        j_r = bessel_j(x)[:n_terms]
+        c[:len(j_r), r] = j_r
+    c[:, -1] = j
+    c *= (2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(n_terms) % 4])[:, None]
+    c[0] /= 2.0
+    states = c[0][:, None] * psi
     t_prev, t_k = None, psi
-    for k in range(1, len(j)):
+    for k in range(1, n_terms):
         t_next = h.matvec(t_k)
         if k > 1:
             t_next *= 2.0
             t_next -= t_prev
-        out += c[k] * t_next
+        for r in np.flatnonzero(c[k]):
+            states[r] += c[k, r] * t_next
         t_prev, t_k = t_k, t_next
-    return out, len(j) - 1, tail
+    return states, n_terms - 1, tail
 
 
 def block_eigh(h: SparseOperator, mirror=None):
@@ -239,8 +261,13 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
     of (e^{-iwt} c0) @ R^T, at most DENSE_CHUNK phase entries at once,
     and no other state is formed. Its drifts are one-time checks of the
     eigencoefficients (EvolutionResult). From DENSE_THRESHOLD on, the
-    Chebyshev method propagates one grid interval at a time and records
-    the observables of its one state at every grid time. Raises
+    Chebyshev method runs one series per span of grid times
+    (_chebyshev_span) from the state at the span's start, and records
+    the observables of every state of the span. A span ends before half
+    x its length would pass CHEBYSHEV_MAX_X, or its states would hold
+    more than min(DENSE_CHUNK, nnz) complex entries, so updating them
+    costs no more per product than the product; a single longer grid
+    interval is split into equal series before its span. Raises
     ValueError on an H not stored float64, or non-finite or
     non-Hermitian, on one that mixes the parity blocks, or on a bad or
     non-finite grid; FloatingPointError if eps times the last time times
@@ -276,8 +303,8 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
             "overflow" if np.isinf(rounding) else
             f"are rounded to {rounding:.3g} rad, above the limit of {PHASE_TOL:g} rad"))
 
-    overlap_rows = np.array(tracked, dtype=complex).reshape(len(tracked),
-                                                            h.dim).conj()
+    overlap_rows = np.array(tracked, dtype=complex).reshape(len(tracked), h.dim)
+    np.conj(overlap_rows, out=overlap_rows)
 
     products, truncation_bound, blocks = 0, 0.0, ()
     if h.dim < DENSE_THRESHOLD:
@@ -336,22 +363,42 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
         psi, h_psi = psi0.copy(), np.empty((1, h.dim), dtype=complex)
         norms, energies = np.empty((2, len(times)))
         pops = np.empty((len(times), len(overlap_rows)))
-        for i, dt in enumerate(np.diff(times, prepend=0.0)):
+        # a span's states hold no more entries than h_unit's data
+        rows = max(1, min(DENSE_CHUNK, h_unit.mat.nnz) // h.dim)
+        t_psi, start = 0.0, 0  # psi is the state at t_psi
+        while start < len(times):
+            # an interval above CHEBYSHEV_MAX_X is split into n_split
+            # equal series; the span's own series is the last of them
+            dt = times[start] - t_psi
             n_split = max(1, int(np.ceil(half * dt / CHEBYSHEV_MAX_X)))
-            for _ in range(n_split):
-                # half = 0 gives x = 0: the series is J_0 = 1, no product
-                psi, n_products, tail = _chebyshev_propagate(
-                    h_unit, psi, half * dt / n_split)
+            for _ in range(n_split - 1):
+                (psi,), n_products, tail = _chebyshev_span(
+                    h_unit, psi, [half * dt / n_split])
                 products += n_products
                 truncation_bound += tail
-            psi *= np.exp(-1j * mid * dt)
-            # one-row psi; H psi is the real h.mat on its real and imaginary parts
-            row = psi[None]
-            norms[i] = np.einsum("ij,ij->i", row.conj(), row).real[0]
-            pops[i] = np.abs(row @ overlap_rows.T)[0] ** 2
-            h_psi.real = (h.mat @ row.real.T).T
-            h_psi.imag = (h.mat @ row.imag.T).T
-            energies[i] = np.einsum("ij,ij->i", row.conj(), h_psi).real[0]
+            t_start = t_psi + dt * (n_split - 1) / n_split
+            # half = 0 gives x = 0: the series is J_0 = 1, no product
+            xs = half * (times[start:start + rows] - t_start)
+            stop = start + max(1, int(np.searchsorted(xs, CHEBYSHEV_MAX_X,
+                                                      side="right")))
+            states, n_products, tail = _chebyshev_span(h_unit, psi,
+                                                       xs[:stop - start])
+            products += n_products
+            truncation_bound += tail
+            states *= np.exp(-1j * mid * (times[start:stop] - t_psi))[:, None]
+            for i in range(start, stop):
+                # one-row state; H psi is the real h.mat on its real and
+                # imaginary parts
+                row = states[i - start][None]
+                norms[i] = np.einsum("ij,ij->i", row.conj(), row).real[0]
+                pops[i] = np.abs(row @ overlap_rows.T)[0] ** 2
+                h_psi.real = (h.mat @ row.real.T).T
+                h_psi.imag = (h.mat @ row.imag.T).T
+                energies[i] = np.einsum("ij,ij->i", row.conj(), h_psi).real[0]
+            # psi a copy, and no view left: the span's states go before the
+            # next span's come
+            psi, t_psi, start = states[-1].copy(), times[stop - 1], stop
+            del states, row
         final_state = psi
         norm_drift = float(np.max(np.abs(norms - 1.0)))
         e0 = energies[0]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -141,16 +142,19 @@ def _count_fillings(counts, totals, n_sites):
     """ways[m][t]: rows of m <= n_sites letters whose counts sum to t (exact ints).
 
     counts is (letters, k); t runs over the k-dimensional grid 0..totals.
+    Letters with equal counts add the same shifted table: it is added
+    once per distinct count vector, times the number of its letters.
     """
     grid = tuple(t + 1 for t in totals)
     ways = np.zeros((n_sites + 1,) + grid, dtype=object)
     ways[(0,) * (len(grid) + 1)] = 1
+    # an x count above a block's n_x_total fits nowhere
+    letters = [(c, n) for c, n in Counter(map(tuple, counts.tolist())).items()
+               if all(ci < g for ci, g in zip(c, grid))]
     for m in range(n_sites):
-        for c in counts:
-            if np.any(c >= grid):  # an x count above a block's n_x_total
-                continue
+        for c, n in letters:
             ways[m + 1][tuple(slice(ci, g) for ci, g in zip(c, grid))] += \
-                ways[m][tuple(slice(0, g - ci) for ci, g in zip(c, grid))]
+                n * ways[m][tuple(slice(0, g - ci) for ci, g in zip(c, grid))]
     return ways
 
 

@@ -195,11 +195,11 @@ def test_evolve_refuses_unbounded_chebyshev_work():
     # phases rounded to 4.4e-7 rad, under PHASE_TOL, but 2e9 products:
     # refused before the first one
     h = SparseOperator(2, sp.csr_matrix(np.diag([-10.0, 10.0])))
-    with (mock.patch.object(dynamics, "_chebyshev_propagate") as propagate,
+    with (mock.patch.object(dynamics, "_chebyshev_span") as span,
           forced_method("chebyshev")):
         with pytest.raises(FloatingPointError, match="2e[+]09 products"):
             evolve(h, np.array([1.0, 0.0]), [0.0, 2e8])
-    propagate.assert_not_called()
+    span.assert_not_called()
 
 
 def test_initial_populations_are_overlaps():
@@ -555,6 +555,166 @@ def test_long_interval_is_split():
     assert err <= cheb.truncation_bound + 1e-10
 
 
+def per_interval_states(h, psi0, times):
+    """The state at every grid time from one Chebyshev series per grid
+    interval, the series restarted at each, over _chebyshev_terms (an
+    interval of half * dt above CHEBYSHEV_MAX_X is split into equal
+    expansions), and the summed tails bounding their error."""
+    lo, hi = gershgorin_interval(h)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    h_unit = h.mat - mid * sp.identity(h.dim, format="csr")
+    if half > 0.0:
+        h_unit = h_unit / half
+    h_unit = h_unit.astype(complex)
+    psi, states, bound = np.array(psi0, dtype=complex), [], 0.0
+    for dt in np.diff(times, prepend=0.0):
+        n_split = max(1, int(np.ceil(half * dt / dynamics.CHEBYSHEV_MAX_X)))
+        for _ in range(n_split):
+            j, tail = _chebyshev_terms(half * dt / n_split)
+            bound += tail
+            out, t_prev, t_k = j[0] * psi, None, psi
+            for k in range(1, len(j)):
+                t_next = h_unit @ t_k
+                if k > 1:
+                    t_next = 2.0 * t_next - t_prev
+                out = out + 2.0 * (-1j) ** k * j[k] * t_next
+                t_prev, t_k = t_k, t_next
+            psi = out
+        psi = psi * np.exp(-1j * mid * dt)
+        states.append(psi)
+    return np.array(states), bound
+
+
+def span_spy():
+    """A patch of dynamics._chebyshev_span, and the list that it fills
+    with each call's xs and the traced memory at the call (0 untraced);
+    the first call resets the traced peak."""
+    calls = []
+    span = dynamics._chebyshev_span
+
+    def spy(h, psi, xs):
+        if not calls:  # the traced peak from the first span on
+            tracemalloc.reset_peak()
+        calls.append((np.array(xs, dtype=float),
+                      tracemalloc.get_traced_memory()[0]))
+        return span(h, psi, xs)
+    return mock.patch.object(dynamics, "_chebyshev_span", spy), calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.05, 0.4, 2.0, 30.0]),
+                min_size=1, max_size=30),
+       st.integers(min_value=0, max_value=30))
+@example(1, 0, [0.0, 0.0, 1e-3], 1)  # one row per span
+@example(30, 5, [0.05] * 30, 30)  # 30 times in spans of 30 rows
+def test_spans_match_the_per_interval_series(dim, seed, x_gaps, at):
+    # x_gaps are half * dt; one of 1.3 CHEBYSHEV_MAX_X is split in two
+    rng = np.random.default_rng(seed)
+    h = random_symmetric(rng, dim)
+    lo, hi = gershgorin_interval(h)
+    half = 0.5 * (hi - lo)  # 0 for dim 1: every x is 0
+    x_gaps = list(x_gaps)
+    x_gaps.insert(min(at, len(x_gaps)), 1.3 * dynamics.CHEBYSHEV_MAX_X)
+    times = np.cumsum(x_gaps) / (half if half > 0.0 else 1.0)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    # the basis populations, and overlaps that see relative phases
+    tracked = np.vstack([np.eye(dim), rng.normal(size=(3, dim))
+                         + 1j * rng.normal(size=(3, dim))])
+    patch, calls = span_spy()
+    with patch, forced_method("chebyshev"):
+        cheb = evolve(h, psi0, times, tracked)
+    with forced_method("dense"):
+        dense = evolve(h, psi0, times, tracked)
+    ref, ref_bound = per_interval_states(h, psi0, times)
+    assert cheb.method == "chebyshev"
+    # each side's states lie within its summed tails of the exact ones;
+    # the restarted series adds one tail per interval
+    tol = 1e-12 + cheb.truncation_bound + ref_bound
+    assert np.linalg.norm(cheb.final_state - ref[-1]) <= tol
+    ref_pops = np.abs(ref @ tracked.conj().T) ** 2
+    scale = np.max(np.sum(np.abs(tracked) ** 2, axis=1))
+    assert np.max(np.abs(cheb.populations - ref_pops)) <= 2.0 * scale * tol
+    # one series per span, each cut at its last x, each within the limits
+    assert cheb.products == sum(len(_chebyshev_terms(xs[-1])[0]) - 1
+                                for xs, _ in calls)
+    rows = max(1, min(dynamics.DENSE_CHUNK, h.mat.nnz) // dim)
+    for xs, _ in calls:
+        assert len(xs) <= rows and np.all(np.diff(xs) >= 0.0)
+        assert xs[-1] <= dynamics.CHEBYSHEV_MAX_X * (1.0 + 1e-12)
+    # every grid time in one span, and one more call per split piece
+    pieces = np.maximum(1, np.ceil(half * np.diff(times, prepend=0.0)
+                                   / dynamics.CHEBYSHEV_MAX_X))
+    assert sum(len(xs) for xs, _ in calls) == np.sum(pieces)
+    pop_err = np.abs(cheb.populations - dense.populations)
+    assert np.max(pop_err) <= 2.0 * cheb.truncation_bound + 1e-10
+
+
+def test_every_grid_state_matches_the_per_interval_series():
+    # each prefix of the grid ends at one of its times: its final state
+    # is that time's state
+    rng = np.random.default_rng(3)
+    h = random_symmetric(rng, 12)
+    lo, hi = gershgorin_interval(h)
+    x_gaps = [0.0, 0.3, 0.0, 1e-3, 2.0, 1.5 * dynamics.CHEBYSHEV_MAX_X,
+              0.05, 0.05, 7.0, 0.0]
+    times = np.cumsum(x_gaps) / (0.5 * (hi - lo))
+    psi0 = rng.normal(size=12) + 1j * rng.normal(size=12)
+    psi0 /= np.linalg.norm(psi0)
+    ref, ref_bound = per_interval_states(h, psi0, times)
+    with forced_method("chebyshev"):
+        for n in range(1, len(times) + 1):
+            cheb = evolve(h, psi0, times[:n])
+            assert (np.linalg.norm(cheb.final_state - ref[n - 1])
+                    <= 1e-12 + cheb.truncation_bound + ref_bound)
+
+
+def test_one_span_reaches_every_short_interval():
+    # 40 times of x <= 3: one series cut at the last x, not 40 restarts
+    rng = np.random.default_rng(5)
+    h = random_symmetric(rng, 50)
+    lo, hi = gershgorin_interval(h)
+    times = np.linspace(0.0, 3.0 / (0.5 * (hi - lo)), 40)
+    psi0 = np.eye(50)[0].astype(complex)
+    with forced_method("chebyshev"):
+        cheb = evolve(h, psi0, times, [psi0])
+    j, tail = _chebyshev_terms(0.5 * (hi - lo) * times[-1])
+    assert cheb.products == len(j) - 1
+    assert cheb.truncation_bound == tail
+
+
+@pytest.mark.parametrize("chunk", [None, 24 * 2000])
+def test_span_states_stay_within_h_data(chunk):
+    # dim 2 000 with about 60 nonzeros per row, 300 grid times: a span
+    # holds at most min(DENSE_CHUNK, nnz) // dim states, 60 or 24 of them
+    rng = np.random.default_rng(9)
+    dim = 2000
+    a = sp.random(dim, dim, density=0.015, random_state=rng, format="csr")
+    h = SparseOperator(dim, sp.csr_matrix(a + a.T + sp.diags(rng.normal(size=dim))))
+    chunk = dynamics.DENSE_CHUNK if chunk is None else chunk
+    cap = min(chunk, h.mat.nnz)
+    lo, hi = gershgorin_interval(h)
+    times = np.linspace(0.0, 30.0 / (0.5 * (hi - lo)), 300)
+    psi0 = np.eye(dim)[0].astype(complex)
+    patch, calls = span_spy()
+    with (patch, mock.patch.object(dynamics, "DENSE_CHUNK", chunk),
+          forced_method("chebyshev")):
+        tracemalloc.start()
+        try:
+            evolve(h, psi0, times, [psi0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(len(xs) for xs, _ in calls) == cap // dim
+    # no span's states outlive it: each span starts on the same memory
+    start = [traced for _, traced in calls]
+    assert max(start) - min(start) <= 4 * 16 * dim
+    # from there on, one span's states, their coefficients and a few
+    # one-state temporaries
+    assert peak - min(start) <= 16 * cap + 12 * 16 * dim + 64 * 1024
+
+
 @pytest.mark.parametrize("x", [0.0, 1e-31, 1e-12, 1e-5, 0.5, 1.55, 10.0,
                                100.0, 637.3, 999.9, 1000.0])
 def test_bessel_j_matches_scipy(x):
@@ -657,6 +817,26 @@ def test_identity_block_eigh_is_the_whole_eigh(dim, seed, density):
     w_ref, v_ref = np.linalg.eigh(h.mat.toarray())
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
     assert np.array_equal(basis.toarray(), np.eye(dim))
+
+
+def test_effective_chain_n14_over_two_periods_in_spans():
+    # the north star's long horizon on the effective side: the uniform
+    # spin-1/2 chain of 14 sites, S_z block 3 432, over 0-512 ms in 200
+    # points; one series per interval takes 2 189 products
+    geo = CrystalGeometry.from_uniform_hoppings(14, 0.1 * KHZ, 0.17 * KHZ)
+    labels = ("up",) * 7 + ("down",) * 7
+    basis = spin_block("half", labels)
+    h = build_spin_hamiltonian(spin_half_general(geo, DRIVE), basis)
+    assert (basis.dim, h.dim >= DENSE_THRESHOLD) == (3432, True)
+    tracked = np.array([basis.product_vector([[(s, 1.0)] for s in lab])
+                        for lab in (labels, labels[::-1],
+                                    ("down",) + labels[:-1])])
+    times = np.linspace(0.0, 512.0, 200)
+    res = evolve(h, tracked[0], times, tracked)
+    assert res.method == "chebyshev" and res.products <= 400
+    ref, _ = per_interval_states(h, tracked[0], times)
+    ref_pops = np.abs(ref @ tracked.conj().T) ** 2
+    assert np.max(np.abs(res.populations - ref_pops)) <= 1e-10
 
 
 @pytest.mark.slow

@@ -164,6 +164,34 @@ def test_block_dimension_counted_without_enumeration():
         enumerate_sector(6, 6, dim_cap=64417, n_x_total=3)
 
 
+def letter_by_letter_fillings(counts, totals, n_sites):
+    """The fillings table with one shifted table added per letter."""
+    grid = tuple(t + 1 for t in totals)
+    ways = np.zeros((n_sites + 1,) + grid, dtype=object)
+    ways[(0,) * (len(grid) + 1)] = 1
+    for m in range(n_sites):
+        for c in counts:
+            if np.any(c >= grid):
+                continue
+            ways[m + 1][tuple(slice(ci, g) for ci, g in zip(c, grid))] += \
+                ways[m][tuple(slice(0, g - ci) for ci, g in zip(c, grid))]
+    return ways
+
+
+@pytest.mark.parametrize("build", [
+    lambda: enumerate_sector(5, 5, n_x_total=3),  # spin-1/2 N_X block
+    lambda: enumerate_sector(4, 8, n_x_total=4),  # spin-1 N_X block
+    lambda: enumerate_sector(4, 6),  # a whole sector
+    lambda: spin_block("one", ("1", "0", "-1", "0", "1")),
+], ids=["half_block", "one_block", "sector", "spin_block"])
+def test_fillings_equal_the_letter_by_letter_table(build):
+    basis = build()
+    ref = letter_by_letter_fillings(basis.counts, basis.totals, basis.n_sites)
+    assert basis.ways.dtype == object and basis.ways.shape == ref.shape
+    assert all(type(w) is int for w in basis.ways.flat)
+    assert np.array_equal(basis.ways, ref)
+
+
 def test_sector_dim_cap():
     with pytest.raises(SectorError):
         enumerate_sector(3, 3, dim_cap=100)
