@@ -48,12 +48,20 @@ def force_residual(u):
     return np.add.accumulate(rows, axis=1)[:, -1]
 
 
+def _inverse_cubes(u):
+    """|u_j - u_k|^-3 with a zero diagonal; ValueError on coincident positions."""
+    dist = np.abs(u[:, None] - u[None, :])
+    np.fill_diagonal(dist, 1.0)
+    if np.any(dist <= 0):
+        raise ValueError("coincident ion positions")
+    inv3 = dist**-3
+    np.fill_diagonal(inv3, 0.0)
+    return inv3
+
+
 def _jacobian(u):
     # J = I + 2 D with D_mm = sum_{k != m} |u_m-u_k|^-3, D_mk = -|u_m-u_k|^-3
-    diff = u[:, None] - u[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv3 = np.abs(diff) ** -3
-    np.fill_diagonal(inv3, 0.0)
+    inv3 = _inverse_cubes(u)
     jac = -2.0 * inv3
     np.fill_diagonal(jac, 1.0 + 2.0 * inv3.sum(axis=1))
     return jac
@@ -110,13 +118,7 @@ def equilibrium_positions(n_ions):
 
 def hopping_matrix(u, trap: TrapConfig):
     """Dipolar hopping matrices (t_x, t_y) in angular units, zero diagonal."""
-    u = np.asarray(u, dtype=float)
-    diff = np.abs(u[:, None] - u[None, :])
-    np.fill_diagonal(diff, 1.0)
-    if np.any(diff <= 0):
-        raise ValueError("coincident ion positions")
-    inv3 = diff**-3
-    np.fill_diagonal(inv3, 0.0)
+    inv3 = _inverse_cubes(np.asarray(u, dtype=float))
     # the bits of a float's **, but inf where that raises OverflowError
     t_x = (np.float_power(trap.omega_z, 2.0) / (2.0 * trap.omega_x)) * inv3
     t_y = (np.float_power(trap.omega_z, 2.0) / (2.0 * trap.omega_y)) * inv3
@@ -149,11 +151,13 @@ class CrystalGeometry:
         return len(self.u)
 
     @classmethod
+    def _from_hoppings(cls, u, t_x, t_y):
+        return cls(u, t_x, t_y, *onsite_shifts(t_x, t_y))
+
+    @classmethod
     def from_trap(cls, trap: TrapConfig):
         u = equilibrium_positions(trap.n_ions)
-        t_x, t_y = hopping_matrix(u, trap)
-        dw_x, dw_y = onsite_shifts(t_x, t_y)
-        return cls(u=u, t_x=t_x, t_y=t_y, dw_x=dw_x, dw_y=dw_y)
+        return cls._from_hoppings(u, *hopping_matrix(u, trap))
 
     @classmethod
     def from_uniform_hoppings(cls, n_ions, t_x_nn, t_y_nn):
@@ -163,14 +167,8 @@ class CrystalGeometry:
         for two ions and for any quantity referencing one pair only.
         """
         idx = np.arange(n_ions, dtype=float)
-        dist = np.abs(idx[:, None] - idx[None, :])
-        np.fill_diagonal(dist, 1.0)
-        inv3 = dist**-3
-        np.fill_diagonal(inv3, 0.0)
-        t_x = t_x_nn * inv3
-        t_y = t_y_nn * inv3
-        dw_x, dw_y = onsite_shifts(t_x, t_y)
-        return cls(u=idx - idx.mean(), t_x=t_x, t_y=t_y, dw_x=dw_x, dw_y=dw_y)
+        inv3 = _inverse_cubes(idx)
+        return cls._from_hoppings(idx - idx.mean(), t_x_nn * inv3, t_y_nn * inv3)
 
 
 def local_detunings(geometry: CrystalGeometry, drive: DriveParams):

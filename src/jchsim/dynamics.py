@@ -70,18 +70,20 @@ TRACK_CAP = 512  # track every product label while there are at most this many
 class EvolutionResult:
     """Population traces of one trajectory plus conservation diagnostics.
 
-    The Chebyshev method measures the drifts on its state at every grid
-    time. The dense method's are one-time checks, constant in exact
-    arithmetic, of the initial state's eigencoefficients c0 summed over
-    the parity blocks: norm_drift = |sum |c0|^2 - 1| and energy_drift =
-    |sum w |c0|^2 - <psi0|H|psi0>| / max(|E0|, max |H_ij|, 1e-30); a
+    Both methods measure the drifts from E0 = <psi0|H|psi0>: norm_drift
+    = max |n - 1| and energy_drift = max |E - E0| / max(|E0|, max |H_ij|,
+    1e-30) over their values n of the norm and E of the energy. The
+    Chebyshev method has one of each per grid time, <psi|psi> and
+    <psi|H|psi> of its state. The dense method has one of each, checks
+    constant in exact arithmetic of the initial state's eigencoefficients
+    c0 summed over the parity blocks, sum |c0|^2 and sum w |c0|^2; a
     missed block or a wrong eigenpair shows in them.
     """
 
     times: np.ndarray  # ms
     populations: np.ndarray  # (times, tracked states) squared overlaps
-    norm_drift: float  # |<psi|psi> - 1|, per method as above
-    energy_drift: float  # relative drift of <psi|H|psi>, per method as above
+    norm_drift: float  # max |<psi|psi> - 1|, per method as above
+    energy_drift: float  # relative drift of <psi|H|psi> from E0, as above
     final_state: np.ndarray
     method: str  # "dense" or "chebyshev"
     # products with H, 0 for dense: one series per span of grid times,
@@ -176,10 +178,9 @@ def _chebyshev_span(h: SparseOperator, psi, xs):
     n_terms = len(j)
     # (terms, xs); bessel_j stops below 1e-30, the orders past it are 0
     c = np.zeros((n_terms, len(xs)), dtype=complex)
-    for r, x in enumerate(xs[:-1]):
+    for r, x in enumerate(xs):
         j_r = bessel_j(x)[:n_terms]
         c[:len(j_r), r] = j_r
-    c[:, -1] = j
     c *= (2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(n_terms) % 4])[:, None]
     c[0] /= 2.0
     states = c[0][:, None] * psi
@@ -193,6 +194,15 @@ def _chebyshev_span(h: SparseOperator, psi, xs):
             states[r] += c[k, r] * t_next
         t_prev, t_k = t_k, t_next
     return states, n_terms - 1, tail
+
+
+def _apply_real(op, x):
+    """op @ x for a real op, sparse or dense, and a state or (dim, k) stack
+    of states x, through x's float view: each complex column is a real and
+    an imaginary column side by side, so op is never upcast."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    y = op @ x.reshape(len(x), -1).view(float)
+    return y.view(complex).reshape((-1, *x.shape[1:]))
 
 
 def block_eigh(h: SparseOperator, mirror=None):
@@ -259,16 +269,16 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
     state, and drops the eigenvectors before the next block's eigh; the
     tracked amplitudes at every grid time are then sums over the blocks
     of (e^{-iwt} c0) @ R^T, at most DENSE_CHUNK phase entries at once,
-    and no other state is formed. Its drifts are one-time checks of the
-    eigencoefficients (EvolutionResult). From DENSE_THRESHOLD on, the
+    and no other state is formed. From DENSE_THRESHOLD on, the
     Chebyshev method runs one series per span of grid times
     (_chebyshev_span) from the state at the span's start, and records
     the observables of every state of the span. A span ends before half
     x its length would pass CHEBYSHEV_MAX_X, or its states would hold
     more than min(DENSE_CHUNK, nnz) complex entries, so updating them
     costs no more per product than the product; a single longer grid
-    interval is split into equal series before its span. Raises
-    ValueError on an H not stored float64, or non-finite or
+    interval is split into equal series before its span. Both methods'
+    drifts are reduced in one place, from <psi0|H|psi0> (EvolutionResult).
+    Raises ValueError on an H not stored float64, or non-finite or
     non-Hermitian, on one that mixes the parity blocks, or on a bad or
     non-finite grid; FloatingPointError if eps times the last time times
     the Gershgorin bound on |H|, the phases' rounding error, exceeds
@@ -306,35 +316,27 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
     overlap_rows = np.array(tracked, dtype=complex).reshape(len(tracked), h.dim)
     np.conj(overlap_rows, out=overlap_rows)
 
+    pops = np.empty((len(times), len(overlap_rows)))
     products, truncation_bound, blocks = 0, 0.0, ()
     if h.dim < DENSE_THRESHOLD:
         method = "dense"
-        # real H on the real and imaginary parts: <psi0|H|psi0> has no
-        # cross term
-        e0 = float(psi0.real @ (h.mat @ psi0.real)
-                   + psi0.imag @ (h.mat @ psi0.imag))
-        norm = energy = 0.0  # sum |c0|^2 and sum w |c0|^2 over the blocks
+        norms = energies = 0.0  # sum |c0|^2 and sum w |c0|^2 over the blocks
         final_state = np.zeros(h.dim, dtype=complex)
         spectra = []  # (w, c0, R) per block: v is dropped before the next eigh
         for basis, w, v in block_eigh(h, None if mirror is None else mirror()):
-            # v stays real, and is applied to the real and imaginary parts
-            # apart so that it is never upcast
-            projected = basis.T @ np.column_stack([psi0, overlap_rows.T])
-            coeffs = v.T @ projected.real + 1j * (v.T @ projected.imag)
+            coeffs = _apply_real(v.T, _apply_real(
+                basis.T, np.column_stack([psi0, overlap_rows.T])))
             c0, r = coeffs[:, 0], coeffs[:, 1:].T
             weights = np.abs(c0) ** 2
-            norm += float(np.sum(weights))
-            energy += float(w @ weights)
-            c_final = np.exp(-1j * times[-1] * w) * c0
-            final_state += basis @ (v @ c_final.real + 1j * (v @ c_final.imag))
+            norms += float(np.sum(weights))
+            energies += float(w @ weights)
+            final_state += _apply_real(
+                basis, _apply_real(v, np.exp(-1j * times[-1] * w) * c0))
             spectra.append((w, c0, r))
             blocks += (len(w),)
             del v
-        norm_drift = abs(norm - 1.0)
-        energy_drift = abs(energy - e0) / max(abs(e0), scale, 1e-30)
         # one block's phases at rows time points: at most rows x dim entries
         rows = max(1, DENSE_CHUNK // h.dim)
-        pops = np.empty((len(times), len(overlap_rows)))
         for start in range(0, len(times), rows):
             amplitudes = 0.0
             for w, c0, r in spectra:
@@ -360,9 +362,8 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
         h_unit = SparseOperator(h.dim, sp.csr_matrix(
             (h_unit.data.astype(complex), h_unit.indices, h_unit.indptr),
             shape=h_unit.shape))
-        psi, h_psi = psi0.copy(), np.empty((1, h.dim), dtype=complex)
+        psi = psi0.copy()
         norms, energies = np.empty((2, len(times)))
-        pops = np.empty((len(times), len(overlap_rows)))
         # a span's states hold no more entries than h_unit's data
         rows = max(1, min(DENSE_CHUNK, h_unit.mat.nnz) // h.dim)
         t_psi, start = 0.0, 0  # psi is the state at t_psi
@@ -386,30 +387,27 @@ def evolve(h: SparseOperator, psi0, times, tracked=(), mirror=None):
             products += n_products
             truncation_bound += tail
             states *= np.exp(-1j * mid * (times[start:stop] - t_psi))[:, None]
-            for i in range(start, stop):
-                # one-row state; H psi is the real h.mat on its real and
-                # imaginary parts
-                row = states[i - start][None]
-                norms[i] = np.einsum("ij,ij->i", row.conj(), row).real[0]
-                pops[i] = np.abs(row @ overlap_rows.T)[0] ** 2
-                h_psi.real = (h.mat @ row.real.T).T
-                h_psi.imag = (h.mat @ row.imag.T).T
-                energies[i] = np.einsum("ij,ij->i", row.conj(), h_psi).real[0]
+            # populations row by row: one product per span would be a
+            # zgemm, whose packing buffer adds 0.13 MB to the peak RSS
+            for i, state in enumerate(states, start):
+                norms[i] = np.vdot(state, state).real
+                pops[i] = np.abs(overlap_rows @ state) ** 2
+                energies[i] = np.vdot(state, _apply_real(h.mat, state)).real
             # psi a copy, and no view left: the span's states go before the
             # next span's come
             psi, t_psi, start = states[-1].copy(), times[stop - 1], stop
-            del states, row
+            del states, state
         final_state = psi
-        norm_drift = float(np.max(np.abs(norms - 1.0)))
-        e0 = energies[0]
-        energy_drift = float(
-            np.max(np.abs(energies - e0)) / max(abs(e0), scale, 1e-30))
 
+    # here, not before the branch, where its temporary grows the heap
+    # under the dense eigh's peak
+    e0 = np.vdot(psi0, _apply_real(h.mat, psi0)).real
     return EvolutionResult(
         times=times,
         populations=pops,
-        norm_drift=norm_drift,
-        energy_drift=energy_drift,
+        norm_drift=float(np.max(np.abs(norms - 1.0))),
+        energy_drift=float(np.max(np.abs(energies - e0))
+                           / max(abs(e0), scale, 1e-30)),
         final_state=final_state,
         method=method,
         products=products,

@@ -16,6 +16,7 @@ from jchsim.dynamics import (
     CHEBYSHEV_TOL,
     DENSE_THRESHOLD,
     Run,
+    _apply_real,
     _chebyshev_terms,
     bessel_j,
     block_eigh,
@@ -533,6 +534,68 @@ def test_chebyshev_error_within_bound(dim, seed, gaps, tol):
     # |P - P'| <= (|a| + |a'|) |a - a'| at every point, each within the bound
     pop_err = np.abs(cheb.populations - dense.populations)
     assert np.max(pop_err) <= 2.0 * cheb.truncation_bound + roundoff
+
+
+def sparse_symmetric_with_unstored_diagonal(rng, dim):
+    """A random sparse real symmetric CSR H with every third diagonal
+    entry not stored, as some rows of the N = 5 X = 3 block's H."""
+    a = rng.normal(size=(dim, dim)) * (rng.uniform(size=(dim, dim)) < 0.2)
+    a = a + a.T
+    a[np.arange(0, dim, 3), np.arange(0, dim, 3)] = 0.0
+    h = sp.csr_matrix(a)  # drops the zeros
+    unstored = [i for i in range(dim)
+                if i not in h.indices[h.indptr[i]:h.indptr[i + 1]]]
+    assert len(unstored) >= len(range(0, dim, 3))
+    return h
+
+
+@pytest.mark.parametrize("operator", ["sparse", "sparse transposed", "dense",
+                                      "dense transposed"])
+@pytest.mark.parametrize("state", ["real", "complex", "strided column",
+                                   "strided stack"])
+def test_apply_real_matches_the_dense_product(operator, state):
+    rng = np.random.default_rng(21)
+    dim = 40
+    h = sparse_symmetric_with_unstored_diagonal(rng, dim)
+    v = rng.normal(size=(dim, dim))
+    op = {"sparse": h, "sparse transposed": h.T, "dense": v,
+          "dense transposed": v.T}[operator]
+    dense_op = op.toarray() if sp.issparse(op) else op
+    z = rng.normal(size=(dim, 6)) + 1j * rng.normal(size=(dim, 6))
+    x = {"real": z[:, 0].real.copy(), "complex": z[:, 0].copy(),
+         "strided column": z[:, 1], "strided stack": z[:, ::2]}[state]
+    x_before = x.copy()
+    got = _apply_real(op, x)
+    ref = dense_op @ x.astype(complex)
+    assert got.dtype == complex and got.shape == ref.shape
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(x, x_before)
+    if x.ndim == 1:
+        e_got, e_ref = np.vdot(x, got), np.vdot(x, ref)
+        assert abs(e_got - e_ref) <= 1e-12 * abs(e_ref)
+
+
+def test_energy_drift_counts_the_first_series_error():
+    # the grid starts after t = 0 and the loosened cut leaves an energy
+    # error in the first series: measured from <psi0|H|psi0>, the drift
+    # holds it; measured from the first grid time, it would read 0
+    rng = np.random.default_rng(4)
+    h = random_symmetric(rng, 30)
+    psi0 = rng.normal(size=30) + 1j * rng.normal(size=30)
+    psi0 /= np.linalg.norm(psi0)
+    lo, hi = gershgorin_interval(h)
+    t0 = 20.0 / (0.5 * (hi - lo))
+    with (mock.patch.object(dynamics, "CHEBYSHEV_TOL", 1e-2),
+          forced_method("chebyshev")):
+        cheb = evolve(h, psi0, [t0, t0])
+    e0 = np.vdot(psi0, h.mat @ psi0).real
+    psi = cheb.final_state
+    scale = max(abs(e0), np.max(np.abs(h.mat.data)))
+    error = abs(np.vdot(psi, h.mat @ psi).real - e0) / scale
+    assert error > 1e-6
+    assert cheb.energy_drift == pytest.approx(error, rel=1e-6)
+    assert cheb.norm_drift == pytest.approx(abs(np.vdot(psi, psi).real - 1.0),
+                                            rel=1e-6)
 
 
 def test_long_interval_is_split():
