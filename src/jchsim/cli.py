@@ -4,7 +4,8 @@ Every subcommand reads a flat key-value config, writes deterministic CSV
 (12 significant digits, fixed row order) plus a JSON run manifest, and
 optionally a native SVG line chart (CSV is authoritative, SVG is a
 courtesy). Exit codes: 0 success, 2 configuration or output error, 3
-numerical failure or out of memory. JCHSIM_THREADS pins BLAS threads.
+numerical failure or out of memory. BLAS threads are pinned by the BLAS
+libraries' own OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS.
 """
 
 import argparse
@@ -15,6 +16,23 @@ import os
 import sys
 import time
 
+import numpy as np
+
+from . import __version__
+from .crystal import ConvergenceError, force_residual, geometry_from_config
+from .dynamics import compare_full_vs_effective, evolve_full_model
+from .fock import SectorError
+from .jchv import particle_hole_gaps, single_site_spectra
+from .params import KHZ, ConfigError, make_drive, parse_config
+from .superexchange import (
+    DegenerateIntermediateError,
+    pair_effective_matrix,
+    spin_half_analytic,
+    spin_half_general,
+    spin_one_general,
+    spin_one_isotropic_analytic,
+)
+
 
 def _write_csv(path, header, rows):
     """Integer cells (Python or numpy) as integers, others as %.11e floats,
@@ -22,11 +40,8 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join("%d" if type(v).__name__ in _INTS else "%.11e"
+            fh.write(",".join("%d" if isinstance(v, (int, np.integer)) else "%.11e"
                               for v in row) % tuple(row) + "\n")
-
-
-_INTS = ("int", "bool", "int64", "int32")
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +57,6 @@ _ML, _MR, _MT, _MB = 72, 16, 28, 52
 
 def write_line_svg(path, x, series, xlabel, ylabel, title, dashed=()):
     """series: list of (name, y-array); dashed names get a dash pattern."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     lo_x, hi_x = float(x.min()), float(x.max())
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in series])
@@ -127,8 +140,6 @@ def write_line_svg(path, x, series, xlabel, ylabel, title, dashed=()):
 
 
 def parse_sweep(text):
-    from .params import ConfigError
-
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigError("--sweep wants KEY:START:STOP:N")
@@ -148,8 +159,6 @@ def config_variant(raw, **overrides):
     """Re-render a raw key-value dict with overrides and re-parse it.
 
     An integral float is written as an integer, so integer keys sweep."""
-    from .params import parse_config
-
     merged = dict(raw)
     merged.update({k: str(int(v)) if float(v).is_integer() else repr(v)
                    for k, v in overrides.items()})
@@ -162,11 +171,6 @@ def config_variant(raw, **overrides):
 
 
 def cmd_crystal(cfg, args, out_dir):
-    import numpy as np
-
-    from .crystal import force_residual, geometry_from_config
-    from .params import KHZ
-
     geo = geometry_from_config(cfg)
     n = geo.n_ions
     center = (n - 1) // 2
@@ -207,11 +211,6 @@ def cmd_crystal(cfg, args, out_dir):
 
 
 def cmd_spectrum(cfg, args, out_dir):
-    import numpy as np
-
-    from .jchv import particle_hole_gaps, single_site_spectra
-    from .params import KHZ, ConfigError, make_drive
-
     g_x, g_y = cfg.drive.g_x, cfg.drive.g_y
     if g_x == 0.0:  # the default span and the *_over_gx columns scale with it
         raise ConfigError("spectrum needs g_x_khz > 0")
@@ -274,8 +273,6 @@ _COUPLING_COLUMNS = {
 def _coupling_rows(model):
     """One row per pair j < k, then one per site, in kHz; a pair row's
     site columns and a site row's pair columns are 0."""
-    from .params import KHZ
-
     pair_cols, site_cols = _COUPLING_COLUMNS[model.manifold]
 
     def cells(names, index):
@@ -291,18 +288,6 @@ def _coupling_rows(model):
 
 
 def cmd_couplings(cfg, args, out_dir):
-    import numpy as np
-
-    from .crystal import geometry_from_config
-    from .params import KHZ, ConfigError
-    from .superexchange import (
-        pair_effective_matrix,
-        spin_half_analytic,
-        spin_half_general,
-        spin_one_general,
-        spin_one_isotropic_analytic,
-    )
-
     # every sweep point's geometry is built, and its pair solved, before
     # anything is written, so a bad point fails the run with no output
     if args.sweep:
@@ -378,8 +363,6 @@ def cmd_couplings(cfg, args, out_dir):
 
 def _write_traces(path, labels, result):
     """One row per time: t and the population of every tracked label."""
-    import numpy as np
-
     _write_csv(path, ["t_ms"] + ["P_" + ".".join(lab) for lab in labels],
                np.column_stack([result.times, result.populations]))
 
@@ -399,10 +382,6 @@ def _run_residuals(result):
 
 def cmd_evolve(cfg, args, out_dir):
     """Exact full-model evolution in the conserved N_X block."""
-    import numpy as np
-
-    from .dynamics import evolve_full_model
-
     run = evolve_full_model(cfg)
     res = run.sides["full"]
 
@@ -419,11 +398,6 @@ def cmd_evolve(cfg, args, out_dir):
 
 
 def cmd_compare(cfg, args, out_dir):
-    import numpy as np
-
-    from .dynamics import compare_full_vs_effective
-    from .params import KHZ
-
     run = compare_full_vs_effective(cfg)
     sides = run.sides.items()
     full, effective = run.sides["full"], run.sides["effective"]
@@ -508,21 +482,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("JCHSIM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     args = _build_parser().parse_args(argv)
-
-    import numpy as np
-
-    from . import __version__
-    from .crystal import ConvergenceError
-    from .fock import SectorError
-    from .params import ConfigError, parse_config
-    from .superexchange import DegenerateIntermediateError
 
     try:
         with open(args.config) as fh:

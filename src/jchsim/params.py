@@ -199,8 +199,6 @@ def _get(raw, key, conv, default=None, required=False):
         return default
     try:
         value = conv(raw[key])
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
     if isinstance(value, float) and not math.isfinite(value):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import jchsim
+from jchsim import crystal
 from jchsim.cli import (
     _COUPLING_HEADER,
     _coupling_rows,
@@ -102,10 +103,11 @@ def test_spectrum_isotropic_point(tmp_path):
     cfg = write_cfg(tmp_path, ISO_PAIR)
     out = tmp_path / "o"
     rc = main(["spectrum", "--config", cfg, "--out", str(out),
-               "--sweep", "delta_khz:-10:10:5"])
+               "--sweep", "delta_khz:-10:10:5", "--svg"])
     assert rc == 0
     header, rows = read_csv(out / "spectrum.csv")
     assert len(rows) == 5
+    assert len(svg_polylines(out / "spectrum.svg")) == 4
     center = rows[2]
     assert center[header.index("delta_khz")] == 0.0
     assert abs(center[header.index("split_khz")]) < 1e-12
@@ -293,6 +295,17 @@ def test_svg_marks_isolated_point(tmp_path):
     (dot,) = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}circle")
     assert (dot.get("cx"), dot.get("cy")) == ("348.00", "333.45")
     assert dot.get("fill") == "#1f77b4"
+
+
+def test_svg_one_point_x_range(tmp_path):
+    # x.min() == x.max(): the x axis spans [x, x + 1], the point is a dot
+    path = tmp_path / "t.svg"
+    write_line_svg(path, [2.0], [("a", [1.0])], "x", "y", title="t")
+    root = ET.parse(path).getroot()
+    (dot,) = root.iter("{http://www.w3.org/2000/svg}circle")
+    assert (dot.get("cx"), dot.get("cy")) == ("72.00", "333.45")
+    ticks = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert ticks[:5] == ["2", "2.25", "2.5", "2.75", "3"]
 
 
 def test_couplings_sweep_svg_skips_nan_point(tmp_path):
@@ -505,6 +518,52 @@ def test_evolve_rejects_labels_outside_manifold(tmp_path, capsys):
                                                "n_excitations = 2"))
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+GRADIENT_MASS_0 = TRAP4.replace("g_x_khz = 19.0\ng_y_khz = 20.0\n",
+                                "gradient_b = 1e5\ngradient_mu1 = 2.2\n"
+                                "gradient_mu2 = 3.0\nion_mass_amu = 0\n")
+NO_INITIAL_STATE = ISO_PAIR.replace("initial_state = up,down\n", "")
+
+
+@pytest.mark.parametrize("command, text, error", [
+    ("couplings", GRADIENT_MASS_0, "ion_mass_amu must be positive"),
+    ("evolve", ISO_PAIR.replace("n_excitations = 1", "n_excitations = 3"),
+     "n_excitations must be 1 (spin-1/2) or 2 (spin-1)"),
+    ("evolve", ISO_PAIR + "n_steps = 1\n", "n_steps must be at least 2"),
+    ("couplings", ISO_PAIR + "homogeneous = maybe\n",
+     "bad value for homogeneous: 'maybe'"),
+    ("crystal", "n_ions 2\n", "line 1: expected 'key = value', got 'n_ions 2'"),
+    ("crystal", ISO_PAIR.replace("n_ions = 2", "n_ions = 0"),
+     "n_ions must be a positive integer"),
+    ("evolve", NO_INITIAL_STATE,
+     "no initial state given (config key initial_state)"),
+    ("compare", NO_INITIAL_STATE,
+     "no initial state given (config key initial_state)"),
+], ids=["ion_mass", "n_excitations", "n_steps", "homogeneous", "separator",
+        "n_ions", "evolve_initial_state", "compare_initial_state"])
+def test_exit_code_refused_configs(tmp_path, capsys, command, text, error):
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_exit_code_crystal_not_converged(tmp_path, capsys, monkeypatch):
+    # one Newton step leaves the three-ion force balance unsolved
+    monkeypatch.setattr(crystal, "MAX_NEWTON_ITER", 1)
+    crystal.equilibrium_positions.cache_clear()
+    out = tmp_path / "o"
+    try:
+        code = main(["crystal", "--config", str(CONFIG_DIR / "three_ion_xxz.cfg"),
+                     "--out", str(out)])
+    finally:
+        crystal.equilibrium_positions.cache_clear()
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: Newton did not converge (residual 6.975e-01)\n")
+    assert not any(out.iterdir())
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
@@ -806,12 +865,3 @@ def test_parse_sweep_grammar():
         parse_sweep("g_y_khz:1:2:2.5")
     with pytest.raises(ConfigError, match="finite"):
         parse_sweep("g_y_khz:-inf:2:3")
-
-
-def test_thread_env_var(tmp_path, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("JCHSIM_THREADS", "2")
-    cfg = write_cfg(tmp_path, ISO_PAIR)
-    assert main(["crystal", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
